@@ -16,9 +16,7 @@ import sys
 
 import numpy as np
 
-from avgcons.engine import message_bits, run_trial
-from avgcons.harness import ExperimentConfig, build_params, trial_config
-from avgcons.quantization import admissible_interval, count_levels
+from avgcons.harness import ExperimentConfig, build_params, run_one
 
 
 def main() -> int:
@@ -39,20 +37,13 @@ def main() -> int:
             epsilon=args.epsilon, eta=args.eta, t_max=8,
         )
         params = build_params(cfg)
-        z, upper = admissible_interval(params.eta, params.ell, n, params.a, params.b)
-        budget = count_levels(z, upper, params.beta)
+        records = [run_one(cfg, i) for i in range(args.trials)]
+        levels = [r["distinct_exponents"] for r in records]
 
-        levels, inside, bits = [], [], []
-        for i in range(args.trials):
-            trace = run_trial(trial_config(cfg, i))
-            report = message_bits(trace)
-            levels.append(report.distinct_exponents)
-            raw = np.concatenate([trace.init_x_raw.ravel(), trace.init_y_raw.ravel()])
-            inside.append(bool(((raw >= z) & (raw <= upper)).all()))
-            bits.append(report.per_message_max)
-
-        print(f"{n},{params.ell},{params.beta},{budget},{np.mean(levels):.1f},"
-              f"{max(levels)},{np.mean(inside):.2f},{max(bits)}", file=args.out)
+        print(f"{n},{params.ell},{params.beta},{records[0]['level_budget']},"
+              f"{np.mean(levels):.1f},{max(levels)},"
+              f"{np.mean([r['samples_in_interval'] for r in records]):.2f},"
+              f"{max(r['max_message_bits'] for r in records)}", file=args.out)
     return 0
 
 

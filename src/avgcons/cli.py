@@ -23,23 +23,27 @@ from pathlib import Path
 
 from . import harness
 from .engine import dump_trace_jsonl, run_trial
-
-_SCHEDULE_KINDS = ("csc", "ring", "complete", "delayed", "c_connected", "blocking")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("AVGCONS_SEED", "0"))
+from .graph import SCHEDULE_KINDS
 
 
-def _parse_schedule(spec: str) -> tuple[str, int | None]:
-    kind, _, arg = spec.partition(":")
-    if kind not in _SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule {spec!r} (kinds: {', '.join(_SCHEDULE_KINDS)})")
-    if kind in ("delayed", "c_connected", "blocking"):
-        if not arg:
-            raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:3")
-        return kind, int(arg)
-    return kind, None
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else the AVGCONS_SEED environment variable, else 0."""
+    return args.seed if args.seed is not None else int(os.environ.get("AVGCONS_SEED", "0"))
+
+
+def _parse_schedule(spec: str) -> tuple[str, dict]:
+    """'kind' or 'kind:P' -> (kind, the ExperimentConfig field P sets)."""
+    kind, colon, arg = spec.partition(":")
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule {spec!r} (kinds: {', '.join(SCHEDULE_KINDS)})")
+    field_name = SCHEDULE_KINDS[kind][0]
+    if field_name is None:
+        if colon:
+            raise ValueError(f"schedule {kind!r} takes no parameter, got {spec!r}")
+        return kind, {}
+    if not arg:
+        raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:3")
+    return kind, {field_name: int(arg)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--a", type=float, default=0.0)
     run_p.add_argument("--b", type=float, default=1.0)
     run_p.add_argument("--bigN", type=int, default=None, help="network size bound (rbard)")
-    run_p.add_argument("--schedule", default="csc", help="csc|ring|complete|delayed:T|c_connected:C|blocking:L")
+    run_p.add_argument("--schedule", default="csc",
+                       help=f"kind or kind:P, kinds: {', '.join(SCHEDULE_KINDS)}")
     run_p.add_argument("--t-max", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--s-max", type=int, default=0)
@@ -83,24 +88,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kind, param = _parse_schedule(args.schedule)
-    seed = args.seed if args.seed is not None else _default_seed()
+    kind, schedule_param = _parse_schedule(args.schedule)
     cfg = harness.ExperimentConfig(
         protocol=args.protocol,
         trials=1,
         n=args.n,
-        seed=seed,
+        seed=_seed(args),
         epsilon=args.epsilon,
         eta=args.eta,
         a=args.a,
         b=args.b,
         size_bound=args.bigN,
         schedule_kind=kind,
-        delay=param if kind == "delayed" else None,
-        c=param if kind == "c_connected" else None,
-        ell=param if kind == "blocking" else None,
         s_max=args.s_max,
         t_max=args.t_max,
+        **schedule_param,
     )
     trace = run_trial(harness.trial_config(cfg, 0))
     if args.out is None:
@@ -142,15 +144,13 @@ def _print_claims(results) -> int:
 
 
 def _cmd_verify_graph(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     return _print_claims(
-        harness.verify_graph_claims(seed, product_cases=args.cases, c_cases=args.c_cases)
+        harness.verify_graph_claims(_seed(args), product_cases=args.cases, c_cases=args.c_cases)
     )
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return _print_claims(harness.verify_bound_claims(seed, reps=args.reps))
+    return _print_claims(harness.verify_bound_claims(_seed(args), reps=args.reps))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -103,24 +103,23 @@ class TrialConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def round_bound(protocol: str, schedule: DynamicSchedule, params: Optional[ProtocolParams],
+                s_max: int = 0) -> int:
+    """Round by which the protocol's guarantee is due: the schedule's
+    flooding length for min and r, one rotation per hop (ell*n) for rbar,
+    and the decision round s_max + 2n for rbard."""
+    if protocol == "rbar":
+        return params.ell * schedule.n
+    if protocol == "rbard":
+        return s_max + 2 * schedule.n
+    return schedule.sweep
+
+
 def default_horizon(protocol: str, schedule: DynamicSchedule, params: Optional[ProtocolParams],
                     s_max: int = 0) -> int:
     """4x the expected convergence/decision bound, so a non-converging run
     is distinguishable from a slow one."""
-    n = schedule.n
-    if schedule.kind == "delayed":
-        sweep = schedule.delay * max(1, n - 1)
-    elif schedule.kind == "c_connected":
-        sweep = math.ceil(n / schedule.c)
-    else:
-        sweep = max(1, n - 1)
-    if protocol in ("min", "r"):
-        bound = sweep
-    elif protocol == "rbar":
-        bound = params.ell * n
-    else:
-        bound = s_max + 2 * n
-    return 4 * max(1, bound)
+    return 4 * round_bound(protocol, schedule, params, s_max)
 
 
 @dataclass(eq=False)
@@ -163,8 +162,7 @@ class TrialTrace:
 def run_trial(cfg: TrialConfig) -> TrialTrace:
     n = cfg.n
     t_max = cfg.t_max
-    states = _init_states(cfg)
-    trace = _new_trace(cfg, states)
+    trace, states = _new_trace(cfg)
 
     outbox = _OUTBOX[cfg.protocol]
     apply = _APPLY[cfg.protocol]
@@ -200,22 +198,26 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     return trace
 
 
-def _init_states(cfg: TrialConfig) -> list:
-    states = []
-    for u, theta in enumerate(cfg.inputs):
-        stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
-        if cfg.protocol == "min":
-            states.append(proto.min_init(theta))
-        elif cfg.protocol == "r":
-            states.append(proto.r_init(theta, cfg.params, stream))
-        elif cfg.protocol == "rbar":
-            states.append(proto.rbar_init(theta, cfg.params, stream))
-        else:
-            states.append(proto.rbard_init(theta, cfg.params, stream, cfg.start_rounds[u]))
-    return states
+def _init_states(cfg: TrialConfig) -> tuple[list, Optional[list]]:
+    """Every agent's initial state, and the raw draws of the randomized
+    protocols (None for min), sampled once per agent from its own stream."""
+    if cfg.protocol == "min":
+        return [proto.min_init(theta) for theta in cfg.inputs], None
+    draws = [
+        proto.init_samples(theta, cfg.params, RngStream(cfg.seed, trial=cfg.trial, agent=u,
+                                                        purpose="init"))
+        for u, theta in enumerate(cfg.inputs)
+    ]
+    if cfg.protocol == "rbard":
+        return [proto.rbard_init(x, y, cfg.params, start)
+                for (x, y), start in zip(draws, cfg.start_rounds)], draws
+    init = proto.r_init if cfg.protocol == "r" else proto.rbar_init
+    return [init(x, y, cfg.params) for x, y in draws], draws
 
 
-def _new_trace(cfg: TrialConfig, states: list) -> TrialTrace:
+def _new_trace(cfg: TrialConfig) -> tuple[TrialTrace, list]:
+    """The trace before round 1, holding the initial draws, and the states."""
+    states, draws = _init_states(cfg)
     n, t_max = cfg.n, cfg.t_max
     theta = float(np.mean(cfg.inputs))
     shifted_sum = None
@@ -238,23 +240,13 @@ def _new_trace(cfg: TrialConfig, states: list) -> TrialTrace:
         trace.decisions = np.full((t_max, n), np.nan)
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
-    if cfg.protocol == "r":
-        trace.init_x_raw = np.stack([s.x_vec for s in states])
-        trace.init_y_raw = np.stack([s.y_vec for s in states])
-    elif cfg.protocol in ("rbar", "rbard"):
-        # Re-derive the raw draws from equal streams: keyed determinism
-        # makes this an exact replay of what the initializers sampled.
-        raw_x, raw_y = [], []
-        for u, theta_u in enumerate(cfg.inputs):
-            stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
-            xr, yr = proto.init_samples(theta_u, cfg.params, stream)
-            raw_x.append(xr)
-            raw_y.append(yr)
-        trace.init_x_raw = np.stack(raw_x)
-        trace.init_y_raw = np.stack(raw_y)
+    if draws is not None:
+        trace.init_x_raw = np.stack([x for x, _ in draws])
+        trace.init_y_raw = np.stack([y for _, y in draws])
+    if cfg.protocol in ("rbar", "rbard"):
         trace.init_x_quant = np.stack([s.x_vec for s in states])
         trace.init_y_quant = np.stack([s.y_vec for s in states])
-    return trace
+    return trace, states
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

@@ -69,10 +69,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> DirectedGraph:
     return DirectedGraph(n, frozenset(es))
 
 
-def graph_from_json(obj: dict) -> DirectedGraph:
-    return make_graph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
-
-
 def loops_only(n: int) -> DirectedGraph:
     return make_graph(n, ())
 
@@ -223,6 +219,17 @@ class DynamicSchedule:
             h.update(b"\x1f")
         return h
 
+    @property
+    def sweep(self) -> int:
+        """Flooding length: rounds after which a value has reached every
+        agent, n-1 for per-round strong connectivity, delay times that when
+        only delay-round windows are, and ceil(n/c) for c-in-connectivity."""
+        if self.kind == "delayed":
+            return self.delay * max(1, self.n - 1)
+        if self.kind == "c_connected":
+            return -(-self.n // self.c)
+        return max(1, self.n - 1)
+
     def round_key(self, t: int) -> int:
         h = self._key_prefix.copy()
         h.update(repr(t).encode("utf-8"))
@@ -258,32 +265,10 @@ class DynamicSchedule:
         return make_graph(self.n, cycle[slot :: self.delay])
 
     def to_json(self) -> dict:
-        params: dict = {}
-        if self.delay is not None:
-            params["delay"] = self.delay
-        if self.c is not None:
-            params["c"] = self.c
-        if self.ell is not None:
-            params["ell"] = self.ell
+        params = {k: getattr(self, k) for k in ("delay", "c", "ell") if getattr(self, k) is not None}
         if self.graph is not None:
             params["graph"] = self.graph.to_json()
         return {"kind": self.kind, "n": self.n, "seed": self.seed, "params": params}
-
-
-def schedule_from_json(obj: dict) -> DynamicSchedule:
-    kind, n, seed = obj["kind"], int(obj["n"]), int(obj.get("seed", 0))
-    params = obj.get("params", {})
-    if kind == "fixed":
-        return schedule_fixed(graph_from_json(params["graph"]))
-    if kind == "csc":
-        return schedule_csc_random(n, seed)
-    if kind == "delayed":
-        return schedule_delayed(n, int(params["delay"]), seed)
-    if kind == "c_connected":
-        return schedule_c_connected(n, int(params["c"]), seed)
-    if kind == "blocking":
-        return schedule_blocking_adversary(n, int(params["ell"]))
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def schedule_fixed(g: DirectedGraph) -> DynamicSchedule:
@@ -328,3 +313,16 @@ def schedule_blocking_adversary(n: int, ell: int) -> DynamicSchedule:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return DynamicSchedule(kind="blocking", n=n, ell=ell)
+
+
+# Schedule kinds by the names users type: the ExperimentConfig field that
+# ``kind:P`` sets (None when the kind takes no parameter) and the builder,
+# called as build(n, seed, P).  ring and complete are both kind "fixed".
+SCHEDULE_KINDS = {
+    "csc": (None, lambda n, seed, _: schedule_csc_random(n, seed)),
+    "ring": (None, lambda n, seed, _: schedule_fixed(ring_graph(n))),
+    "complete": (None, lambda n, seed, _: schedule_fixed(complete_graph(n))),
+    "delayed": ("delay", lambda n, seed, delay: schedule_delayed(n, delay, seed)),
+    "c_connected": ("c", lambda n, seed, c: schedule_c_connected(n, c, seed)),
+    "blocking": ("ell", lambda n, seed, ell: schedule_blocking_adversary(n, ell)),
+}

@@ -18,13 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import graph as gr
 from .engine import TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
-    default_horizon, message_bits, run_trial
+    default_horizon, message_bits, round_bound, run_trial
 from .quantization import admissible_interval, count_levels
 from .sampling import ConcentrationParams, ProtocolParams, RngStream, chernoff_bound, \
     empirical_tail, min_exponential_stats, params_r, params_rbar, params_rbard
@@ -49,7 +49,7 @@ class ExperimentConfig:
     a: float = 0.0
     b: float = 1.0
     size_bound: Optional[int] = None
-    schedule_kind: str = "csc"  # csc | delayed | c_connected | blocking | ring | complete
+    schedule_kind: str = "csc"  # a key of graph.SCHEDULE_KINDS
     delay: Optional[int] = None
     c: Optional[int] = None
     s_max: int = 0
@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("staggered starts are only supported by rbard")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise ValueError("fixed inputs must have length n")
+        if self.protocol == "rbard" and self.size_bound is not None and self.size_bound < self.n:
+            raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
 
     def to_json(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -77,13 +79,33 @@ class ExperimentConfig:
 
 
 def experiment_from_json(obj: dict) -> ExperimentConfig:
+    """Schema-1 config from parsed JSON; a missing, unknown or wrongly typed
+    key is a ValueError naming the key."""
     if obj.get("schema", 1) != 1:
         raise ValueError(f"unsupported config schema {obj.get('schema')!r}")
-    kwargs = dict(obj)
-    kwargs.pop("schema", None)
-    if kwargs.get("inputs") is not None:
-        kwargs["inputs"] = tuple(float(v) for v in kwargs["inputs"])
+    hints = get_type_hints(ExperimentConfig)
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in hints:
+            raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = _json_value(key, value, hints[key])
+    for key in ("protocol", "trials", "n"):
+        if key not in kwargs:
+            raise ValueError(f"config key {key!r} is required")
     return ExperimentConfig(**kwargs)
+
+
+def _json_value(key: str, value, hint):
+    """value checked against the field type hint; inputs become a tuple."""
+    optional = get_origin(hint) is Union  # Optional[X]
+    hint = get_args(hint)[0] if optional else hint
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if value is None and optional or type(value) is hint or hint is float and type(value) is int:
+        return value
+    if get_origin(hint) is tuple and isinstance(value, list) and all(
+            type(v) in (int, float) for v in value):
+        return tuple(float(v) for v in value)
+    raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
 
 
 def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
@@ -108,34 +130,23 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
     raise ValueError(f"unknown protocol {cfg.protocol!r}")
 
 
-def build_schedule(cfg: ExperimentConfig, trial: int) -> gr.DynamicSchedule:
-    seed = stable_seed("schedule", cfg.seed, trial)
-    kind = cfg.schedule_kind
-    if kind == "csc":
-        return gr.schedule_csc_random(cfg.n, seed)
-    if kind == "delayed":
-        if cfg.delay is None:
-            raise ValueError("delayed schedule requires delay")
-        return gr.schedule_delayed(cfg.n, cfg.delay, seed)
-    if kind == "c_connected":
-        if cfg.c is None:
-            raise ValueError("c_connected schedule requires c")
-        return gr.schedule_c_connected(cfg.n, cfg.c, seed)
-    if kind == "blocking":
-        params = build_params(cfg)
-        if params is None:
-            raise ValueError("blocking schedule needs protocol params to pick ell")
-        return gr.schedule_blocking_adversary(cfg.n, params.ell)
-    if kind == "ring":
-        return gr.schedule_fixed(gr.ring_graph(cfg.n))
-    if kind == "complete":
-        return gr.schedule_fixed(gr.complete_graph(cfg.n))
-    raise ValueError(f"unknown schedule kind {kind!r}")
+def build_schedule(cfg: ExperimentConfig, trial: int,
+                   params: Optional[ProtocolParams]) -> gr.DynamicSchedule:
+    if cfg.schedule_kind not in gr.SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {cfg.schedule_kind!r}")
+    field_name, build = gr.SCHEDULE_KINDS[cfg.schedule_kind]
+    param = None
+    if field_name is not None:
+        # blocking's ell is the protocol's, which cfg.ell pins when it is set.
+        param = getattr(params if field_name == "ell" else cfg, field_name, None)
+        if param is None:
+            raise ValueError(f"{cfg.schedule_kind} schedule requires {field_name}")
+    return build(cfg.n, stable_seed("schedule", cfg.seed, trial), param)
 
 
 def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int, ...] = ()) -> TrialConfig:
     params = build_params(cfg)
-    schedule = build_schedule(cfg, trial)
+    schedule = build_schedule(cfg, trial, params)
 
     if cfg.inputs is not None:
         inputs = cfg.inputs
@@ -175,23 +186,14 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
 
 
 def stationary_bound(cfg: ExperimentConfig, params: Optional[ProtocolParams]) -> Optional[int]:
-    """Round by which vectors must be globally agreed, or None when the
-    schedule gives no such guarantee (blocking, delayed + entry rotation)."""
-    n = cfg.n
+    """Round by which vectors must be globally agreed: the round bound, equal
+    for every trial's schedule, or None when the schedule gives no such
+    guarantee (blocking, delayed + entry rotation) or the protocol decides
+    instead (rbard)."""
     kind = cfg.schedule_kind
-    if kind == "blocking":
+    if kind == "blocking" or cfg.protocol == "rbard" or (cfg.protocol == "rbar" and kind == "delayed"):
         return None
-    if cfg.protocol in ("min", "r"):
-        if kind == "delayed":
-            return cfg.delay * max(1, n - 1)
-        if kind == "c_connected":
-            return math.ceil(n / cfg.c)
-        return max(1, n - 1)  # csc, ring, complete
-    if cfg.protocol == "rbar":
-        if kind == "delayed":
-            return None
-        return params.ell * n
-    return None  # rbard: decision bound handled separately
+    return round_bound(cfg.protocol, build_schedule(cfg, 0, params), params)
 
 
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -202,12 +204,9 @@ def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
     return trace.init_x_raw.min(axis=0), trace.init_y_raw.min(axis=0)
 
 
-def _vectors_stationary(trace: TrialTrace) -> bool:
+def _at_offline_minima(trace: TrialTrace, vector_pairs) -> bool:
     min_x, min_y = offline_minima(trace)
-    return all(
-        np.array_equal(s.x_vec, min_x) and np.array_equal(s.y_vec, min_y)
-        for s in trace.final_states
-    )
+    return all(np.array_equal(x, min_x) and np.array_equal(y, min_y) for x, y in vector_pairs)
 
 
 def _estimates_settled(trace: TrialTrace, bound: int) -> bool:
@@ -242,7 +241,8 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
             rec["stationary_ok"] = bool((tail == min(trace.inputs)).all())
         else:
             rec["stationary_ok"] = bool(
-                _estimates_settled(trace, bound) and _vectors_stationary(trace)
+                _estimates_settled(trace, bound)
+                and _at_offline_minima(trace, ((s.x_vec, s.y_vec) for s in trace.final_states))
             )
     else:
         rec["stationary_ok"] = None
@@ -267,7 +267,8 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
 
     if cfg.protocol == "rbard":
         dr = check_decision_spec(trace, cfg.epsilon)
-        decision_bound = trace.s_max + 2 * trace.n
+        decision_bound = round_bound(cfg.protocol, build_schedule(cfg, 0, params), params,
+                                     trace.s_max)
         rounds = trace.decision_rounds
         rec["decision_bound"] = decision_bound
         rec["irrevocable"] = dr.irrevocability
@@ -279,13 +280,8 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
             dr.termination and (finals == finals[0]).all()
         )
         rec["decisions_valid"] = dr.validity and dr.termination
-        min_x, min_y = offline_minima(trace)
         rec["decided_when_stationary"] = bool(
-            (rounds > 0).all()
-            and all(
-                np.array_equal(xv, min_x) and np.array_equal(yv, min_y)
-                for xv, yv in trace.decision_vectors.values()
-            )
+            (rounds > 0).all() and _at_offline_minima(trace, trace.decision_vectors.values())
         )
         rec["decision_good"] = bool(
             rec["all_decided_by_bound"]
@@ -507,18 +503,14 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
 
     # Every schedule generator's output keeps all self-loops.
     bad = 0
-    schedules = [
-        gr.schedule_csc_random(5, seed),
-        gr.schedule_delayed(5, 3, seed),
-        gr.schedule_c_connected(5, 2, seed),
-        gr.schedule_blocking_adversary(5, 4),
-        gr.schedule_fixed(gr.ring_graph(5)),
-    ]
-    for sched in schedules:
+    params = {"delay": 3, "c": 2, "ell": 4}
+    for field_name, build in gr.SCHEDULE_KINDS.values():
+        sched = build(5, seed, params.get(field_name))
         for t in range(1, 31):
             g = sched.graph_at(t)
             bad += not all((u, u) in g.edges for u in range(g.n))
-    results.append(ClaimResult("schedules_keep_self_loops", bad == 0, "5 kinds x 30 rounds"))
+    results.append(ClaimResult("schedules_keep_self_loops", bad == 0,
+                               f"{len(gr.SCHEDULE_KINDS)} kinds x 30 rounds"))
     return results
 
 

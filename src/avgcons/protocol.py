@@ -1,6 +1,7 @@
 """Per-agent state machines of the four consensus protocols.
 
-Each protocol is a pure triple of functions: an initializer, an outbox
+Each protocol is a pure triple of functions: an initializer (built, for
+the randomized protocols, from the raw draws of init_samples), an outbox
 accessor mapping state -> message, and a transition mapping
 (state, inbox) -> new state.  The machines never see the communication
 graph; the engine decides who hears whom and hands every agent the list
@@ -121,9 +122,8 @@ def init_samples(theta: float, params: ProtocolParams, stream) -> tuple[np.ndarr
     return x_raw, y_raw
 
 
-def r_init(theta: float, params: ProtocolParams, stream) -> RState:
-    x_vec, y_vec = init_samples(theta, params, stream)
-    return RState(x_vec=x_vec, y_vec=y_vec, x=None, params=params)
+def r_init(x_raw: np.ndarray, y_raw: np.ndarray, params: ProtocolParams) -> RState:
+    return RState(x_vec=x_raw, y_vec=y_raw, x=None, params=params)
 
 
 def r_outbox(s: RState) -> RMessage:
@@ -154,10 +154,9 @@ class RbarState:
     params: ProtocolParams
 
 
-def rbar_init(theta: float, params: ProtocolParams, stream) -> RbarState:
+def rbar_init(x_raw: np.ndarray, y_raw: np.ndarray, params: ProtocolParams) -> RbarState:
     if params.beta is None:
         raise ValueError("rbar requires params.beta")
-    x_raw, y_raw = init_samples(theta, params, stream)
     return RbarState(
         x_vec=quantize_array(x_raw, params.beta),
         y_vec=quantize_array(y_raw, params.beta),
@@ -224,12 +223,12 @@ class RbarDState:
         return self.rounds_done + 1 >= self.start_round
 
 
-def rbard_init(theta: float, params: ProtocolParams, stream, start_round: int = 1) -> RbarDState:
+def rbard_init(x_raw: np.ndarray, y_raw: np.ndarray, params: ProtocolParams,
+               start_round: int = 1) -> RbarDState:
     if params.beta is None:
         raise ValueError("rbard requires params.beta")
     if start_round < 1:
         raise ValueError(f"start_round must be >= 1, got {start_round}")
-    x_raw, y_raw = init_samples(theta, params, stream)
     return RbarDState(
         x_vec=quantize_array(x_raw, params.beta),
         y_vec=quantize_array(y_raw, params.beta),

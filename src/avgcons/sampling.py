@@ -49,23 +49,11 @@ class ProtocolParams:
     size_bound: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 1/2), got {self.eta}")
-        if self.a > self.b:
-            raise ValueError(f"need a <= b, got a={self.a}, b={self.b}")
+        _check_ranges(self.epsilon, self.eta, self.a, self.b, self.size_bound)
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.size_bound is not None and self.size_bound < 1:
-            raise ValueError(f"size_bound must be >= 1, got {self.size_bound}")
-
-    @property
-    def width(self) -> float:
-        """Shifted input range b - a + 1 appearing in every formula."""
-        return self.b - self.a + 1.0
 
     def to_json(self) -> dict:
         return {
@@ -77,18 +65,6 @@ class ProtocolParams:
             "beta": self.beta,
             "size_bound": self.size_bound,
         }
-
-
-def params_from_json(obj: dict) -> ProtocolParams:
-    return ProtocolParams(
-        epsilon=float(obj["epsilon"]),
-        eta=float(obj["eta"]),
-        a=float(obj["a"]),
-        b=float(obj["b"]),
-        ell=int(obj["ell"]),
-        beta=None if obj.get("beta") is None else float(obj["beta"]),
-        size_bound=None if obj.get("size_bound") is None else int(obj["size_bound"]),
-    )
 
 
 def _stable_ceil(make_expr) -> int:
@@ -107,13 +83,18 @@ def _stable_ceil(make_expr) -> int:
     return values[0]
 
 
-def _check_ranges(epsilon: float, eta: float, a: float, b: float) -> None:
+def _check_ranges(epsilon: float, eta: float, a: float, b: float,
+                  size_bound: Optional[int] = None) -> None:
+    """The range check of ProtocolParams, run by the params_* factories
+    before their mpmath formulas see the values."""
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0 < eta < 0.5:
         raise ValueError(f"eta must be in (0, 1/2), got {eta}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
+    if size_bound is not None and size_bound < 1:
+        raise ValueError(f"size_bound must be >= 1, got {size_bound}")
 
 
 def params_r(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
@@ -134,9 +115,7 @@ def params_rbar(epsilon: float, eta: float, a: float, b: float) -> ProtocolParam
 
 def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int) -> ProtocolParams:
     """Deciding variant: ell = max(ceil(108 ln(24/eta) w^2/eps^2), ceil(243 ln(6 N^2/eta)))."""
-    _check_ranges(epsilon, eta, a, b)
-    if size_bound < 1:
-        raise ValueError(f"size_bound must be >= 1, got {size_bound}")
+    _check_ranges(epsilon, eta, a, b, size_bound)
     w = b - a + 1.0
     accuracy_term = _stable_ceil(
         lambda: 108 * mp.log(24 / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2

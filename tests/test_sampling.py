@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -144,12 +143,6 @@ def test_params_rbard_small_bound_keeps_accuracy_branch():
         p = sp.params_rbard(eps, 0.3, 0.0, 1.0, 1)
         first = math.ceil(108 * math.log(24 / 0.3) * 4 / eps**2)
         assert p.ell == first
-
-
-def test_protocol_params_json_roundtrip():
-    p = sp.params_rbard(0.4, 0.3, 0.0, 1.0, 12)
-    restored = sp.params_from_json(json.loads(json.dumps(p.to_json())))
-    assert restored == p
 
 
 def test_protocol_params_validation():
