@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness
@@ -117,11 +118,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fp:
         obj = json.load(fp)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.trials is not None:
-        obj["trials"] = args.trials
-    cfg = harness.experiment_from_json(obj)
+    overrides = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    cfg = replace(harness.experiment_from_json(obj), **overrides)
 
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)

@@ -147,49 +147,29 @@ def is_c_in_connected(g: DirectedGraph, c: int) -> bool:
     return True
 
 
-def random_strongly_connected(n: int, rng: random.Random) -> DirectedGraph:
-    """Random strongly connected self-looped graph.
+def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
+    """Random self-looped graph that is c-in-connected by construction.
 
-    A random Hamiltonian cycle certifies strong connectivity; k extra
-    random edges, k drawn uniformly from [0, n], vary the topology.
+    A random relabelling of the circulant with offsets 1..min(c, n-1),
+    plus k extra random edges, k drawn uniformly from [0, n].  Removing up
+    to c-1 nodes from the circulant leaves every survivor an edge to the
+    next survivor around the circle, so the rest stays strongly connected.
+    Hence a non-empty S with fewer than min(c, |V\\S|) in-neighbors outside
+    it cannot exist: removing them would cut S off from the survivors
+    outside it.  Extra edges never remove an in-neighbor.  With c = 1
+    this is a random Hamiltonian cycle plus extra edges, the csc graph.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    if n < 1 or c < 1:
+        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    edges = {(perm[i], perm[(i + k) % n]) for k in range(1, min(c, n - 1) + 1) for i in range(n)}
     for _ in range(rng.randint(0, n)):
         edges.add((rng.randrange(n), rng.randrange(n)))
     # Hot path of the schedule generators: endpoints are valid by
     # construction, so skip make_graph's validation pass.
     edges.update((u, u) for u in range(n))
     return DirectedGraph(n, frozenset(edges))
-
-
-def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
-    """Random graph passing is_c_in_connected(., c), by generate-and-check.
-
-    Starts from a random Hamiltonian cycle (already 1-in-connected) and
-    adds random edges at increasing density until the subset check
-    passes.  Falls back to the complete graph if rejection somehow keeps
-    failing; at the supported sizes this is unreachable in practice.
-    c may exceed n-1: the requirement saturates at |V \\ S| in-neighbors.
-    """
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    for attempt in range(60):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        edges = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-        p = min(0.95, 0.15 * c + 0.05 * attempt)
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < p:
-                    edges.add((u, v))
-        g = make_graph(n, edges)
-        if is_c_in_connected(g, c):
-            return g
-    return complete_graph(n)
 
 
 @dataclass(frozen=True)
@@ -242,10 +222,9 @@ class DynamicSchedule:
         if self.kind == "fixed":
             assert self.graph is not None
             return self.graph
-        if self.kind == "csc":
-            return random_strongly_connected(self.n, random.Random(self.round_key(t)))
-        if self.kind == "c_connected":
-            return random_c_in_connected(self.n, self.c, random.Random(self.round_key(t)))
+        if self.kind in ("csc", "c_connected"):
+            # csc is the c = 1 case; round_key hashes the kind, so its stream is its own.
+            return random_c_in_connected(self.n, self.c or 1, random.Random(self.round_key(t)))
         if self.kind == "delayed":
             return self._delayed_graph(t)
         if self.kind == "blocking":

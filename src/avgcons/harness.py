@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ValueError("fixed inputs must have length n")
         if self.protocol == "rbard" and self.size_bound is not None and self.size_bound < self.n:
             raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
+        if self.protocol == "min" and self.schedule_kind == "blocking":
+            raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
 
     def to_json(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -81,21 +83,30 @@ class ExperimentConfig:
 def experiment_from_json(obj: dict) -> ExperimentConfig:
     """Schema-1 config from parsed JSON; a missing, unknown or wrongly typed
     key is a ValueError naming the key."""
+    return ExperimentConfig(**_fields_from_json(ExperimentConfig, obj, "config",
+                                                ("protocol", "trials", "n")))
+
+
+def _fields_from_json(cls, obj, what: str, required: tuple[str, ...]) -> dict:
+    """Keyword arguments of the schema-1 dataclass cls from parsed JSON; a
+    non-object, or a missing, unknown or wrongly typed key, is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if obj.get("schema", 1) != 1:
-        raise ValueError(f"unsupported config schema {obj.get('schema')!r}")
-    hints = get_type_hints(ExperimentConfig)
+        raise ValueError(f"unsupported {what} schema {obj.get('schema')!r}")
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in obj.items():
         if key not in hints:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _json_value(key, value, hints[key])
-    for key in ("protocol", "trials", "n"):
+            raise ValueError(f"unknown {what} key {key!r}")
+        kwargs[key] = _json_value(f"{what} key {key!r}", value, hints[key])
+    for key in required:
         if key not in kwargs:
-            raise ValueError(f"config key {key!r} is required")
-    return ExperimentConfig(**kwargs)
+            raise ValueError(f"{what} key {key!r} is required")
+    return kwargs
 
 
-def _json_value(key: str, value, hint):
+def _json_value(name: str, value, hint):
     """value checked against the field type hint; inputs become a tuple."""
     optional = get_origin(hint) is Union  # Optional[X]
     hint = get_args(hint)[0] if optional else hint
@@ -105,7 +116,7 @@ def _json_value(key: str, value, hint):
     if get_origin(hint) is tuple and isinstance(value, list) and all(
             type(v) in (int, float) for v in value):
         return tuple(float(v) for v in value)
-    raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
+    raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
 
 
 def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
@@ -330,7 +341,13 @@ class Summary:
 
 
 def summary_from_json(obj: dict) -> Summary:
-    kwargs = {k: obj[k] for k in Summary.__dataclass_fields__ if k in obj}
+    """Summary from parsed JSON; a malformed summary is a ValueError naming
+    the key."""
+    kwargs = _fields_from_json(Summary, obj, "summary", ("protocol", "trials"))
+    for name, claim in kwargs.get("claims", {}).items():
+        for key in ("observed", "bound", "passed"):
+            if not isinstance(claim, dict) or key not in claim:
+                raise ValueError(f"summary claim {name!r} needs key {key!r}")
     return Summary(**kwargs)
 
 
@@ -462,9 +479,9 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
     bad = 0
     for _ in range(product_cases):
         n = rng.randint(2, 5)
-        g = gr.random_strongly_connected(n, rng)
+        g = gr.random_c_in_connected(n, 1, rng)
         for _ in range(n - 2):
-            g = gr.product(g, gr.random_strongly_connected(n, rng))
+            g = gr.product(g, gr.random_c_in_connected(n, 1, rng))
         bad += not gr.is_complete(g)
     results.append(
         ClaimResult(
@@ -497,7 +514,7 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
     bad = 0
     for _ in range(200):
         n = rng.randint(2, 5)
-        g, h, k = (gr.random_strongly_connected(n, rng) for _ in range(3))
+        g, h, k = (gr.random_c_in_connected(n, 1, rng) for _ in range(3))
         bad += gr.product(gr.product(g, h), k) != gr.product(g, gr.product(h, k))
     results.append(ClaimResult("product_associative", bad == 0, f"{200 - bad}/200 triples"))
 

@@ -42,7 +42,7 @@ GOLDEN = {
     "min-ring": ("dbc8e3e509d01f83", 12, "320b394fc9da4986", "d3e1e6e284abc336", "065a0b7e75873b92"),
     "min-delayed": ("d710854a5265abbe", 24, "e37fb4226b09e155", "515e4a436cad7fe2", "73dd3d50bf5023e8"),
     "r-complete": ("60691aea9d0527d2", 12, "3ecc0211b0299bc7", "ccccce8d28866660", "b9f5dffd7e083561"),
-    "r-c_connected": ("12ce14a0047b7289", 12, "0d4441ad9a75c6c3", "9f49b86b587436f9", "b3f4a9b5b0454663"),
+    "r-c_connected": ("12ce14a0047b7289", 12, "d8dee305467bfd39", "1059af938acc826a", "9ece686c65ad0c5e"),
     "r-formula-csc": ("9d45b033bd26a7fd", 8, "22b99249310d0003", "f7daf768d8f9cacc", "22f431cee099c309"),
     "rbar-csc": ("c4b3eaa44ecd70e0", 128, "ed3bb27c2a3294f4", "c87807232c49cd43", "f61dd268efc2b637"),
     "rbar-blocking": ("12646b31e9fa54f0", 48, "e359c72098603db4", "f9329df604a88645", "6cd4a6ca5caa6dab"),

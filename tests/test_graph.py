@@ -57,8 +57,8 @@ def test_ring_squared_on_three_nodes_is_complete():
 def test_product_matches_brute_force_on_random_graphs():
     rng = random.Random(7)
     for _ in range(50):
-        g = gr.random_strongly_connected(4, rng)
-        h = gr.random_strongly_connected(4, rng)
+        g = gr.random_c_in_connected(4, 1, rng)
+        h = gr.random_c_in_connected(4, 1, rng)
         assert gr.product(g, h) == brute_force_product(g, h)
 
 
@@ -108,9 +108,9 @@ def test_complete_predicate_trivials():
 def test_product_of_n_minus_1_random_sc_graphs_is_complete():
     rng = random.Random(99)
     for _ in range(25):
-        g = gr.random_strongly_connected(5, rng)
+        g = gr.random_c_in_connected(5, 1, rng)
         for _ in range(3):
-            g = gr.product(g, gr.random_strongly_connected(5, rng))
+            g = gr.product(g, gr.random_c_in_connected(5, 1, rng))
         assert gr.is_complete(g)
 
 
@@ -159,12 +159,13 @@ def test_c_in_connected_rejects_large_n():
         gr.is_c_in_connected(gr.loops_only(21), 1)
 
 
-def test_random_c_in_connected_generator_output_passes_checker():
-    rng = random.Random(3)
-    for n in (2, 4, 6):
-        for c in (1, 2, 3):
-            g = gr.random_c_in_connected(n, c, rng)
-            assert gr.is_c_in_connected(g, c)
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_random_c_in_connected_generator_output_passes_checker(data, n, seed):
+    c = data.draw(st.integers(1, n + 1))
+    g = gr.random_c_in_connected(n, c, random.Random(seed))
+    assert gr.is_c_in_connected(g, c)
+    assert all((u, u) in g.edges for u in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,16 @@ def test_c_connected_schedule_rounds_pass_checker():
     sched = gr.schedule_c_connected(5, 2, seed=8)
     for t in range(1, 21):
         assert gr.is_c_in_connected(sched.graph_at(t), 2)
+
+
+def test_c_connected_schedule_works_past_the_subset_check_cap():
+    # n=32 is beyond is_c_in_connected's reach; check what c=4 implies:
+    # strong connectivity and at least 4 in-neighbors besides the self-loop.
+    sched = gr.schedule_c_connected(32, 4, seed=8)
+    for t in range(1, 21):
+        g = sched.graph_at(t)
+        assert gr.is_strongly_connected(g)
+        assert all(len(set(ins) - {v}) >= 4 for v, ins in enumerate(g.in_neighbor_lists))
 
 
 def test_blocking_schedule_two_round_products_are_complete():

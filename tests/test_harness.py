@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,34 +163,69 @@ def test_cli_missing_required_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
+    out = tmp_path / "trace.jsonl"
+    code = cli(["run", "--protocol", "r", "--n", "24", "--schedule", "c_connected:2",
+                "--t-max", "3", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize(
-    "extra",
+    "extra,message",
     [
-        ["--protocol", "min", "--schedule", "nope"],
-        ["--protocol", "min", "--schedule", "ring:5"],
-        ["--protocol", "rbard", "--bigN", "3"],  # the paper assumes N >= n
+        (["--protocol", "min", "--schedule", "nope"], "unknown schedule"),
+        (["--protocol", "min", "--schedule", "ring:5"], "takes no parameter"),
+        (["--protocol", "rbard", "--bigN", "3"], "size_bound >= n"),  # the paper assumes N >= n
+        (["--protocol", "min", "--schedule", "blocking:4"], "min has none"),
     ],
-    ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n"],
+    ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking"],
 )
-def test_cli_run_rejected_configs_are_usage_errors(extra, capsys):
+def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     code = cli(["run", "--n", "6", "--t-max", "2", *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(
-    "change,key",
-    [({"bogus": 1}, "bogus"), ({"trials": "2"}, "trials")],
-    ids=["unknown-key", "wrongly-typed-value"],
+    "change,needle",
+    [({"bogus": 1}, "'bogus'"), ({"trials": "2"}, "'trials'"), ([1, 2], "JSON object"),
+     ("str", "JSON object")],
+    ids=["unknown-key", "wrongly-typed-value", "list", "string"],
 )
-def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, key):
+def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
+    good = tiny_r_config(trials=2).to_json()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**tiny_r_config(trials=2).to_json(), **change}))
-    code = cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    cfg_path.write_text(json.dumps({**good, **change} if isinstance(change, dict) else change))
+    code = cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert repr(key) in err and err.count("\n") == 1
+    assert needle in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "summary,needle",
+    [
+        ([1, 2], "JSON object"),
+        ({"trials": 2}, "'protocol'"),
+        ({"protocol": "r"}, "'trials'"),
+        ({"protocol": "r", "trials": 2, "claims": []}, "'claims'"),
+        ({"protocol": "r", "trials": 2, "claims": {"acc": 0.1}}, "'acc'"),
+        ({"protocol": "r", "trials": 2, "claims": {"acc": {"observed": 0.1, "bound": 0.2}}},
+         "'passed'"),
+        ({"protocol": "rbard", "trials": 2, "decision_rounds": [1, 2]}, "'decision_rounds'"),
+    ],
+    ids=["not-an-object", "no-protocol", "no-trials", "claims-list", "claim-not-an-object",
+         "claim-without-passed", "decision-rounds-list"],
+)
+def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys, summary, needle):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    assert cli(["report", "--summary", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1
 
 
 def test_cli_sweep_and_report_roundtrip(tmp_path, capsys):
@@ -213,6 +252,16 @@ def test_cli_verify_graph_small(capsys):
     assert cli(["verify-graph", "--seed", "3", "--cases", "40", "--c-cases", "5"]) == 0
     out = capsys.readouterr().out
     assert "product_of_n_minus_1_complete" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "avgcons", "verify-bounds", "--reps", "200"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "[PASS]" in done.stdout
 
 
 def test_cli_seed_env_fallback(monkeypatch, tmp_path):
