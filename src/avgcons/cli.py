@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .engine import dump_trace_jsonl, run_trial
+from .engine import PROTOCOLS, dump_trace_jsonl, run_trial
 from .graph import SCHEDULE_KINDS
 
 
@@ -44,7 +44,10 @@ def _parse_schedule(spec: str) -> tuple[str, dict]:
         return kind, {}
     if not arg:
         raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:3")
-    return kind, {field_name: int(arg)}
+    try:
+        return kind, {field_name: int(arg)}
+    except ValueError:
+        raise ValueError(f"schedule {kind!r} needs an integer parameter, got {spec!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one trial and dump its trace")
-    run_p.add_argument("--protocol", required=True, choices=("min", "r", "rbar", "rbard"))
+    run_p.add_argument("--protocol", required=True, choices=PROTOCOLS)
     run_p.add_argument("--n", type=int, required=True)
     run_p.add_argument("--epsilon", type=float, default=0.3)
     run_p.add_argument("--eta", type=float, default=0.2)

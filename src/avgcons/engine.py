@@ -25,18 +25,8 @@ from .sampling import ProtocolParams, RngStream
 
 PROTOCOLS = ("min", "r", "rbar", "rbard")
 
-_OUTBOX = {
-    "min": proto.min_outbox,
-    "r": proto.r_outbox,
-    "rbar": proto.rbar_outbox,
-    "rbard": proto.rbard_outbox,
-}
-_APPLY = {
-    "min": proto.min_apply,
-    "r": proto.r_apply,
-    "rbar": proto.rbar_apply,
-    "rbard": proto.rbard_apply,
-}
+_OUTBOX = {tag: getattr(proto, f"{tag}_outbox") for tag in PROTOCOLS}
+_APPLY = {tag: getattr(proto, f"{tag}_apply") for tag in PROTOCOLS}
 
 
 @dataclass(frozen=True)
@@ -124,24 +114,18 @@ def default_horizon(protocol: str, schedule: DynamicSchedule, params: Optional[P
 
 @dataclass(eq=False)
 class TrialTrace:
-    """Per-round record of one trial plus enough metadata to audit it.
+    """Per-round record of one trial, with the config that produced it.
 
     estimates[t-1, u] is agent u's estimate at the end of round t (NaN
-    while unset); decisions and counters likewise, for the deciding
-    protocol only.  init_* arrays hold every agent's generated samples
-    (raw, and quantized where applicable), which pin down the offline
-    entrywise minima that a stationary run must reach.
+    while unset); counters likewise, for the deciding protocol only.  That
+    protocol's estimate is its decision, so its decisions array is the
+    estimates array itself.  init_* arrays hold every agent's generated
+    samples (raw, and quantized where applicable), which pin down the
+    offline entrywise minima that a stationary run must reach.
     """
 
-    protocol: str
-    n: int
-    t_max: int
-    params: Optional[ProtocolParams]
-    inputs: tuple[float, ...]
-    start_rounds: tuple[int, ...]
+    config: TrialConfig
     theta: float
-    shifted_sum: Optional[float]
-    config_digest: str
     estimates: np.ndarray
     decisions: Optional[np.ndarray] = None
     counters: Optional[np.ndarray] = None
@@ -155,8 +139,12 @@ class TrialTrace:
     checkpoints: dict = field(default_factory=dict)
 
     @property
-    def s_max(self) -> int:
-        return max(self.start_rounds) - 1
+    def t_max(self) -> int:
+        return self.estimates.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.estimates.shape[1]
 
 
 def run_trial(cfg: TrialConfig) -> TrialTrace:
@@ -169,7 +157,6 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     rbard = cfg.protocol == "rbard"
     checkpoint_rounds = set(cfg.checkpoint_rounds)
     estimates = trace.estimates
-    decisions = trace.decisions
     counters = trace.counters
 
     for t in range(1, t_max + 1):
@@ -186,7 +173,6 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
             row[v] = math.nan if e is None else e
         if rbard:
             for v, s in enumerate(states):
-                decisions[t - 1, v] = math.nan if s.d is None else s.d
                 counters[t - 1, v] = s.counter
                 if s.d is not None and trace.decision_rounds[v] < 0:
                     trace.decision_rounds[v] = t
@@ -219,25 +205,10 @@ def _new_trace(cfg: TrialConfig) -> tuple[TrialTrace, list]:
     """The trace before round 1, holding the initial draws, and the states."""
     states, draws = _init_states(cfg)
     n, t_max = cfg.n, cfg.t_max
-    theta = float(np.mean(cfg.inputs))
-    shifted_sum = None
-    if cfg.params is not None:
-        shifted_sum = float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs))
-
-    trace = TrialTrace(
-        protocol=cfg.protocol,
-        n=n,
-        t_max=t_max,
-        params=cfg.params,
-        inputs=cfg.inputs,
-        start_rounds=cfg.start_rounds,
-        theta=theta,
-        shifted_sum=shifted_sum,
-        config_digest=cfg.digest(),
-        estimates=np.full((t_max, n), np.nan),
-    )
+    trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
+                       estimates=np.full((t_max, n), np.nan))
     if cfg.protocol == "rbard":
-        trace.decisions = np.full((t_max, n), np.nan)
+        trace.decisions = trace.estimates
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
     if draws is not None:
@@ -326,13 +297,14 @@ def _range_width_bits(lo: int, hi: int) -> int:
 
 def message_bits(trace: TrialTrace) -> MessageBitsReport:
     n, t_max = trace.n, trace.t_max
+    protocol, params = trace.config.protocol, trace.config.params
 
-    if trace.protocol == "min":
+    if protocol == "min":
         per_round = np.full(t_max, 64 * n, dtype=np.int64)
         return MessageBitsReport(per_round, 64, None, None)
 
-    if trace.protocol == "r":
-        per_msg = 2 * trace.params.ell * 64
+    if protocol == "r":
+        per_msg = 2 * params.ell * 64
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None, None)
 
     exponents = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
@@ -340,8 +312,8 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
     entry_bits = _range_width_bits(lo, hi)
     distinct = int(len(np.unique(exponents)))
 
-    if trace.protocol == "rbar":
-        cursor_bits = math.ceil(math.log2(trace.params.ell)) if trace.params.ell > 1 else 0
+    if protocol == "rbar":
+        cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0
         per_msg = cursor_bits + 2 * entry_bits
         return MessageBitsReport(
             np.full(t_max, per_msg * n, dtype=np.int64), per_msg, distinct, (lo, hi)
@@ -352,10 +324,10 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
     # end of round t-1, hence the one-round shifts below.
     c_max = int(trace.counters.max()) if trace.counters.size else 0
     counter_bits = math.ceil(math.log2(c_max + 1)) if c_max > 0 else 0
-    body_bits = 2 * trace.params.ell * entry_bits
+    body_bits = 2 * params.ell * entry_bits
     full_bits = counter_bits + body_bits
 
-    starts = np.asarray(trace.start_rounds)
+    starts = np.asarray(trace.config.start_rounds)
     rounds = np.arange(1, t_max + 1)[:, None]
     active = rounds >= starts[None, :]
     n_active = active.sum(axis=1)
@@ -379,13 +351,15 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
 
 def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:
     """JSON-Lines dump: a metadata header, then one object per round."""
+    cfg = trace.config
     header = {
-        "config": trace.config_digest,
-        "protocol": trace.protocol,
+        "config": cfg.digest(),
+        "protocol": cfg.protocol,
         "n": trace.n,
         "t_max": trace.t_max,
         "theta": trace.theta,
-        "shifted_sum": trace.shifted_sum,
+        "shifted_sum": None if cfg.params is None
+        else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs)),
     }
     fp.write(json.dumps(header) + "\n")
     bits = message_bits(trace).per_round

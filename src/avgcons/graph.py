@@ -216,32 +216,35 @@ class DynamicSchedule:
         h.update(b"\x1f")
         return int.from_bytes(h.digest()[:8], "little", signed=False)
 
+    @cached_property
+    def _period_graphs(self) -> tuple[DirectedGraph, ...]:
+        """The repeating graphs of a deterministic kind; round t uses entry
+        (t-1) mod period."""
+        if self.kind == "fixed":
+            assert self.graph is not None
+            return (self.graph,)
+        if self.kind == "delayed":
+            # One fixed random Hamiltonian cycle, its edges dealt out with
+            # period T.  Any T consecutive rounds then cover the whole cycle,
+            # and since all graphs have self-loops the window product
+            # contains the union of the window's graphs: strongly connected.
+            rng = random.Random(stable_seed(self.kind, self.n, self.seed))
+            perm = list(range(self.n))
+            rng.shuffle(perm)
+            cycle = [(perm[i], perm[(i + 1) % self.n]) for i in range(self.n)]
+            return tuple(make_graph(self.n, cycle[slot :: self.delay]) for slot in range(self.delay))
+        if self.kind == "blocking":
+            return loops_only(self.n), complete_graph(self.n)
+        raise ValueError(f"unknown schedule kind {self.kind!r}")
+
     def graph_at(self, t: int) -> DirectedGraph:
         if t < 1:
             raise ValueError(f"rounds start at 1, got {t}")
-        if self.kind == "fixed":
-            assert self.graph is not None
-            return self.graph
         if self.kind in ("csc", "c_connected"):
             # csc is the c = 1 case; round_key hashes the kind, so its stream is its own.
             return random_c_in_connected(self.n, self.c or 1, random.Random(self.round_key(t)))
-        if self.kind == "delayed":
-            return self._delayed_graph(t)
-        if self.kind == "blocking":
-            return complete_graph(self.n) if t % 2 == 0 else loops_only(self.n)
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    def _delayed_graph(self, t: int) -> DirectedGraph:
-        # One fixed random Hamiltonian cycle, its edges dealt out with
-        # period T.  Any T consecutive rounds then cover the whole cycle,
-        # and since all graphs have self-loops the window product
-        # contains the union of the window's graphs: strongly connected.
-        rng = random.Random(stable_seed(self.kind, self.n, self.seed))
-        perm = list(range(self.n))
-        rng.shuffle(perm)
-        cycle = [(perm[i], perm[(i + 1) % self.n]) for i in range(self.n)]
-        slot = (t - 1) % self.delay
-        return make_graph(self.n, cycle[slot :: self.delay])
+        graphs = self._period_graphs
+        return graphs[(t - 1) % len(graphs)]
 
     def to_json(self) -> dict:
         params = {k: getattr(self, k) for k in ("delay", "c", "ell") if getattr(self, k) is not None}

@@ -27,7 +27,7 @@ from .engine import TrialConfig, TrialTrace, convergence_time, check_decision_sp
     default_horizon, message_bits, round_bound, run_trial
 from .quantization import admissible_interval, count_levels
 from .sampling import ConcentrationParams, ProtocolParams, RngStream, chernoff_bound, \
-    empirical_tail, min_exponential_stats, params_r, params_rbar, params_rbard
+    empirical_tail, min_exponential_stats, params_r, params_rbar, params_rbard, rounding_ratio
 from .seeds import stable_seed
 
 
@@ -63,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.s_max < 0:
+            raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if self.slack_sigmas < 0:
             raise ValueError("slack_sigmas must be >= 0")
         if self.protocol != "rbard" and self.s_max != 0:
@@ -125,7 +127,7 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
     if cfg.ell is not None:
         beta = cfg.beta
         if beta is None and cfg.protocol in ("rbar", "rbard"):
-            beta = cfg.epsilon / (8.0 * (cfg.b - cfg.a + 1.0))
+            beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b)
         return ProtocolParams(
             epsilon=cfg.epsilon, eta=cfg.eta, a=cfg.a, b=cfg.b,
             ell=cfg.ell, beta=beta, size_bound=cfg.size_bound,
@@ -165,7 +167,7 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
         us = RngStream(cfg.seed, trial=trial, agent=0, purpose="inputs").uniforms(cfg.n)
         inputs = tuple(float(cfg.a + (cfg.b - cfg.a) * u) for u in us)
 
-    if cfg.protocol == "rbard" and cfg.s_max > 0:
+    if cfg.s_max > 0:
         st = RngStream(cfg.seed, trial=trial, agent=0, purpose="starts")
         starts = [1 + int(u * (cfg.s_max + 1)) for u in st.uniforms(cfg.n)]
         starts = [min(s, cfg.s_max + 1) for s in starts]
@@ -196,15 +198,14 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
 # per-trial evaluation
 
 
-def stationary_bound(cfg: ExperimentConfig, params: Optional[ProtocolParams]) -> Optional[int]:
-    """Round by which vectors must be globally agreed: the round bound, equal
-    for every trial's schedule, or None when the schedule gives no such
-    guarantee (blocking, delayed + entry rotation) or the protocol decides
-    instead (rbard)."""
-    kind = cfg.schedule_kind
-    if kind == "blocking" or cfg.protocol == "rbard" or (cfg.protocol == "rbar" and kind == "delayed"):
+def stationary_bound(tc: TrialConfig) -> Optional[int]:
+    """Round by which the trial's vectors must be globally agreed: its round
+    bound, or None when the schedule gives no such guarantee (blocking,
+    delayed + entry rotation) or the protocol decides instead (rbard)."""
+    kind = tc.schedule.kind
+    if kind == "blocking" or tc.protocol == "rbard" or (tc.protocol == "rbar" and kind == "delayed"):
         return None
-    return round_bound(cfg.protocol, build_schedule(cfg, 0, params), params)
+    return round_bound(tc.protocol, tc.schedule, tc.params)
 
 
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +233,8 @@ def _estimates_settled(trace: TrialTrace, bound: int) -> bool:
 
 def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     """Reduce one trace to the flat JSON record the summary fold consumes."""
-    params = trace.params
+    tc = trace.config
+    params = tc.params
     rec: dict = {
         "trial": 0,  # overwritten by run_one
         "theta": trace.theta,
@@ -244,12 +246,12 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     if not math.isnan(last[0]):
         rec["final_estimate"] = float(last[0])
 
-    bound = stationary_bound(cfg, params)
+    bound = stationary_bound(tc)
     rec["stationary_bound"] = bound
     if bound is not None:
-        if cfg.protocol == "min":
+        if tc.protocol == "min":
             tail = trace.estimates[bound - 1 :]
-            rec["stationary_ok"] = bool((tail == min(trace.inputs)).all())
+            rec["stationary_ok"] = bool((tail == min(tc.inputs)).all())
         else:
             rec["stationary_ok"] = bool(
                 _estimates_settled(trace, bound)
@@ -258,13 +260,13 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     else:
         rec["stationary_ok"] = None
 
-    if params is not None and cfg.protocol != "min":
+    if params is not None:
         est = last[0]
         rec["accurate"] = bool(
             not math.isnan(est) and abs(est - trace.theta) <= cfg.epsilon
         )
 
-    if cfg.protocol in ("rbar", "rbard"):
+    if tc.protocol in ("rbar", "rbard"):
         z, upper = admissible_interval(params.eta, params.ell, trace.n, params.a, params.b)
         raw = np.concatenate([trace.init_x_raw.ravel(), trace.init_y_raw.ravel()])
         rec["samples_in_interval"] = bool(((raw >= z) & (raw <= upper)).all())
@@ -276,10 +278,9 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
         )
         rec["max_message_bits"] = int(report.per_message_max)
 
-    if cfg.protocol == "rbard":
+    if tc.protocol == "rbard":
         dr = check_decision_spec(trace, cfg.epsilon)
-        decision_bound = round_bound(cfg.protocol, build_schedule(cfg, 0, params), params,
-                                     trace.s_max)
+        decision_bound = round_bound(tc.protocol, tc.schedule, params, tc.s_max)
         rounds = trace.decision_rounds
         rec["decision_bound"] = decision_bound
         rec["irrevocable"] = dr.irrevocability

@@ -56,15 +56,7 @@ class ProtocolParams:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "a": self.a,
-            "b": self.b,
-            "ell": self.ell,
-            "beta": self.beta,
-            "size_bound": self.size_bound,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _stable_ceil(make_expr) -> int:
@@ -97,6 +89,11 @@ def _check_ranges(epsilon: float, eta: float, a: float, b: float,
         raise ValueError(f"size_bound must be >= 1, got {size_bound}")
 
 
+def rounding_ratio(epsilon: float, a: float, b: float) -> float:
+    """beta = eps / (8 w), w = b - a + 1: the quantized variants' rounding ratio."""
+    return epsilon / (8.0 * (b - a + 1.0))
+
+
 def params_r(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
     """Parameters for the full-vector protocol: ell = ceil(27 ln(4/eta) w^2 / eps^2)."""
     _check_ranges(epsilon, eta, a, b)
@@ -110,7 +107,8 @@ def params_rbar(epsilon: float, eta: float, a: float, b: float) -> ProtocolParam
     _check_ranges(epsilon, eta, a, b)
     w = b - a + 1.0
     ell = _stable_ceil(lambda: 108 * mp.log(8 / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2)
-    return ProtocolParams(epsilon=epsilon, eta=eta, a=a, b=b, ell=ell, beta=epsilon / (8.0 * w))
+    return ProtocolParams(epsilon=epsilon, eta=eta, a=a, b=b, ell=ell,
+                          beta=rounding_ratio(epsilon, a, b))
 
 
 def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int) -> ProtocolParams:
@@ -127,7 +125,7 @@ def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int
         a=a,
         b=b,
         ell=max(accuracy_term, firing_term),
-        beta=epsilon / (8.0 * w),
+        beta=rounding_ratio(epsilon, a, b),
         size_bound=size_bound,
     )
 

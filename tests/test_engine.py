@@ -36,16 +36,12 @@ def cfg_for(protocol, schedule, inputs, t_max, seed=1, ell=8, beta=None,
 def synthetic_trace(estimates, theta, decisions=None):
     est = np.asarray(estimates, dtype=float)
     t_max, n = est.shape
+    protocol = "r" if decisions is None else "rbard"
+    cfg = cfg_for(protocol, gr.schedule_fixed(gr.loops_only(n)), (0.0,) * n, t_max,
+                  beta=0.1, size_bound=n)
     return eng.TrialTrace(
-        protocol="rbard" if decisions is not None else "r",
-        n=n,
-        t_max=t_max,
-        params=None,
-        inputs=(0.0,) * n,
-        start_rounds=(1,) * n,
+        config=cfg,
         theta=theta,
-        shifted_sum=None,
-        config_digest="synthetic",
         estimates=est,
         decisions=None if decisions is None else np.asarray(decisions, dtype=float),
     )
@@ -80,7 +76,7 @@ def test_identical_configs_give_bit_identical_traces():
         np.array_equal(a.x_vec, b.x_vec)
         for a, b in zip(t1.final_states, t2.final_states)
     )
-    assert t1.config_digest == t2.config_digest
+    assert t1.config.digest() == t2.config.digest()
 
 
 def test_protocol_seed_does_not_touch_the_schedule():
@@ -246,6 +242,15 @@ def test_rbard_records_decisions_and_counters():
         t = int(trace.decision_rounds[u])
         assert not math.isnan(trace.decisions[t - 1, u])
         assert xv.shape == (64,)
+
+
+def test_rbard_decisions_are_its_estimates():
+    sched = gr.schedule_csc_random(3, seed=13)
+    cfg = cfg_for("rbard", sched, (0.2, 0.5, 0.8), t_max=12, ell=64, beta=0.02,
+                  size_bound=6, start_rounds=(1, 3, 1))
+    trace = eng.run_trial(cfg)
+    assert np.isnan(trace.decisions[0]).all() and not np.isnan(trace.decisions[-1]).any()
+    assert np.array_equal(trace.decisions, trace.estimates, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +440,25 @@ def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary)
     tc = hn.trial_config(cfg, 0)
     assert eng.default_horizon(tc.protocol, tc.schedule, tc.params, tc.s_max) == horizon
     assert tc.t_max == horizon
-    assert hn.stationary_bound(cfg, tc.params) == stationary
+    assert hn.stationary_bound(tc) == stationary
+
+
+@pytest.mark.parametrize(
+    "schedule,r_bound,rbar_bound",
+    [
+        (gr.schedule_fixed(gr.ring_graph(5)), 4, 50),
+        (gr.schedule_delayed(5, 3, seed=2), 12, None),
+        (gr.schedule_blocking_adversary(5, 10), None, None),
+    ],
+    ids=["ring", "delayed", "blocking"],
+)
+def test_stationary_bound_reads_the_trial_schedule(schedule, r_bound, rbar_bound):
+    # n=5, ell=10: n-1 = 4 (ring), delay*(n-1) = 12 (delayed), ell*n = 50 (rbar);
+    # None where the schedule defeats the guarantee.
+    inputs = (0.1, 0.3, 0.5, 0.7, 0.9)
+    assert hn.stationary_bound(cfg_for("r", schedule, inputs, t_max=1, ell=10)) == r_bound
+    rbar = cfg_for("rbar", schedule, inputs, t_max=1, ell=10, beta=0.1)
+    assert hn.stationary_bound(rbar) == rbar_bound
 
 
 def test_trace_jsonl_dump_roundtrips():

@@ -230,6 +230,12 @@ def test_delayed_schedule_single_rounds_are_not_strongly_connected():
     assert any(not gr.is_strongly_connected(sched.graph_at(t)) for t in range(1, 31))
 
 
+def test_delayed_schedule_reuses_its_period_graphs():
+    sched = gr.schedule_delayed(5, 3, seed=4)
+    for t in range(1, 7):
+        assert sched.graph_at(t) is sched.graph_at(t + 3)
+
+
 def test_c_connected_schedule_rounds_pass_checker():
     sched = gr.schedule_c_connected(5, 2, seed=8)
     for t in range(1, 21):

@@ -178,8 +178,12 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "min", "--schedule", "ring:5"], "takes no parameter"),
         (["--protocol", "rbard", "--bigN", "3"], "size_bound >= n"),  # the paper assumes N >= n
         (["--protocol", "min", "--schedule", "blocking:4"], "min has none"),
+        (["--protocol", "rbard", "--bigN", "6", "--s-max", "-1"], "s_max must be >= 0"),
+        (["--protocol", "min", "--schedule", "delayed:x"],
+         "schedule 'delayed' needs an integer parameter, got 'delayed:x'"),
     ],
-    ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking"],
+    ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
+         "negative-s-max", "non-integer-parameter"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     code = cli(["run", "--n", "6", "--t-max", "2", *extra])
@@ -192,8 +196,9 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
 @pytest.mark.parametrize(
     "change,needle",
     [({"bogus": 1}, "'bogus'"), ({"trials": "2"}, "'trials'"), ([1, 2], "JSON object"),
-     ("str", "JSON object")],
-    ids=["unknown-key", "wrongly-typed-value", "list", "string"],
+     ("str", "JSON object"),
+     ({"protocol": "rbard", "beta": 0.05, "size_bound": 3, "s_max": -1}, "s_max must be >= 0")],
+    ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
     good = tiny_r_config(trials=2).to_json()
