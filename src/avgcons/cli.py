@@ -10,8 +10,8 @@ Subcommands:
 * ``report``        -- render a summary JSON to CSV.
 
 Exit codes: 0 when everything checked passes, 1 when some claim fails,
-2 on usage errors.  The master seed comes from --seed, falling back to
-the AVGCONS_SEED environment variable, then 0.
+2 on usage errors and runs too large for memory.  The master seed comes
+from --seed, falling back to the AVGCONS_SEED environment variable, then 0.
 """
 from __future__ import annotations
 
@@ -183,6 +183,9 @@ def cli(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a horizon whose trace cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

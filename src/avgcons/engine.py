@@ -3,8 +3,10 @@
 A round is communication closed: every agent emits its outbox message,
 agent v receives the message of u exactly when the edge (u, v) is in the
 round's graph (so every agent hears itself), and then every agent applies
-its transition.  Snapshots follow the end-of-round convention: row t-1 of
-every per-round array reflects the state at the *end* of round t.
+its transition; ``run_trial`` computes the transitions that the machines
+in ``protocol`` define for the whole network at once.  Snapshots follow
+the end-of-round convention: row t-1 of every per-round array reflects
+the state at the *end* of round t.
 
 The schedule is a pure function of its own seed, never of the protocol
 seed, so the topology cannot react to the agents' random choices.
@@ -21,12 +23,10 @@ import numpy as np
 
 from . import protocol as proto
 from .graph import DynamicSchedule
+from .quantization import quantize_array
 from .sampling import ProtocolParams, RngStream
 
 PROTOCOLS = ("min", "r", "rbar", "rbard")
-
-_OUTBOX = {tag: getattr(proto, f"{tag}_outbox") for tag in PROTOCOLS}
-_APPLY = {tag: getattr(proto, f"{tag}_apply") for tag in PROTOCOLS}
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,18 @@ class TrialConfig:
             )
         if self.protocol != "min" and self.params is None:
             raise ValueError(f"protocol {self.protocol!r} requires params")
+        if self.protocol in ("rbar", "rbard") and self.params.beta is None:
+            raise ValueError(f"protocol {self.protocol!r} requires params.beta")
         if any(s < 1 for s in self.start_rounds):
             raise ValueError("start rounds must be >= 1")
         if self.protocol != "rbard" and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        if any(not 1 <= t <= self.t_max for t in self.checkpoint_rounds):
+            raise ValueError(f"checkpoint rounds {self.checkpoint_rounds} not in [1, {self.t_max}]")
+        if self.protocol == "min" and self.checkpoint_rounds:
+            raise ValueError("protocol 'min' keeps no vectors to checkpoint")
 
     @property
     def n(self) -> int:
@@ -148,62 +154,25 @@ class TrialTrace:
 
 
 def run_trial(cfg: TrialConfig) -> TrialTrace:
-    n = cfg.n
-    t_max = cfg.t_max
-    trace, states = _new_trace(cfg)
-
-    outbox = _OUTBOX[cfg.protocol]
-    apply = _APPLY[cfg.protocol]
-    rbard = cfg.protocol == "rbard"
-    checkpoint_rounds = set(cfg.checkpoint_rounds)
-    estimates = trace.estimates
-    counters = trace.counters
-
-    for t in range(1, t_max + 1):
-        g = cfg.schedule.graph_at(t)
-        if g.n != n:
-            raise ValueError(f"schedule produced a graph on {g.n} nodes, expected {n}")
-        outs = [outbox(s) for s in states]
-        in_lists = g.in_neighbor_lists
-        states = [apply(states[v], [outs[u] for u in in_lists[v]]) for v in range(n)]
-
-        row = estimates[t - 1]
-        for v, s in enumerate(states):
-            e = proto.estimate(s)
-            row[v] = math.nan if e is None else e
-        if rbard:
-            for v, s in enumerate(states):
-                counters[t - 1, v] = s.counter
-                if s.d is not None and trace.decision_rounds[v] < 0:
-                    trace.decision_rounds[v] = t
-                    trace.decision_vectors[v] = (s.x_vec.copy(), s.y_vec.copy())
-        if t in checkpoint_rounds:
-            trace.checkpoints[t] = [(s.x_vec.copy(), s.y_vec.copy()) for s in states]
-
-    trace.final_states = states
+    """Run every round of one trial on whole-network matrices, row v
+    holding agent v's vector.  Every protocol is entrywise-minimum
+    propagation, and the minimum is idempotent and order-free, so this
+    gives the bits of the per-agent machines of ``protocol``: an agent's
+    vectors are the minimum of the initial rows that have reached it, and
+    each derived float is the same formula applied to the same row."""
+    trace = _new_trace(cfg)
+    (_rotation_rounds if cfg.protocol == "rbar" else _reach_rounds)(cfg, trace)
     return trace
 
 
-def _init_states(cfg: TrialConfig) -> tuple[list, Optional[list]]:
-    """Every agent's initial state, and the raw draws of the randomized
-    protocols (None for min), sampled once per agent from its own stream."""
-    if cfg.protocol == "min":
-        return [proto.min_init(theta) for theta in cfg.inputs], None
-    draws = [
-        proto.init_samples(theta, cfg.params, RngStream(cfg.seed, trial=cfg.trial, agent=u,
-                                                        purpose="init"))
+def _new_trace(cfg: TrialConfig) -> TrialTrace:
+    """The trace before round 1: every agent's draws, sampled once, and the
+    per-round arrays, allocated in full so a horizon too large fails now."""
+    p = cfg.params
+    draws = None if cfg.protocol == "min" else [
+        proto.init_samples(theta, p, RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init"))
         for u, theta in enumerate(cfg.inputs)
     ]
-    if cfg.protocol == "rbard":
-        return [proto.rbard_init(x, y, cfg.params, start)
-                for (x, y), start in zip(draws, cfg.start_rounds)], draws
-    init = proto.r_init if cfg.protocol == "r" else proto.rbar_init
-    return [init(x, y, cfg.params) for x, y in draws], draws
-
-
-def _new_trace(cfg: TrialConfig) -> tuple[TrialTrace, list]:
-    """The trace before round 1, holding the initial draws, and the states."""
-    states, draws = _init_states(cfg)
     n, t_max = cfg.n, cfg.t_max
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                        estimates=np.full((t_max, n), np.nan))
@@ -215,9 +184,114 @@ def _new_trace(cfg: TrialConfig) -> tuple[TrialTrace, list]:
         trace.init_x_raw = np.stack([x for x, _ in draws])
         trace.init_y_raw = np.stack([y for _, y in draws])
     if cfg.protocol in ("rbar", "rbard"):
-        trace.init_x_quant = np.stack([s.x_vec for s in states])
-        trace.init_y_quant = np.stack([s.y_vec for s in states])
-    return trace, states
+        # quantize_array is elementwise, so this quantizes each row.
+        trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
+        trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
+    return trace
+
+
+def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
+    """The rounds of min (one column), r and rbard.  Agent v's reach set,
+    an n-bit int, holds the agents whose initial rows reached it; a round
+    ORs in its in-neighbours' previous-round sets (for rbard only active
+    senders count, only active receivers update, and a heartbeat resets
+    the counter).  Only newly reached rows are folded in, and the derived
+    float (the min or r estimate, rbard's n_est) is recomputed only when
+    the set grew or on the agent's first active round."""
+    n, p, protocol = cfg.n, cfg.params, cfg.protocol
+    if protocol == "min":
+        inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
+        derive = lambda v: float(xs[v, 0])
+    elif protocol == "r":
+        inits = (trace.init_x_raw, trace.init_y_raw)
+        derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
+    else:
+        inits = (trace.init_x_quant, trace.init_y_quant)
+        derive = lambda v: proto.rbard_size_estimate(ys[v], p)
+    rows = [m.copy() for m in inits]
+    xs, ys = rows[0], rows[-1]
+    rbard = protocol == "rbard"
+    starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
+    reach, counter = [1 << v for v in range(n)], [0] * n
+    value, decision = [math.nan] * n, [math.nan] * n
+    checkpoints = set(cfg.checkpoint_rounds)
+
+    for t in range(1, cfg.t_max + 1):
+        ins = cfg.schedule.graph_at(t).in_neighbor_lists
+        prev, prev_counter = reach, counter
+        reach, counter = prev[:], prev_counter[:]
+        for v, src in enumerate(ins):
+            heartbeat = False
+            if t <= s_max:  # some agent is still passive
+                if t < starts[v]:
+                    continue  # a passive agent discards its inbox
+                heard = [u for u in src if t >= starts[u]]
+                heartbeat = len(heard) < len(src)
+                src = heard
+            if prev[v] != full:
+                got = prev[v]
+                for u in src:
+                    got |= prev[u]
+                new = got & ~prev[v]
+                if new:
+                    reach[v] = got
+                    idx = [u for u in range(n) if new >> u & 1]
+                    for m, m0 in zip(rows, inits):
+                        np.minimum(m[v], m0[idx].min(axis=0), out=m[v])
+            if reach[v] != prev[v] or t == starts[v]:
+                value[v] = derive(v)
+            if rbard:
+                counter[v] = 0 if heartbeat else 1 + min([prev_counter[u] for u in src])
+                if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
+                    decision[v] = proto.quantized_estimate(xs[v], ys[v], p)
+                    trace.decision_rounds[v] = t
+                    trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
+        if rbard:
+            trace.estimates[t - 1] = decision
+            trace.counters[t - 1] = counter
+        else:
+            trace.estimates[t - 1] = value
+        if t in checkpoints:
+            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+
+    if protocol == "min":
+        trace.final_states = [proto.MinState(x) for x in value]
+    elif protocol == "r":
+        trace.final_states = [proto.RState(xs[v], ys[v], value[v], p) for v in range(n)]
+    else:
+        trace.final_states = [
+            proto.RbarDState(xs[v], ys[v], counter[v], _unset(value[v]), _unset(decision[v]),
+                             starts[v], cfg.t_max, p)
+            for v in range(n)
+        ]
+
+
+def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
+    """The rounds of rbar: round t exchanges entry (t-1) mod ell of every
+    agent, so only that column of the exponent matrices changes, by scalar
+    minima over the in-lists.  The estimates are refreshed on the wrap."""
+    n, p = cfg.n, cfg.params
+    xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
+    est = [math.nan] * n
+    checkpoints = set(cfg.checkpoint_rounds)
+    for t in range(1, cfg.t_max + 1):
+        ins = cfg.schedule.graph_at(t).in_neighbor_lists
+        i = (t - 1) % p.ell
+        for m in (xs, ys):
+            col = m[:, i].tolist()
+            m[:, i] = [min([col[u] for u in src]) for src in ins]
+        if i == p.ell - 1:
+            est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]
+        trace.estimates[t - 1] = est
+        if t in checkpoints:
+            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+    trace.final_states = [proto.RbarState(xs[v], ys[v], cfg.t_max % p.ell, _unset(est[v]), p)
+                          for v in range(n)]
+
+
+def _unset(f: float) -> Optional[float]:
+    """None for a float that is not set yet (NaN)."""
+    return None if math.isnan(f) else f
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

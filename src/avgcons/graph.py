@@ -189,6 +189,10 @@ class DynamicSchedule:
     ell: Optional[int] = None
     graph: Optional[DirectedGraph] = None
 
+    def __post_init__(self) -> None:
+        if self.kind == "fixed" and (self.graph is None or self.graph.n != self.n):
+            raise ValueError(f"fixed schedule on n={self.n} given graph {self.graph and self.graph.n}")
+
     @cached_property
     def _key_prefix(self):
         # Pre-hashed (kind, n, seed) so the per-round key derivation only
@@ -221,7 +225,6 @@ class DynamicSchedule:
         """The repeating graphs of a deterministic kind; round t uses entry
         (t-1) mod period."""
         if self.kind == "fixed":
-            assert self.graph is not None
             return (self.graph,)
         if self.kind == "delayed":
             # One fixed random Hamiltonian cycle, its edges dealt out with

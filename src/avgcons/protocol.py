@@ -1,12 +1,15 @@
-"""Per-agent state machines of the four consensus protocols.
+"""Per-agent state machines of the four consensus protocols, and the
+estimate formulas they share with the engine.
 
 Each protocol is a pure triple of functions: an initializer (built, for
 the randomized protocols, from the raw draws of init_samples), an outbox
 accessor mapping state -> message, and a transition mapping
 (state, inbox) -> new state.  The machines never see the communication
-graph; the engine decides who hears whom and hands every agent the list
-of messages it received, always including the agent's own (self-loops
-are mandatory).  States are never mutated in place.
+graph: a caller decides who hears whom and hands every agent the list of
+messages it received, always including the agent's own (self-loops are
+mandatory).  States are never mutated in place.  The machines define
+the protocols; ``engine.run_trial`` computes their states for the whole
+network at once, with the same estimate formulas.
 
 Protocol tags used across the package:
 
@@ -137,8 +140,7 @@ def r_apply(s: RState, inbox: Sequence[Message]) -> RState:
             raise ValueError(f"vector length mismatch: expected ell={p.ell}")
     x_vec = np.minimum.reduce([s.x_vec] + [m.x_vec for m in inbox])
     y_vec = np.minimum.reduce([s.y_vec] + [m.y_vec for m in inbox])
-    x = p.a - 1.0 + float(y_vec.sum() / x_vec.sum())
-    return RState(x_vec=x_vec, y_vec=y_vec, x=x, params=p)
+    return RState(x_vec=x_vec, y_vec=y_vec, x=r_estimate(x_vec, y_vec, p), params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def rbar_apply(s: RbarState, inbox: Sequence[Message]) -> RbarState:
     x = s.x
     if cursor == s.params.ell:
         cursor = 0
-        x = _quantized_estimate(x_vec, y_vec, s.params)
+        x = quantized_estimate(x_vec, y_vec, s.params)
     return RbarState(x_vec=x_vec, y_vec=y_vec, cursor=cursor, x=x, params=s.params)
 
 
@@ -275,12 +277,10 @@ def rbard_apply(s: RbarDState, inbox: Sequence[Message]) -> RbarDState:
     x_vec = np.minimum.reduce([s.x_vec] + [m.x_vec for m in real])
     y_vec = np.minimum.reduce([s.y_vec] + [m.y_vec for m in real])
 
-    sum_y = float(dequantize_array(y_vec, p.beta).sum())
-    n_est = p.ell / sum_y
-
+    n_est = rbard_size_estimate(y_vec, p)
     d = s.d
-    if d is None and counter > 1.5 * n_est:
-        d = _quantized_estimate(x_vec, y_vec, p)
+    if d is None and rbard_decides(counter, n_est):
+        d = quantized_estimate(x_vec, y_vec, p)
 
     return RbarDState(
         x_vec=x_vec,
@@ -311,11 +311,30 @@ def estimate(state: State) -> Optional[float]:
     return state.x
 
 
-def _quantized_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
+# The estimate formulas: pure functions of one agent's vectors.
+
+
+def r_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
+    """The r estimate of the average from the minima of the raw draws."""
+    return p.a - 1.0 + float(y_vec.sum() / x_vec.sum())
+
+
+def quantized_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
+    """The rbar estimate and the rbard decision value, from exponent vectors."""
     # Denominator is a sum of positive represented values, never zero.
     sum_x = float(dequantize_array(x_vec, p.beta).sum())
     sum_y = float(dequantize_array(y_vec, p.beta).sum())
     return p.a - 1.0 + sum_y / sum_x
+
+
+def rbard_size_estimate(y_vec: np.ndarray, p: ProtocolParams) -> float:
+    """rbard's network-size estimate n_est: ell over the represented y sum."""
+    return p.ell / float(dequantize_array(y_vec, p.beta).sum())
+
+
+def rbard_decides(counter: int, n_est: float) -> bool:
+    """rbard's decision test: the counter exceeds 3/2 of the size estimate."""
+    return counter > 1.5 * n_est
 
 
 def _check_input(theta: float, params: ProtocolParams) -> None:

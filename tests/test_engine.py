@@ -114,6 +114,13 @@ def test_config_validation():
         )
     with pytest.raises(ValueError):
         cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=0)
+    for rounds in [(0, 2), (2, 7), (4,)]:  # checkpoints outside [1, t_max]
+        with pytest.raises(ValueError, match="checkpoint rounds"):
+            cfg_for("r", sched, (0.1, 0.2, 0.3), t_max=3, checkpoint_rounds=rounds)
+    with pytest.raises(ValueError, match="no vectors"):
+        cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=3, checkpoint_rounds=(1,))
+    with pytest.raises(ValueError, match="beta"):
+        cfg_for("rbar", sched, (0.1, 0.2, 0.3), t_max=3)
 
 
 def test_checkpoints_capture_vectors_at_requested_rounds():

@@ -180,6 +180,13 @@ def test_fixed_schedule_returns_the_graph_at_every_round():
     assert sched.kind == "fixed"
 
 
+def test_fixed_schedule_rejects_a_graph_of_another_size():
+    with pytest.raises(ValueError, match="on n=5 given graph 3"):
+        gr.DynamicSchedule(kind="fixed", n=5, graph=gr.ring_graph(3))
+    with pytest.raises(ValueError, match="on n=5 given graph None"):
+        gr.DynamicSchedule(kind="fixed", n=5)
+
+
 def test_csc_schedule_graphs_are_strongly_connected():
     sched = gr.schedule_csc_random(6, seed=11)
     for t in range(1, 101):

@@ -181,12 +181,17 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "rbard", "--bigN", "6", "--s-max", "-1"], "s_max must be >= 0"),
         (["--protocol", "min", "--schedule", "delayed:x"],
          "schedule 'delayed' needs an integer parameter, got 'delayed:x'"),
+        # Traces far too large to allocate: 2.2 TiB, and 87 TiB from the
+        # default horizon 4 * (s_max + 2n).
+        (["--protocol", "r", "--n", "3", "--t-max", "100000000000"], "out of memory"),
+        (["--protocol", "rbard", "--n", "3", "--bigN", "3", "--s-max", "1000000000000"],
+         "out of memory"),
     ],
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
-         "negative-s-max", "non-integer-parameter"],
+         "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
-    code = cli(["run", "--n", "6", "--t-max", "2", *extra])
+    code = cli(["run", "--n", "6", *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
