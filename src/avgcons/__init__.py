@@ -19,11 +19,6 @@ from .graph import (
     make_graph,
     product,
     ring_graph,
-    schedule_blocking_adversary,
-    schedule_c_connected,
-    schedule_csc_random,
-    schedule_delayed,
-    schedule_fixed,
 )
 from .quantization import (
     admissible_interval,

@@ -72,6 +72,8 @@ class TrialConfig:
             raise ValueError(f"checkpoint rounds {self.checkpoint_rounds} not in [1, {self.t_max}]")
         if self.protocol == "min" and self.checkpoint_rounds:
             raise ValueError("protocol 'min' keeps no vectors to checkpoint")
+        # -0.0 ties 0.0 in a minimum; one sign keeps every engine's result equal.
+        object.__setattr__(self, "inputs", tuple(x + 0.0 for x in self.inputs))
 
     @property
     def n(self) -> int:

@@ -12,14 +12,13 @@ choosing the topology is oblivious to the agents' coin flips.
 """
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
-from .seeds import stable_seed
+from .seeds import extend_key, key_hash, seed_of
 
 # Exhaustive subset checks (c-in-connectivity) are capped at this size.
 MAX_SUBSET_CHECK_N = 20
@@ -172,13 +171,21 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     return DirectedGraph(n, frozenset(edges))
 
 
+# The field holding each schedule kind's one parameter, None if it takes none.
+_KIND_PARAM = {"fixed": "graph", "csc": None, "delayed": "delay", "c_connected": "c", "blocking": "ell"}
+
+
 @dataclass(frozen=True)
 class DynamicSchedule:
     """Round -> graph mapping, fixed ahead of time and lazily evaluated.
 
-    kind is one of "fixed", "csc", "delayed", "c_connected", "blocking".
     Re-querying any round returns an identical graph; nothing about the
-    mapping depends on protocol randomness.
+    mapping depends on protocol randomness.  Kinds (parameter): fixed
+    (graph) repeats one graph, csc draws a random strongly connected one
+    each round, delayed (delay) connects only each delay-round window's
+    product, c_connected (c) is c-in-connected every round, and blocking
+    (even ell) alternates loops-only and complete graphs, so the entries a
+    protocol rotating through ell of them hits on odd rounds never mix.
     """
 
     kind: str
@@ -190,18 +197,25 @@ class DynamicSchedule:
     graph: Optional[DirectedGraph] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _KIND_PARAM:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"node count must be >= 1, got {self.n}")
         if self.kind == "fixed" and (self.graph is None or self.graph.n != self.n):
             raise ValueError(f"fixed schedule on n={self.n} given graph {self.graph and self.graph.n}")
+        takes = _KIND_PARAM[self.kind]
+        for name in ("graph", "delay", "c", "ell"):
+            if (getattr(self, name) is None) == (name == takes):
+                raise ValueError(f"{self.kind} schedule {'requires' if name == takes else 'takes no'} {name}")
+        if self.kind in ("delayed", "c_connected") and getattr(self, takes) < 1:
+            raise ValueError(f"{takes} must be >= 1, got {getattr(self, takes)}")
+        if self.kind == "blocking" and (self.ell < 2 or self.ell % 2 != 0 or self.n < 2):
+            raise ValueError(f"blocking needs an even ell >= 2 and n >= 2, got ell={self.ell}, n={self.n}")
 
     @cached_property
     def _key_prefix(self):
-        # Pre-hashed (kind, n, seed) so the per-round key derivation only
-        # has to absorb t; equal to stable_seed(kind, n, seed, t).
-        h = hashlib.sha256()
-        for p in (self.kind, self.n, self.seed):
-            h.update(repr(p).encode("utf-8"))
-            h.update(b"\x1f")
-        return h
+        # (kind, n, seed) absorbed once, so each round key only adds t.
+        return key_hash(self.kind, self.n, self.seed)
 
     @property
     def sweep(self) -> int:
@@ -215,10 +229,8 @@ class DynamicSchedule:
         return max(1, self.n - 1)
 
     def round_key(self, t: int) -> int:
-        h = self._key_prefix.copy()
-        h.update(repr(t).encode("utf-8"))
-        h.update(b"\x1f")
-        return int.from_bytes(h.digest()[:8], "little", signed=False)
+        """stable_seed(kind, n, seed, t), the seed of round t's graph."""
+        return seed_of(extend_key(self._key_prefix, t))
 
     @cached_property
     def _period_graphs(self) -> tuple[DirectedGraph, ...]:
@@ -231,14 +243,12 @@ class DynamicSchedule:
             # period T.  Any T consecutive rounds then cover the whole cycle,
             # and since all graphs have self-loops the window product
             # contains the union of the window's graphs: strongly connected.
-            rng = random.Random(stable_seed(self.kind, self.n, self.seed))
+            rng = random.Random(seed_of(self._key_prefix))
             perm = list(range(self.n))
             rng.shuffle(perm)
             cycle = [(perm[i], perm[(i + 1) % self.n]) for i in range(self.n)]
             return tuple(make_graph(self.n, cycle[slot :: self.delay]) for slot in range(self.delay))
-        if self.kind == "blocking":
-            return loops_only(self.n), complete_graph(self.n)
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        return loops_only(self.n), complete_graph(self.n)  # blocking
 
     def graph_at(self, t: int) -> DirectedGraph:
         if t < 1:
@@ -256,58 +266,14 @@ class DynamicSchedule:
         return {"kind": self.kind, "n": self.n, "seed": self.seed, "params": params}
 
 
-def schedule_fixed(g: DirectedGraph) -> DynamicSchedule:
-    """The same graph in every round."""
-    return DynamicSchedule(kind="fixed", n=g.n, graph=g)
-
-
-def schedule_csc_random(n: int, seed: int) -> DynamicSchedule:
-    """A fresh random strongly connected graph each round."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    return DynamicSchedule(kind="csc", n=n, seed=seed)
-
-
-def schedule_delayed(n: int, delay: int, seed: int) -> DynamicSchedule:
-    """Every window of `delay` consecutive rounds has a strongly connected
-    product; individual rounds generally do not (except delay=1)."""
-    if n < 1 or delay < 1:
-        raise ValueError(f"need n >= 1 and delay >= 1, got n={n}, delay={delay}")
-    return DynamicSchedule(kind="delayed", n=n, seed=seed, delay=delay)
-
-
-def schedule_c_connected(n: int, c: int, seed: int) -> DynamicSchedule:
-    """Every round's graph is c-in-connected (denser than plain csc)."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    return DynamicSchedule(kind="c_connected", n=n, seed=seed, c=c)
-
-
-def schedule_blocking_adversary(n: int, ell: int) -> DynamicSchedule:
-    """Alternates loops-only (odd rounds) and complete (even rounds).
-
-    Every 2-round window product is complete, yet against a protocol that
-    rotates through an even number ell of vector entries, the entries hit
-    on odd rounds only ever see the loops-only graph and never mix.  The
-    parity argument needs ell even.
-    """
-    if ell < 2 or ell % 2 != 0:
-        raise ValueError(f"ell must be even and >= 2, got {ell}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return DynamicSchedule(kind="blocking", n=n, ell=ell)
-
-
 # Schedule kinds by the names users type: the ExperimentConfig field that
 # ``kind:P`` sets (None when the kind takes no parameter) and the builder,
 # called as build(n, seed, P).  ring and complete are both kind "fixed".
 SCHEDULE_KINDS = {
-    "csc": (None, lambda n, seed, _: schedule_csc_random(n, seed)),
-    "ring": (None, lambda n, seed, _: schedule_fixed(ring_graph(n))),
-    "complete": (None, lambda n, seed, _: schedule_fixed(complete_graph(n))),
-    "delayed": ("delay", lambda n, seed, delay: schedule_delayed(n, delay, seed)),
-    "c_connected": ("c", lambda n, seed, c: schedule_c_connected(n, c, seed)),
-    "blocking": ("ell", lambda n, seed, ell: schedule_blocking_adversary(n, ell)),
+    "csc": (None, lambda n, seed, _: DynamicSchedule("csc", n, seed)),
+    "ring": (None, lambda n, seed, _: DynamicSchedule("fixed", n, graph=ring_graph(n))),
+    "complete": (None, lambda n, seed, _: DynamicSchedule("fixed", n, graph=complete_graph(n))),
+    "delayed": ("delay", lambda n, seed, delay: DynamicSchedule("delayed", n, seed, delay=delay)),
+    "c_connected": ("c", lambda n, seed, c: DynamicSchedule("c_connected", n, seed, c=c)),
+    "blocking": ("ell", lambda n, seed, ell: DynamicSchedule("blocking", n, ell=ell)),
 }

@@ -75,6 +75,13 @@ class ExperimentConfig:
             raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
         if self.protocol == "min" and self.schedule_kind == "blocking":
             raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
+        if self.schedule_kind not in gr.SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
+        takes = gr.SCHEDULE_KINDS[self.schedule_kind][0]  # blocking's ell is the protocol's
+        for name in ("delay", "c"):
+            if (getattr(self, name) is None) == (name == takes):
+                raise ValueError(f"schedule_kind {self.schedule_kind!r} "
+                                 f"{'requires' if name == takes else 'takes no'} {name}")
 
     def to_json(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -145,15 +152,9 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
 
 def build_schedule(cfg: ExperimentConfig, trial: int,
                    params: Optional[ProtocolParams]) -> gr.DynamicSchedule:
-    if cfg.schedule_kind not in gr.SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {cfg.schedule_kind!r}")
     field_name, build = gr.SCHEDULE_KINDS[cfg.schedule_kind]
-    param = None
-    if field_name is not None:
-        # blocking's ell is the protocol's, which cfg.ell pins when it is set.
-        param = getattr(params if field_name == "ell" else cfg, field_name, None)
-        if param is None:
-            raise ValueError(f"{cfg.schedule_kind} schedule requires {field_name}")
+    # blocking's ell is the protocol's, which cfg.ell pins when it is set.
+    param = field_name and getattr(params if field_name == "ell" else cfg, field_name, None)
     return build(cfg.n, stable_seed("schedule", cfg.seed, trial), param)
 
 
@@ -473,6 +474,8 @@ class ClaimResult:
 
 def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 200) -> list[ClaimResult]:
     """Empirical checks of the graph-product facts the protocols rest on."""
+    if product_cases < 1 or c_cases < 1:
+        raise ValueError(f"need product_cases, c_cases >= 1, got {product_cases}, {c_cases}")
     results = []
     rng = random.Random(stable_seed("verify-graph", seed))
 

@@ -8,12 +8,26 @@ processes and platforms.
 from __future__ import annotations
 
 import hashlib
+from functools import reduce
+
+
+def extend_key(h, part: object):
+    """A copy of the key hash h that has also absorbed part."""
+    h = h.copy()
+    h.update(repr(part).encode("utf-8") + b"\x1f")
+    return h
+
+
+def key_hash(*parts: object):
+    """The sha256 state that has absorbed parts in order."""
+    return reduce(extend_key, parts, hashlib.sha256())
+
+
+def seed_of(h) -> int:
+    """The 64-bit seed of a key hash."""
+    return int.from_bytes(h.digest()[:8], "little", signed=False)
 
 
 def stable_seed(*parts: object) -> int:
     """Derive a 64-bit seed from structured parts, stable across runs."""
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:8], "little", signed=False)
+    return seed_of(key_hash(*parts))

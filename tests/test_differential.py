@@ -133,7 +133,7 @@ def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
     cfg = hn.ExperimentConfig(
         protocol=protocol, trials=2, n=n, seed=17 * n + len(kind), ell=6, beta=0.1,
         size_bound=n + 1, s_max=3 if protocol == "rbard" else 0,
-        schedule_kind=kind, delay=2, c=2,
+        schedule_kind=kind, **{k: 2 for k in ("delay", "c") if k == SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 1)
     if protocol != "min":  # min keeps no vectors to checkpoint
@@ -152,3 +152,12 @@ def test_matrix_engine_matches_the_reference_loop_on_hand_picked_starts():
     ref, got = reference_run(tc), eng.run_trial(tc)
     assert (got.decision_rounds > 0).all()
     assert_same_trace(ref, got)
+
+
+def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
+    # 0.0 and -0.0 tie in a minimum, so which one wins depends on the order
+    # an engine folds in; a TrialConfig keeps only the sign +.
+    cfg = hn.ExperimentConfig(protocol="min", trials=1, n=3, inputs=(0.0, -0.0, 0.5),
+                              schedule_kind="ring")
+    tc = hn.trial_config(cfg, 0)
+    assert_same_trace(reference_run(tc), eng.run_trial(tc))

@@ -13,6 +13,10 @@ from avgcons.protocol import NULL_MESSAGE
 from avgcons.sampling import ProtocolParams
 
 
+def fixed(g):
+    return gr.DynamicSchedule("fixed", g.n, graph=g)
+
+
 def cfg_for(protocol, schedule, inputs, t_max, seed=1, ell=8, beta=None,
             start_rounds=None, checkpoint_rounds=(), a=0.0, b=1.0, size_bound=None):
     params = None
@@ -37,7 +41,7 @@ def synthetic_trace(estimates, theta, decisions=None):
     est = np.asarray(estimates, dtype=float)
     t_max, n = est.shape
     protocol = "r" if decisions is None else "rbard"
-    cfg = cfg_for(protocol, gr.schedule_fixed(gr.loops_only(n)), (0.0,) * n, t_max,
+    cfg = cfg_for(protocol, fixed(gr.loops_only(n)), (0.0,) * n, t_max,
                   beta=0.1, size_bound=n)
     return eng.TrialTrace(
         config=cfg,
@@ -52,7 +56,7 @@ def synthetic_trace(estimates, theta, decisions=None):
 
 
 def test_min_on_ring_reaches_global_min_at_round_three():
-    cfg = cfg_for("min", gr.schedule_fixed(gr.ring_graph(4)), (4.0, 3.0, 2.0, 1.0), t_max=6)
+    cfg = cfg_for("min", fixed(gr.ring_graph(4)), (4.0, 3.0, 2.0, 1.0), t_max=6)
     trace = eng.run_trial(cfg)
     assert (trace.estimates[2] == 1.0).all()
     assert (trace.estimates[2:] == 1.0).all()
@@ -60,7 +64,7 @@ def test_min_on_ring_reaches_global_min_at_round_three():
 
 
 def test_single_agent_is_stationary_from_round_one():
-    loop = gr.schedule_fixed(gr.loops_only(1))
+    loop = fixed(gr.loops_only(1))
     min_trace = eng.run_trial(cfg_for("min", loop, (0.7,), t_max=4))
     assert (min_trace.estimates == 0.7).all()
     r_trace = eng.run_trial(cfg_for("r", loop, (0.7,), t_max=4))
@@ -68,7 +72,7 @@ def test_single_agent_is_stationary_from_round_one():
 
 
 def test_identical_configs_give_bit_identical_traces():
-    sched = gr.schedule_csc_random(5, seed=3)
+    sched = gr.DynamicSchedule("csc", 5, seed=3)
     cfg = cfg_for("r", sched, (0.1, 0.3, 0.5, 0.7, 0.9), t_max=12, seed=9)
     t1, t2 = eng.run_trial(cfg), eng.run_trial(cfg)
     assert np.array_equal(t1.estimates, t2.estimates)
@@ -80,7 +84,7 @@ def test_identical_configs_give_bit_identical_traces():
 
 
 def test_protocol_seed_does_not_touch_the_schedule():
-    sched = gr.schedule_csc_random(4, seed=42)
+    sched = gr.DynamicSchedule("csc", 4, seed=42)
     before = [sched.graph_at(t) for t in range(1, 9)]
     inputs = (0.2, 0.4, 0.6, 0.8)
     eng.run_trial(cfg_for("r", sched, inputs, t_max=8, seed=1))
@@ -89,20 +93,20 @@ def test_protocol_seed_does_not_touch_the_schedule():
 
 
 def test_self_delivery_on_loops_only_keeps_inboxes_nonempty():
-    cfg = cfg_for("min", gr.schedule_fixed(gr.loops_only(3)), (3.0, 1.0, 2.0), t_max=4)
+    cfg = cfg_for("min", fixed(gr.loops_only(3)), (3.0, 1.0, 2.0), t_max=4)
     trace = eng.run_trial(cfg)  # would raise on an empty inbox
     assert (trace.estimates[-1] == [3.0, 1.0, 2.0]).all()
 
 
 def test_snapshots_follow_end_of_round_convention():
     # After one round on the ring, agent v holds min of itself and v-1.
-    cfg = cfg_for("min", gr.schedule_fixed(gr.ring_graph(3)), (1.0, 5.0, 7.0), t_max=1)
+    cfg = cfg_for("min", fixed(gr.ring_graph(3)), (1.0, 5.0, 7.0), t_max=1)
     trace = eng.run_trial(cfg)
     assert list(trace.estimates[0]) == [1.0, 1.0, 5.0]
 
 
 def test_config_validation():
-    sched = gr.schedule_fixed(gr.ring_graph(3))
+    sched = fixed(gr.ring_graph(3))
     with pytest.raises(ValueError):
         cfg_for("min", sched, (1.0, 2.0), t_max=3)  # wrong input length
     with pytest.raises(ValueError):
@@ -124,7 +128,7 @@ def test_config_validation():
 
 
 def test_checkpoints_capture_vectors_at_requested_rounds():
-    sched = gr.schedule_csc_random(3, seed=5)
+    sched = gr.DynamicSchedule("csc", 3, seed=5)
     cfg = cfg_for("r", sched, (0.2, 0.5, 0.8), t_max=6, checkpoint_rounds=(2, 6))
     trace = eng.run_trial(cfg)
     assert set(trace.checkpoints) == {2, 6}
@@ -142,7 +146,7 @@ def test_checkpoints_capture_vectors_at_requested_rounds():
 
 
 def test_r_under_csc_is_stationary_from_n_minus_1():
-    sched = gr.schedule_csc_random(5, seed=21)
+    sched = gr.DynamicSchedule("csc", 5, seed=21)
     inputs = (0.1, 0.2, 0.5, 0.7, 0.95)
     trace = eng.run_trial(cfg_for("r", sched, inputs, t_max=16, ell=32))
     settled = trace.estimates[4:]
@@ -156,7 +160,7 @@ def test_r_under_csc_is_stationary_from_n_minus_1():
 
 def test_rbar_under_csc_is_stationary_from_ell_n():
     ell, n = 6, 3
-    sched = gr.schedule_csc_random(n, seed=8)
+    sched = gr.DynamicSchedule("csc", n, seed=8)
     cfg = cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=ell * (n + 1), ell=ell,
                   beta=0.05, checkpoint_rounds=(ell * n,))
     trace = eng.run_trial(cfg)
@@ -172,7 +176,7 @@ def test_r_under_c_connected_schedule_settles_within_ceil_n_over_c():
     # denser per-round connectivity buys a proportional speedup: a product
     # of ceil(n/c) c-in-connected graphs is already complete
     n, c = 6, 2
-    sched = gr.schedule_c_connected(n, c, seed=37)
+    sched = gr.DynamicSchedule("c_connected", n, seed=37, c=c)
     inputs = tuple((i + 0.5) / n for i in range(n))
     trace = eng.run_trial(cfg_for("r", sched, inputs, t_max=9, ell=16))
     bound = math.ceil(n / c)
@@ -187,7 +191,7 @@ def test_rbar_entry_i_is_agreed_by_round_i_plus_n_minus_1_ell():
     # Entry i (1-based) is touched at rounds i, i+ell, ...; after n-1
     # touches it holds the global minimum everywhere.
     ell, n = 4, 3
-    sched = gr.schedule_csc_random(n, seed=31)
+    sched = gr.DynamicSchedule("csc", n, seed=31)
     rounds = tuple(i + (n - 1) * ell for i in range(1, ell + 1))
     cfg = cfg_for("rbar", sched, (0.15, 0.5, 0.85), t_max=max(rounds), ell=ell,
                   beta=0.1, checkpoint_rounds=rounds)
@@ -201,28 +205,28 @@ def test_rbar_entry_i_is_agreed_by_round_i_plus_n_minus_1_ell():
 
 
 def test_r_estimate_is_exactly_the_sum_ratio_of_its_own_vectors():
-    sched = gr.schedule_csc_random(4, seed=19)
+    sched = gr.DynamicSchedule("csc", 4, seed=19)
     trace = eng.run_trial(cfg_for("r", sched, (0.1, 0.4, 0.6, 0.9), t_max=6, ell=16))
     for s in trace.final_states:
         assert s.x == s.params.a - 1.0 + s.y_vec.sum() / s.x_vec.sum()
 
 
 def test_min_estimates_never_increase():
-    sched = gr.schedule_csc_random(5, seed=23)
+    sched = gr.DynamicSchedule("csc", 5, seed=23)
     trace = eng.run_trial(cfg_for("min", sched, (0.9, 0.2, 0.5, 0.7, 0.4), t_max=8))
     diffs = np.diff(trace.estimates, axis=0)
     assert (diffs <= 0).all()
 
 
 def test_min_with_equal_inputs_converges_at_round_one_in_the_exact_band():
-    cfg = cfg_for("min", gr.schedule_fixed(gr.ring_graph(3)), (2.0, 2.0, 2.0), t_max=4)
+    cfg = cfg_for("min", fixed(gr.ring_graph(3)), (2.0, 2.0, 2.0), t_max=4)
     trace = eng.run_trial(cfg)
     assert eng.convergence_time(trace, 0.0) == 1
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_r_under_delay_3_schedule_is_stationary_from_3_n_minus_1(n):
-    sched = gr.schedule_delayed(n, 3, seed=n)
+    sched = gr.DynamicSchedule("delayed", n, seed=n, delay=3)
     inputs = tuple((i + 0.5) / n for i in range(n))
     bound = 3 * (n - 1)
     trace = eng.run_trial(cfg_for("r", sched, inputs, t_max=2 * bound, ell=16))
@@ -234,7 +238,7 @@ def test_r_under_delay_3_schedule_is_stationary_from_3_n_minus_1(n):
 
 
 def test_rbard_records_decisions_and_counters():
-    sched = gr.schedule_csc_random(3, seed=13)
+    sched = gr.DynamicSchedule("csc", 3, seed=13)
     cfg = cfg_for("rbard", sched, (0.2, 0.5, 0.8), t_max=20, ell=64, beta=0.02,
                   size_bound=6)
     trace = eng.run_trial(cfg)
@@ -252,7 +256,7 @@ def test_rbard_records_decisions_and_counters():
 
 
 def test_rbard_decisions_are_its_estimates():
-    sched = gr.schedule_csc_random(3, seed=13)
+    sched = gr.DynamicSchedule("csc", 3, seed=13)
     cfg = cfg_for("rbard", sched, (0.2, 0.5, 0.8), t_max=12, ell=64, beta=0.02,
                   size_bound=6, start_rounds=(1, 3, 1))
     trace = eng.run_trial(cfg)
@@ -356,7 +360,7 @@ def test_decision_spec_erased_decision_breaks_irrevocability():
 
 
 def test_message_bits_min_and_r():
-    ring = gr.schedule_fixed(gr.ring_graph(3))
+    ring = fixed(gr.ring_graph(3))
     min_trace = eng.run_trial(cfg_for("min", ring, (1.0, 2.0, 3.0), t_max=4))
     report = eng.message_bits(min_trace)
     assert (report.per_round == 64 * 3).all()
@@ -369,7 +373,7 @@ def test_message_bits_min_and_r():
 
 
 def test_message_bits_rbar_uses_exponent_range_and_cursor_width():
-    sched = gr.schedule_csc_random(3, seed=2)
+    sched = gr.DynamicSchedule("csc", 3, seed=2)
     trace = eng.run_trial(cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=8, ell=4, beta=0.5))
     report = eng.message_bits(trace)
     exps = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
@@ -382,7 +386,7 @@ def test_message_bits_rbar_uses_exponent_range_and_cursor_width():
 
 
 def test_message_bits_rbard_charges_heartbeats_one_bit():
-    sched = gr.schedule_csc_random(3, seed=4)
+    sched = gr.DynamicSchedule("csc", 3, seed=4)
     cfg = cfg_for("rbard", sched, (0.2, 0.5, 0.8), t_max=16, ell=32, beta=0.05,
                   size_bound=6, start_rounds=(1, 3, 1))
     trace = eng.run_trial(cfg)
@@ -442,7 +446,8 @@ BOUND_TABLE = [
 def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary):
     cfg = hn.ExperimentConfig(
         protocol=protocol, trials=1, n=5, ell=10, beta=0.1, size_bound=8,
-        s_max=2 if protocol == "rbard" else 0, schedule_kind=kind, delay=3, c=2,
+        s_max=2 if protocol == "rbard" else 0, schedule_kind=kind,
+        **{k: v for k, v in (("delay", 3), ("c", 2)) if k == gr.SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 0)
     assert eng.default_horizon(tc.protocol, tc.schedule, tc.params, tc.s_max) == horizon
@@ -453,9 +458,9 @@ def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary)
 @pytest.mark.parametrize(
     "schedule,r_bound,rbar_bound",
     [
-        (gr.schedule_fixed(gr.ring_graph(5)), 4, 50),
-        (gr.schedule_delayed(5, 3, seed=2), 12, None),
-        (gr.schedule_blocking_adversary(5, 10), None, None),
+        (fixed(gr.ring_graph(5)), 4, 50),
+        (gr.DynamicSchedule("delayed", 5, seed=2, delay=3), 12, None),
+        (gr.DynamicSchedule("blocking", 5, ell=10), None, None),
     ],
     ids=["ring", "delayed", "blocking"],
 )
@@ -469,7 +474,7 @@ def test_stationary_bound_reads_the_trial_schedule(schedule, r_bound, rbar_bound
 
 
 def test_trace_jsonl_dump_roundtrips():
-    cfg = cfg_for("min", gr.schedule_fixed(gr.ring_graph(3)), (1.0, 2.0, 3.0), t_max=5)
+    cfg = cfg_for("min", fixed(gr.ring_graph(3)), (1.0, 2.0, 3.0), t_max=5)
     trace = eng.run_trial(cfg)
     buf = io.StringIO()
     eng.dump_trace_jsonl(trace, buf)

@@ -174,7 +174,7 @@ def test_random_c_in_connected_generator_output_passes_checker(data, n, seed):
 
 def test_fixed_schedule_returns_the_graph_at_every_round():
     ring = gr.ring_graph(4)
-    sched = gr.schedule_fixed(ring)
+    sched = gr.DynamicSchedule("fixed", 4, graph=ring)
     assert sched.graph_at(1) == ring
     assert sched.graph_at(10**6) == ring
     assert sched.kind == "fixed"
@@ -188,43 +188,43 @@ def test_fixed_schedule_rejects_a_graph_of_another_size():
 
 
 def test_csc_schedule_graphs_are_strongly_connected():
-    sched = gr.schedule_csc_random(6, seed=11)
+    sched = gr.DynamicSchedule("csc", 6, seed=11)
     for t in range(1, 101):
         assert gr.is_strongly_connected(sched.graph_at(t))
 
 
 def test_csc_schedule_is_deterministic_per_round():
-    sched = gr.schedule_csc_random(6, seed=11)
+    sched = gr.DynamicSchedule("csc", 6, seed=11)
     assert sched.graph_at(7) == sched.graph_at(7)
 
 
 def test_round_key_matches_plain_derivation():
     from avgcons.seeds import stable_seed
 
-    sched = gr.schedule_csc_random(6, seed=11)
+    sched = gr.DynamicSchedule("csc", 6, seed=11)
     for t in (1, 7, 10**6):
         assert sched.round_key(t) == stable_seed("csc", 6, 11, t)
 
 
 def test_csc_schedule_graphs_vary_with_round_and_seed():
-    sched = gr.schedule_csc_random(6, seed=11)
+    sched = gr.DynamicSchedule("csc", 6, seed=11)
     assert any(sched.graph_at(t) != sched.graph_at(t + 1) for t in range(1, 20))
     differing = sum(
-        gr.schedule_csc_random(6, seed=2 * i).graph_at(1)
-        != gr.schedule_csc_random(6, seed=2 * i + 1).graph_at(1)
+        gr.DynamicSchedule("csc", 6, seed=2 * i).graph_at(1)
+        != gr.DynamicSchedule("csc", 6, seed=2 * i + 1).graph_at(1)
         for i in range(20)
     )
     assert differing >= 1
 
 
 def test_delayed_schedule_with_t1_is_continuously_strongly_connected():
-    sched = gr.schedule_delayed(5, 1, seed=4)
+    sched = gr.DynamicSchedule("delayed", 5, seed=4, delay=1)
     for t in range(1, 31):
         assert gr.is_strongly_connected(sched.graph_at(t))
 
 
 def test_delayed_schedule_window_products_strongly_connected():
-    sched = gr.schedule_delayed(5, 3, seed=4)
+    sched = gr.DynamicSchedule("delayed", 5, seed=4, delay=3)
     for t in range(1, 31):
         window = sched.graph_at(t)
         for k in (1, 2):
@@ -233,18 +233,18 @@ def test_delayed_schedule_window_products_strongly_connected():
 
 
 def test_delayed_schedule_single_rounds_are_not_strongly_connected():
-    sched = gr.schedule_delayed(5, 3, seed=4)
+    sched = gr.DynamicSchedule("delayed", 5, seed=4, delay=3)
     assert any(not gr.is_strongly_connected(sched.graph_at(t)) for t in range(1, 31))
 
 
 def test_delayed_schedule_reuses_its_period_graphs():
-    sched = gr.schedule_delayed(5, 3, seed=4)
+    sched = gr.DynamicSchedule("delayed", 5, seed=4, delay=3)
     for t in range(1, 7):
         assert sched.graph_at(t) is sched.graph_at(t + 3)
 
 
 def test_c_connected_schedule_rounds_pass_checker():
-    sched = gr.schedule_c_connected(5, 2, seed=8)
+    sched = gr.DynamicSchedule("c_connected", 5, seed=8, c=2)
     for t in range(1, 21):
         assert gr.is_c_in_connected(sched.graph_at(t), 2)
 
@@ -252,7 +252,7 @@ def test_c_connected_schedule_rounds_pass_checker():
 def test_c_connected_schedule_works_past_the_subset_check_cap():
     # n=32 is beyond is_c_in_connected's reach; check what c=4 implies:
     # strong connectivity and at least 4 in-neighbors besides the self-loop.
-    sched = gr.schedule_c_connected(32, 4, seed=8)
+    sched = gr.DynamicSchedule("c_connected", 32, seed=8, c=4)
     for t in range(1, 21):
         g = sched.graph_at(t)
         assert gr.is_strongly_connected(g)
@@ -260,13 +260,13 @@ def test_c_connected_schedule_works_past_the_subset_check_cap():
 
 
 def test_blocking_schedule_two_round_products_are_complete():
-    sched = gr.schedule_blocking_adversary(3, 4)
+    sched = gr.DynamicSchedule("blocking", 3, ell=4)
     assert gr.is_complete(gr.product(sched.graph_at(1), sched.graph_at(2)))
     assert gr.is_complete(gr.product(sched.graph_at(2), sched.graph_at(3)))
 
 
 def test_blocking_schedule_odd_rounds_are_loops_only():
-    sched = gr.schedule_blocking_adversary(3, 4)
+    sched = gr.DynamicSchedule("blocking", 3, ell=4)
     assert not gr.is_strongly_connected(sched.graph_at(3))
     assert sched.graph_at(3) == gr.loops_only(3)
     assert sched.graph_at(4) == gr.complete_graph(3)
@@ -274,7 +274,37 @@ def test_blocking_schedule_odd_rounds_are_loops_only():
 
 def test_blocking_schedule_rejects_odd_ell():
     with pytest.raises(ValueError):
-        gr.schedule_blocking_adversary(3, 5)
+        gr.DynamicSchedule("blocking", 3, ell=5)
+
+
+@pytest.mark.parametrize(
+    "kwargs,needle",
+    [
+        (dict(kind="bogus", n=3), "unknown schedule kind 'bogus'"),
+        (dict(kind="csc", n=0), "node count must be >= 1"),
+        (dict(kind="delayed", n=3), "delayed schedule requires delay"),
+        (dict(kind="c_connected", n=3), "c_connected schedule requires c"),
+        (dict(kind="blocking", n=3), "blocking schedule requires ell"),
+        (dict(kind="fixed", n=3), "given graph None"),
+        (dict(kind="csc", n=3, delay=2), "csc schedule takes no delay"),
+        (dict(kind="csc", n=3, graph=gr.ring_graph(3)), "csc schedule takes no graph"),
+        (dict(kind="delayed", n=3, delay=2, c=2), "delayed schedule takes no c"),
+        (dict(kind="fixed", n=3, graph=gr.ring_graph(3), ell=4), "fixed schedule takes no ell"),
+        (dict(kind="delayed", n=3, delay=0), "delay must be >= 1"),
+        (dict(kind="c_connected", n=3, c=0), "c must be >= 1"),
+        (dict(kind="blocking", n=3, ell=3), "even ell"),
+        (dict(kind="blocking", n=3, ell=0), "even ell"),
+        (dict(kind="blocking", n=1, ell=4), "n >= 2"),
+        (dict(kind="fixed", n=5, graph=gr.ring_graph(3)), "given graph 3"),
+    ],
+    ids=["unknown-kind", "no-nodes", "delayed-without-delay", "c_connected-without-c",
+         "blocking-without-ell", "fixed-without-graph", "csc-with-delay", "csc-with-graph",
+         "delayed-with-c", "fixed-with-ell", "zero-delay", "zero-c", "odd-ell", "zero-ell",
+         "blocking-on-one-node", "fixed-graph-of-another-size"],
+)
+def test_malformed_schedules_are_rejected_at_construction(kwargs, needle):
+    with pytest.raises(ValueError, match=needle):
+        gr.DynamicSchedule(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +343,9 @@ def test_product_is_associative(triple):
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 50))
 def test_every_schedule_output_contains_all_self_loops(n, seed, t):
     for sched in (
-        gr.schedule_csc_random(n, seed),
-        gr.schedule_delayed(n, 3, seed),
-        gr.schedule_blocking_adversary(n, 4),
+        gr.DynamicSchedule("csc", n, seed=seed),
+        gr.DynamicSchedule("delayed", n, seed=seed, delay=3),
+        gr.DynamicSchedule("blocking", n, ell=4),
     ):
         g = sched.graph_at(t)
         assert all((u, u) in g.edges for u in range(n))

@@ -202,8 +202,12 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     "change,needle",
     [({"bogus": 1}, "'bogus'"), ({"trials": "2"}, "'trials'"), ([1, 2], "JSON object"),
      ("str", "JSON object"),
-     ({"protocol": "rbard", "beta": 0.05, "size_bound": 3, "s_max": -1}, "s_max must be >= 0")],
-    ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max"],
+     ({"protocol": "rbard", "beta": 0.05, "size_bound": 3, "s_max": -1}, "s_max must be >= 0"),
+     ({"c": 3}, "'csc' takes no c"), ({"schedule_kind": "ring", "delay": 2}, "'ring' takes no delay"),
+     ({"schedule_kind": "delayed"}, "'delayed' requires delay"),
+     ({"schedule_kind": "bogus"}, "unknown schedule_kind 'bogus'")],
+    ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
+         "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
     good = tiny_r_config(trials=2).to_json()
@@ -262,6 +266,15 @@ def test_cli_verify_graph_small(capsys):
     assert cli(["verify-graph", "--seed", "3", "--cases", "40", "--c-cases", "5"]) == 0
     out = capsys.readouterr().out
     assert "product_of_n_minus_1_complete" in out
+
+
+@pytest.mark.parametrize("extra", [["--cases", "-3"], ["--cases", "0", "--c-cases", "0"],
+                                   ["--c-cases", "0"]],
+                         ids=["negative-cases", "zero-cases", "zero-c-cases"])
+def test_cli_verify_graph_without_cases_is_a_usage_error(extra, capsys):
+    assert cli(["verify-graph", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cases" in err and err.count("\n") == 1
 
 
 def test_python_dash_m_runs_the_cli():
