@@ -26,7 +26,8 @@ from .graph import DynamicSchedule
 from .quantization import quantize_array
 from .sampling import ProtocolParams, RngStream
 
-PROTOCOLS = ("min", "r", "rbar", "rbard")
+# Each protocol tag, with the optional ExperimentConfig fields it takes.
+PROTOCOLS = {"min": (), "r": ("ell",), "rbar": ("ell", "beta"), "rbard": ("ell", "beta", "size_bound")}
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ class TrialConfig:
             )
         if self.protocol != "min" and self.params is None:
             raise ValueError(f"protocol {self.protocol!r} requires params")
-        if self.protocol in ("rbar", "rbard") and self.params.beta is None:
+        if "beta" in PROTOCOLS[self.protocol] and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
+        if not all(math.isfinite(x) for x in self.inputs):
+            raise ValueError(f"inputs must be finite, got {self.inputs}")
         if any(s < 1 for s in self.start_rounds):
             raise ValueError("start rounds must be >= 1")
         if self.protocol != "rbard" and any(s != 1 for s in self.start_rounds):
@@ -356,19 +359,12 @@ class MessageBitsReport:
     bits of the closed integer range covering every exponent observed in
     the trial, a counter costs ceil(log2(C_max + 1)), a real costs 64,
     and a heartbeat costs 1.  per_round[t-1] totals all n messages of
-    round t; counter_suppressed_per_round accounts the variant where an
-    agent stops sending its counter once it has decided.
+    round t.
     """
 
     per_round: np.ndarray
     per_message_max: int
     distinct_exponents: Optional[int]
-    exponent_range: Optional[tuple[int, int]]
-    counter_suppressed_per_round: Optional[np.ndarray] = None
-
-
-def _range_width_bits(lo: int, hi: int) -> int:
-    return math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
 
 
 def message_bits(trace: TrialTrace) -> MessageBitsReport:
@@ -377,52 +373,32 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
 
     if protocol == "min":
         per_round = np.full(t_max, 64 * n, dtype=np.int64)
-        return MessageBitsReport(per_round, 64, None, None)
+        return MessageBitsReport(per_round, 64, None)
 
     if protocol == "r":
         per_msg = 2 * params.ell * 64
-        return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None, None)
+        return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None)
 
     exponents = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
     lo, hi = int(exponents.min()), int(exponents.max())
-    entry_bits = _range_width_bits(lo, hi)
+    entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
     distinct = int(len(np.unique(exponents)))
 
     if protocol == "rbar":
         cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0
         per_msg = cursor_bits + 2 * entry_bits
-        return MessageBitsReport(
-            np.full(t_max, per_msg * n, dtype=np.int64), per_msg, distinct, (lo, hi)
-        )
+        return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, distinct)
 
     # rbard: heartbeats cost 1 bit; active messages carry the counter and
-    # both full vectors.  Message content at round t is the state at the
-    # end of round t-1, hence the one-round shifts below.
+    # both full vectors.
     c_max = int(trace.counters.max()) if trace.counters.size else 0
     counter_bits = math.ceil(math.log2(c_max + 1)) if c_max > 0 else 0
-    body_bits = 2 * params.ell * entry_bits
-    full_bits = counter_bits + body_bits
-
-    starts = np.asarray(trace.config.start_rounds)
+    full_bits = counter_bits + 2 * params.ell * entry_bits
     rounds = np.arange(1, t_max + 1)[:, None]
-    active = rounds >= starts[None, :]
-    n_active = active.sum(axis=1)
-    n_null = n - n_active
-    per_round = n_null * 1 + n_active * full_bits
-
-    decided_prev = np.zeros((t_max, n), dtype=bool)
-    decided_prev[1:] = ~np.isnan(trace.decisions[:-1])
-    n_suppressed = (active & decided_prev).sum(axis=1)
-    suppressed_per_round = per_round - n_suppressed * counter_bits
-
+    n_active = (rounds >= np.asarray(trace.config.start_rounds)[None, :]).sum(axis=1)
+    per_round = (n - n_active) * 1 + n_active * full_bits
     per_message_max = full_bits if n_active.any() else 1
-    return MessageBitsReport(
-        per_round.astype(np.int64),
-        per_message_max,
-        distinct,
-        (lo, hi),
-        suppressed_per_round.astype(np.int64),
-    )
+    return MessageBitsReport(per_round.astype(np.int64), per_message_max, distinct)
 
 
 def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:

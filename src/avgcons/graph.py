@@ -26,30 +26,30 @@ MAX_SUBSET_CHECK_N = 20
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Immutable directed graph on nodes 0..n-1 with mandatory self-loops."""
+    """Immutable directed graph on nodes 0..n-1 with mandatory self-loops,
+    stored as what each node hears: in_neighbor_lists[v] is the sorted
+    tuple of every u with (u, v) an edge, v itself included."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    in_neighbor_lists: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def in_neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """For each node v, the sorted tuple of u with (u, v) in edges."""
-        ins: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            ins[v].append(u)
-        return tuple(tuple(sorted(vs)) for vs in ins)
+    @property
+    def n(self) -> int:
+        return len(self.in_neighbor_lists)
 
     @cached_property
-    def out_neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        outs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            outs[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in outs)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every pair (u, v) with u in in_neighbor_lists[v], derived on first use."""
+        return frozenset((u, v) for v, us in enumerate(self.in_neighbor_lists) for u in us)
 
     def to_json(self) -> dict:
         """JSON form; self-loops are omitted and restored on read."""
         plain = sorted((u, v) for u, v in self.edges if u != v)
         return {"n": self.n, "edges": [[u, v] for u, v in plain]}
+
+
+def _from_in_sets(ins: list[set[int]]) -> DirectedGraph:
+    """The graph whose node v hears exactly ins[v], which holds v itself."""
+    return DirectedGraph(tuple(map(tuple, map(sorted, ins))))
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> DirectedGraph:
@@ -59,13 +59,12 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> DirectedGraph:
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    es = set()
+    ins = [{v} for v in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        es.add((u, v))
-    es.update((u, u) for u in range(n))
-    return DirectedGraph(n, frozenset(es))
+        ins[v].add(u)
+    return _from_in_sets(ins)
 
 
 def loops_only(n: int) -> DirectedGraph:
@@ -90,23 +89,18 @@ def product(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
     """
     if g.n != h.n:
         raise ValueError(f"node count mismatch: {g.n} != {h.n}")
-    h_out = h.out_neighbor_lists
-    es = set()
-    for u in range(g.n):
-        for v in g.out_neighbor_lists[u]:
-            for w in h_out[v]:
-                es.add((u, w))
-    return DirectedGraph(g.n, frozenset(es))
+    g_ins = g.in_neighbor_lists
+    return _from_in_sets([set().union(*(g_ins[v] for v in vs)) for vs in h.in_neighbor_lists])
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    if g.n == 1:
-        return True
-    return _reaches_all(g.out_neighbor_lists, 0) and _reaches_all(g.in_neighbor_lists, 0)
+    ins = g.in_neighbor_lists
+    outs = [[v for v, us in enumerate(ins) if u in us] for u in range(g.n)]
+    return _reaches_all(ins, 0) and _reaches_all(outs, 0)
 
 
-def _reaches_all(adj: tuple[tuple[int, ...], ...], start: int) -> bool:
+def _reaches_all(adj, start: int) -> bool:
     seen = {start}
     stack = [start]
     while stack:
@@ -119,7 +113,7 @@ def _reaches_all(adj: tuple[tuple[int, ...], ...], start: int) -> bool:
 
 
 def is_complete(g: DirectedGraph) -> bool:
-    return len(g.edges) == g.n * g.n
+    return all(len(us) == g.n for us in g.in_neighbor_lists)
 
 
 def is_c_in_connected(g: DirectedGraph, c: int) -> bool:
@@ -162,13 +156,16 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
         raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = {(perm[i], perm[(i + k) % n]) for k in range(1, min(c, n - 1) + 1) for i in range(n)}
+    # perm[i] hears perm[i-m..i], its loop included: window[i : i+m+1].
+    m = min(c, n - 1)
+    window = perm[n - m :] + perm
+    ins: list = [None] * n
+    for i, v in enumerate(perm):
+        ins[v] = set(window[i : i + m + 1])
     for _ in range(rng.randint(0, n)):
-        edges.add((rng.randrange(n), rng.randrange(n)))
-    # Hot path of the schedule generators: endpoints are valid by
-    # construction, so skip make_graph's validation pass.
-    edges.update((u, u) for u in range(n))
-    return DirectedGraph(n, frozenset(edges))
+        u = rng.randrange(n)
+        ins[rng.randrange(n)].add(u)
+    return _from_in_sets(ins)
 
 
 # The field holding each schedule kind's one parameter, None if it takes none.

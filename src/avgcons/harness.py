@@ -23,7 +23,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import graph as gr
-from .engine import TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
+from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
     default_horizon, message_bits, round_bound, run_trial
 from .quantization import admissible_interval, count_levels
 from .sampling import ConcentrationParams, ProtocolParams, RngStream, chernoff_bound, \
@@ -61,6 +61,13 @@ class ExperimentConfig:
     schema: int = 1
 
     def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.protocol == "min" and self.schedule_kind == "blocking":
+            raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
+        for name in ("ell", "beta", "size_bound"):
+            if getattr(self, name) is not None and name not in PROTOCOLS[self.protocol]:
+                raise ValueError(f"protocol {self.protocol!r} takes no {name}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.s_max < 0:
@@ -71,10 +78,10 @@ class ExperimentConfig:
             raise ValueError("staggered starts are only supported by rbard")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise ValueError("fixed inputs must have length n")
+        if self.inputs is not None and not all(math.isfinite(x) for x in self.inputs):
+            raise ValueError(f"fixed inputs must be finite, got {list(self.inputs)}")
         if self.protocol == "rbard" and self.size_bound is not None and self.size_bound < self.n:
             raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
-        if self.protocol == "min" and self.schedule_kind == "blocking":
-            raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
         if self.schedule_kind not in gr.SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
         takes = gr.SCHEDULE_KINDS[self.schedule_kind][0]  # blocking's ell is the protocol's
@@ -133,7 +140,7 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
         return None
     if cfg.ell is not None:
         beta = cfg.beta
-        if beta is None and cfg.protocol in ("rbar", "rbard"):
+        if beta is None and "beta" in PROTOCOLS[cfg.protocol]:
             beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b)
         return ProtocolParams(
             epsilon=cfg.epsilon, eta=cfg.eta, a=cfg.a, b=cfg.b,
@@ -143,11 +150,9 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
         return params_r(cfg.epsilon, cfg.eta, cfg.a, cfg.b)
     if cfg.protocol == "rbar":
         return params_rbar(cfg.epsilon, cfg.eta, cfg.a, cfg.b)
-    if cfg.protocol == "rbard":
-        if cfg.size_bound is None:
-            raise ValueError("rbard requires size_bound")
-        return params_rbard(cfg.epsilon, cfg.eta, cfg.a, cfg.b, cfg.size_bound)
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    if cfg.size_bound is None:
+        raise ValueError("rbard requires size_bound")
+    return params_rbard(cfg.epsilon, cfg.eta, cfg.a, cfg.b, cfg.size_bound)
 
 
 def build_schedule(cfg: ExperimentConfig, trial: int,
@@ -529,7 +534,7 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
         sched = build(5, seed, params.get(field_name))
         for t in range(1, 31):
             g = sched.graph_at(t)
-            bad += not all((u, u) in g.edges for u in range(g.n))
+            bad += not all(v in us for v, us in enumerate(g.in_neighbor_lists))
     results.append(ClaimResult("schedules_keep_self_loops", bad == 0,
                                f"{len(gr.SCHEDULE_KINDS)} kinds x 30 rounds"))
     return results

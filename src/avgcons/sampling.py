@@ -13,6 +13,7 @@ shared RNG state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,14 +65,16 @@ def _stable_ceil(make_expr) -> int:
 
     The replication counts are ceilings of log expressions that can sit
     arbitrarily close to an integer; evaluating at 40 and 80 digits and
-    demanding agreement rules out a boundary flip from rounding.
+    demanding agreement rules out a boundary flip from rounding, and a
+    count too large for 40 digits (tiny epsilon, huge b - a).
     """
     values = []
     for dps in (40, 80):
         with mp.workdps(dps):
             values.append(int(mp.ceil(make_expr())))
     if values[0] != values[1]:
-        raise ArithmeticError(f"ceiling unstable across precisions: {values}")
+        raise ValueError(f"replica count ell, about 10^{len(str(values[1])) - 1}, cannot be "
+                         f"resolved: its ceiling differs at 40 and 80 digits")
     return values[0]
 
 
@@ -83,6 +86,8 @@ def _check_ranges(epsilon: float, eta: float, a: float, b: float,
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0 < eta < 0.5:
         raise ValueError(f"eta must be in (0, 1/2), got {eta}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a={a}, b={b}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if size_bound is not None and size_bound < 1:

@@ -382,7 +382,6 @@ def test_message_bits_rbar_uses_exponent_range_and_cursor_width():
     assert report.per_message_max == 2 + 2 * entry_bits  # ceil(log2 ell=4) = 2
     assert (report.per_round == 3 * report.per_message_max).all()
     assert report.distinct_exponents == len(np.unique(exps))
-    assert report.exponent_range == (lo, hi)
 
 
 def test_message_bits_rbard_charges_heartbeats_one_bit():
@@ -401,9 +400,6 @@ def test_message_bits_rbard_charges_heartbeats_one_bit():
     assert report.per_round[1] == 2 * full + 1
     assert report.per_round[2] == 3 * full
     assert report.per_message_max == full
-    # decided agents may drop the counter in the suppressed accounting
-    assert (report.counter_suppressed_per_round <= report.per_round).all()
-    assert report.counter_suppressed_per_round[-1] == 3 * (full - counter_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +441,9 @@ BOUND_TABLE = [
 @pytest.mark.parametrize("protocol,kind,horizon,stationary", BOUND_TABLE)
 def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary):
     cfg = hn.ExperimentConfig(
-        protocol=protocol, trials=1, n=5, ell=10, beta=0.1, size_bound=8,
-        s_max=2 if protocol == "rbard" else 0, schedule_kind=kind,
+        protocol=protocol, trials=1, n=5, s_max=2 if protocol == "rbard" else 0, schedule_kind=kind,
+        **{k: v for k, v in (("ell", 10), ("beta", 0.1), ("size_bound", 8))
+           if k in eng.PROTOCOLS[protocol]},
         **{k: v for k, v in (("delay", 3), ("c", 2)) if k == gr.SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 0)

@@ -6,7 +6,8 @@ dumps it (dump_trace_jsonl).  The pinned sha256 prefixes make "traces are
 bit-identical" a checked fact: a refactor or speed-up that changes any
 estimate, decision, counter, initial draw, final vector, dump line or
 evaluation record fails here.  The cases span all four protocols and all
-six schedule kinds.
+six schedule kinds.  The schedule streams are pinned separately, at the
+benchmark's sizes, since the trial cases stop at n = 6.
 """
 import hashlib
 import io
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from avgcons import engine as eng
+from avgcons import graph as gr
 from avgcons import harness as hn
 
 CASES = {
@@ -83,3 +85,23 @@ def _observe(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     assert _observe(name) == GOLDEN[name]
+
+
+# Rounds 1..200 of each schedule, hashed as the engine reads them: name:
+# (DynamicSchedule arguments, sha256 prefix of the in-neighbour lists).
+STREAMS = {
+    "csc-n6": (dict(kind="csc", n=6, seed=11), "e99880a24aaf5a78"),
+    "c_connected-n12-c2": (dict(kind="c_connected", n=12, seed=12, c=2), "590519d54a617e60"),
+    "csc-n32": (dict(kind="csc", n=32, seed=13), "08b1c85b212bb413"),
+    "c_connected-n32-c4": (dict(kind="c_connected", n=32, seed=14, c=4), "15418b5e845362c7"),
+    "delayed-n8-delay3": (dict(kind="delayed", n=8, seed=15, delay=3), "dffc4cf9891acadf"),
+    "blocking-n6-ell8": (dict(kind="blocking", n=6, ell=8), "31dd06730d52515f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_schedule_stream_digests(name):
+    kwargs, expected = STREAMS[name]
+    sched = gr.DynamicSchedule(**kwargs)
+    rounds = [repr(sched.graph_at(t).in_neighbor_lists) for t in range(1, 201)]
+    assert _sha(rounds) == expected

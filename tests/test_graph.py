@@ -39,7 +39,7 @@ def brute_force_product(g, h):
         for w in range(g.n):
             if any((u, v) in g.edges and (v, w) in h.edges for v in range(g.n)):
                 edges.add((u, w))
-    return gr.DirectedGraph(g.n, frozenset(edges))
+    return gr.make_graph(g.n, edges)
 
 
 def test_loops_only_is_identity_element():

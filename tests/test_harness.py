@@ -186,9 +186,19 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "r", "--n", "3", "--t-max", "100000000000"], "out of memory"),
         (["--protocol", "rbard", "--n", "3", "--bigN", "3", "--s-max", "1000000000000"],
          "out of memory"),
+        (["--protocol", "r", "--bigN", "5"], "protocol 'r' takes no size_bound"),
+        (["--protocol", "min", "--bigN", "5"], "protocol 'min' takes no size_bound"),
+        # ell ~ 1e62 and ~1e602: too large to resolve at 40 digits.
+        (["--protocol", "r", "--n", "3", "--epsilon", "1e-30"], "replica count ell"),
+        (["--protocol", "r", "--n", "3", "--b", "1e300"], "replica count ell"),
+        (["--protocol", "r", "--b", "inf"], "a and b must be finite"),
+        (["--protocol", "rbar", "--a", "nan"], "a and b must be finite"),
+        (["--protocol", "min", "--a", "nan"], "inputs must be finite"),
     ],
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
-         "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large"],
+         "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
+         "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
+         "nan-a", "min-nan-a"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     code = cli(["run", "--n", "6", *extra])
@@ -205,9 +215,19 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
      ({"protocol": "rbard", "beta": 0.05, "size_bound": 3, "s_max": -1}, "s_max must be >= 0"),
      ({"c": 3}, "'csc' takes no c"), ({"schedule_kind": "ring", "delay": 2}, "'ring' takes no delay"),
      ({"schedule_kind": "delayed"}, "'delayed' requires delay"),
-     ({"schedule_kind": "bogus"}, "unknown schedule_kind 'bogus'")],
+     ({"schedule_kind": "bogus"}, "unknown schedule_kind 'bogus'"),
+     ({"protocol": "bogus"}, "unknown protocol 'bogus'"),
+     ({"protocol": "min", "ell": None, "beta": 0.1}, "protocol 'min' takes no beta"),
+     ({"protocol": "min"}, "protocol 'min' takes no ell"),
+     ({"beta": 0.1}, "protocol 'r' takes no beta"),
+     ({"size_bound": 4}, "protocol 'r' takes no size_bound"),
+     ({"protocol": "min", "ell": None, "inputs": [float("nan"), 0.5, 0.2]},
+      "inputs must be finite"),
+     ({"ell": None, "b": float("inf")}, "a and b must be finite")],
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
-         "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind"],
+         "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
+         "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
+         "infinite-b"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
     good = tiny_r_config(trials=2).to_json()
