@@ -45,7 +45,6 @@ from .engine import (
     TrialTrace,
     check_decision_spec,
     convergence_time,
-    default_horizon,
     dump_trace_jsonl,
     message_bits,
     run_trial,

@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 when everything checked passes, 1 when some claim fails,
 2 on usage errors and runs too large for memory.  The master seed comes
-from --seed, falling back to the AVGCONS_SEED environment variable, then 0.
+from --seed, falling back (except for sweep, whose config holds it) to the
+AVGCONS_SEED environment variable, then to the callee's default.  ``run``
+hands ExperimentConfig only the flags given, so its defaults live there.
 """
 from __future__ import annotations
 
@@ -27,9 +29,16 @@ from .engine import PROTOCOLS, dump_trace_jsonl, run_trial
 from .graph import SCHEDULE_KINDS
 
 
-def _seed(args: argparse.Namespace) -> int:
-    """--seed, else the AVGCONS_SEED environment variable, else 0."""
-    return args.seed if args.seed is not None else int(os.environ.get("AVGCONS_SEED", "0"))
+def _seed(args: argparse.Namespace, env: bool = True) -> dict:
+    """{"seed": s} from --seed, else (if env) from AVGCONS_SEED; {} when
+    neither is set.  A seed that is not a non-negative integer is a
+    ValueError naming where it came from."""
+    source, text = "--seed", getattr(args, "seed", None)
+    if text is None and env:
+        source, text = "AVGCONS_SEED", os.environ.get("AVGCONS_SEED")
+    if text is not None and not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return {} if text is None else {"seed": int(text)}
 
 
 def _parse_schedule(spec: str) -> tuple[str, dict]:
@@ -54,34 +63,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="avgcons")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one trial and dump its trace")
+    # A flag left out stays out of args, so ExperimentConfig's default applies.
+    run_p = sub.add_parser("run", help="run one trial and dump its trace",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--protocol", required=True, choices=PROTOCOLS)
     run_p.add_argument("--n", type=int, required=True)
-    run_p.add_argument("--epsilon", type=float, default=0.3)
-    run_p.add_argument("--eta", type=float, default=0.2)
-    run_p.add_argument("--a", type=float, default=0.0)
-    run_p.add_argument("--b", type=float, default=1.0)
-    run_p.add_argument("--bigN", type=int, default=None, help="network size bound (rbard)")
-    run_p.add_argument("--schedule", default="csc",
-                       help=f"kind or kind:P, kinds: {', '.join(SCHEDULE_KINDS)}")
-    run_p.add_argument("--t-max", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--s-max", type=int, default=0)
+    run_p.add_argument("--epsilon", type=float)
+    run_p.add_argument("--eta", type=float)
+    run_p.add_argument("--a", type=float)
+    run_p.add_argument("--b", type=float)
+    run_p.add_argument("--bigN", dest="size_bound", type=int, help="network size bound (rbard)")
+    run_p.add_argument("--schedule", help=f"kind or kind:P, kinds: {', '.join(SCHEDULE_KINDS)}")
+    run_p.add_argument("--t-max", type=int)
+    run_p.add_argument("--seed")
+    run_p.add_argument("--s-max", type=int)
     run_p.add_argument("--out", type=Path, default=None, help="trace path (default: stdout)")
 
     sweep_p = sub.add_parser("sweep", help="Monte Carlo batch from a JSON config")
     sweep_p.add_argument("--config", type=Path, required=True)
     sweep_p.add_argument("--out", type=Path, required=True, help="output directory")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override config seed")
+    sweep_p.add_argument("--seed", default=None, help="override config seed")
     sweep_p.add_argument("--trials", type=int, default=None, help="override trial count")
 
     vg = sub.add_parser("verify-graph", help="graph-lemma property suites")
-    vg.add_argument("--seed", type=int, default=None)
+    vg.add_argument("--seed", default=None)
     vg.add_argument("--cases", type=int, default=500, help="product-lemma cases")
     vg.add_argument("--c-cases", type=int, default=200, help="cases per (n, c) pair")
 
     vb = sub.add_parser("verify-bounds", help="concentration-bound checks")
-    vb.add_argument("--seed", type=int, default=None)
+    vb.add_argument("--seed", default=None)
     vb.add_argument("--reps", type=int, default=10_000)
 
     rep = sub.add_parser("report", help="render a summary JSON to CSV")
@@ -92,22 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kind, schedule_param = _parse_schedule(args.schedule)
-    cfg = harness.ExperimentConfig(
-        protocol=args.protocol,
-        trials=1,
-        n=args.n,
-        seed=_seed(args),
-        epsilon=args.epsilon,
-        eta=args.eta,
-        a=args.a,
-        b=args.b,
-        size_bound=args.bigN,
-        schedule_kind=kind,
-        s_max=args.s_max,
-        t_max=args.t_max,
-        **schedule_param,
-    )
+    fields = harness.ExperimentConfig.__dataclass_fields__
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    if "schedule" in args:
+        kind, schedule_param = _parse_schedule(args.schedule)
+        given.update(schedule_kind=kind, **schedule_param)
+    cfg = harness.ExperimentConfig(trials=1, **{**given, **_seed(args)})
     trace = run_trial(harness.trial_config(cfg, 0))
     if args.out is None:
         dump_trace_jsonl(trace, sys.stdout)
@@ -121,7 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fp:
         obj = json.load(fp)
-    overrides = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    overrides = _seed(args, env=False)
+    if args.trials is not None:
+        overrides["trials"] = args.trials
     cfg = replace(harness.experiment_from_json(obj), **overrides)
 
     outdir = args.out
@@ -146,12 +148,12 @@ def _print_claims(results) -> int:
 
 def _cmd_verify_graph(args: argparse.Namespace) -> int:
     return _print_claims(
-        harness.verify_graph_claims(_seed(args), product_cases=args.cases, c_cases=args.c_cases)
+        harness.verify_graph_claims(**_seed(args), product_cases=args.cases, c_cases=args.c_cases)
     )
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    return _print_claims(harness.verify_bound_claims(_seed(args), reps=args.reps))
+    return _print_claims(harness.verify_bound_claims(**_seed(args), reps=args.reps))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

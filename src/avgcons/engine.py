@@ -17,17 +17,38 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 import numpy as np
 
 from . import protocol as proto
 from .graph import DynamicSchedule
 from .quantization import quantize_array
-from .sampling import ProtocolParams, RngStream
+from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_rbard
 
-# Each protocol tag, with the optional ExperimentConfig fields it takes.
-PROTOCOLS = {"min": (), "r": ("ell",), "rbar": ("ell", "beta"), "rbard": ("ell", "beta", "size_bound")}
+
+@dataclass(frozen=True)
+class Protocol:
+    """What differs between the protocols, other than their rounds: the
+    optional ExperimentConfig fields each takes, its sampling.params_*
+    formula (None for min), the round bound(schedule, params, s_max) by
+    which its guarantee is due, and the share of eta its claims tolerate."""
+
+    fields: tuple[str, ...]
+    formula: Optional[Callable[..., ProtocolParams]]
+    bound: Callable[[DynamicSchedule, Optional[ProtocolParams], int], int]
+    share: float = 1.0
+
+
+# min and r are stationary after the schedule's flooding length, rbar after
+# one rotation per hop (ell*n); rbard decides by round s_max + 2n.
+PROTOCOLS = {
+    "min": Protocol((), None, lambda sched, p, s_max: sched.sweep),
+    "r": Protocol(("ell",), params_r, lambda sched, p, s_max: sched.sweep),
+    "rbar": Protocol(("ell", "beta"), params_rbar, lambda sched, p, s_max: p.ell * sched.n, 0.5),
+    "rbard": Protocol(("ell", "beta", "size_bound"), params_rbard,
+                      lambda sched, p, s_max: s_max + 2 * sched.n),
+}
 
 
 @dataclass(frozen=True)
@@ -61,7 +82,7 @@ class TrialConfig:
             )
         if self.protocol != "min" and self.params is None:
             raise ValueError(f"protocol {self.protocol!r} requires params")
-        if "beta" in PROTOCOLS[self.protocol] and self.params.beta is None:
+        if "beta" in PROTOCOLS[self.protocol].fields and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
         if not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"inputs must be finite, got {self.inputs}")
@@ -102,25 +123,6 @@ class TrialConfig:
     def digest(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def round_bound(protocol: str, schedule: DynamicSchedule, params: Optional[ProtocolParams],
-                s_max: int = 0) -> int:
-    """Round by which the protocol's guarantee is due: the schedule's
-    flooding length for min and r, one rotation per hop (ell*n) for rbar,
-    and the decision round s_max + 2n for rbard."""
-    if protocol == "rbar":
-        return params.ell * schedule.n
-    if protocol == "rbard":
-        return s_max + 2 * schedule.n
-    return schedule.sweep
-
-
-def default_horizon(protocol: str, schedule: DynamicSchedule, params: Optional[ProtocolParams],
-                    s_max: int = 0) -> int:
-    """4x the expected convergence/decision bound, so a non-converging run
-    is distinguishable from a slow one."""
-    return 4 * round_bound(protocol, schedule, params, s_max)
 
 
 @dataclass(eq=False)

@@ -15,7 +15,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -24,10 +24,10 @@ import numpy as np
 
 from . import graph as gr
 from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
-    default_horizon, message_bits, round_bound, run_trial
+    message_bits, run_trial
 from .quantization import admissible_interval, count_levels
 from .sampling import ConcentrationParams, ProtocolParams, RngStream, chernoff_bound, \
-    empirical_tail, min_exponential_stats, params_r, params_rbar, params_rbard, rounding_ratio
+    empirical_tail, min_exponential_stats, rounding_ratio
 from .seeds import stable_seed
 
 
@@ -65,9 +65,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "min" and self.schedule_kind == "blocking":
             raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
+        takes = PROTOCOLS[self.protocol].fields
         for name in ("ell", "beta", "size_bound"):
-            if getattr(self, name) is not None and name not in PROTOCOLS[self.protocol]:
+            if getattr(self, name) is not None and name not in takes:
                 raise ValueError(f"protocol {self.protocol!r} takes no {name}")
+        if "size_bound" in takes and self.size_bound is None:
+            raise ValueError(f"{self.protocol} requires size_bound")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.s_max < 0:
@@ -80,7 +85,7 @@ class ExperimentConfig:
             raise ValueError("fixed inputs must have length n")
         if self.inputs is not None and not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"fixed inputs must be finite, got {list(self.inputs)}")
-        if self.protocol == "rbard" and self.size_bound is not None and self.size_bound < self.n:
+        if self.size_bound is not None and self.size_bound < self.n:
             raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
         if self.schedule_kind not in gr.SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
@@ -123,12 +128,15 @@ def _fields_from_json(cls, obj, what: str, required: tuple[str, ...]) -> dict:
 
 
 def _json_value(name: str, value, hint):
-    """value checked against the field type hint; inputs become a tuple."""
+    """value checked against the field type hint; an int in a float field
+    becomes a float, and inputs become a tuple."""
     optional = get_origin(hint) is Union  # Optional[X]
     hint = get_args(hint)[0] if optional else hint
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    if value is None and optional or type(value) is hint or hint is float and type(value) is int:
+    if value is None and optional or type(value) is hint:
         return value
+    if hint is float and type(value) is int:
+        return float(value)  # so 0 and 0.0 give one config digest
     if get_origin(hint) is tuple and isinstance(value, list) and all(
             type(v) in (int, float) for v in value):
         return tuple(float(v) for v in value)
@@ -136,23 +144,20 @@ def _json_value(name: str, value, hint):
 
 
 def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
-    if cfg.protocol == "min":
+    """The protocol's formula parameters, or ell (and beta) as pinned."""
+    proto = PROTOCOLS[cfg.protocol]
+    if proto.formula is None:
         return None
     if cfg.ell is not None:
         beta = cfg.beta
-        if beta is None and "beta" in PROTOCOLS[cfg.protocol]:
+        if beta is None and "beta" in proto.fields:
             beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b)
         return ProtocolParams(
             epsilon=cfg.epsilon, eta=cfg.eta, a=cfg.a, b=cfg.b,
             ell=cfg.ell, beta=beta, size_bound=cfg.size_bound,
         )
-    if cfg.protocol == "r":
-        return params_r(cfg.epsilon, cfg.eta, cfg.a, cfg.b)
-    if cfg.protocol == "rbar":
-        return params_rbar(cfg.epsilon, cfg.eta, cfg.a, cfg.b)
-    if cfg.size_bound is None:
-        raise ValueError("rbard requires size_bound")
-    return params_rbard(cfg.epsilon, cfg.eta, cfg.a, cfg.b, cfg.size_bound)
+    size_bound = () if cfg.size_bound is None else (cfg.size_bound,)  # rbard's N
+    return proto.formula(cfg.epsilon, cfg.eta, cfg.a, cfg.b, *size_bound)
 
 
 def build_schedule(cfg: ExperimentConfig, trial: int,
@@ -183,10 +188,10 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
     else:
         start_rounds = (1,) * cfg.n
 
-    s_max = max(start_rounds) - 1
-    t_max = cfg.t_max if cfg.t_max is not None else default_horizon(
-        cfg.protocol, schedule, params, s_max
-    )
+    # By default 4x the guarantee round, so a run that never converges is
+    # told apart from a slow one.
+    t_max = cfg.t_max if cfg.t_max is not None else \
+        4 * PROTOCOLS[cfg.protocol].bound(schedule, params, max(start_rounds) - 1)
     return TrialConfig(
         protocol=cfg.protocol,
         params=params,
@@ -211,7 +216,7 @@ def stationary_bound(tc: TrialConfig) -> Optional[int]:
     kind = tc.schedule.kind
     if kind == "blocking" or tc.protocol == "rbard" or (tc.protocol == "rbar" and kind == "delayed"):
         return None
-    return round_bound(tc.protocol, tc.schedule, tc.params)
+    return PROTOCOLS[tc.protocol].bound(tc.schedule, tc.params, tc.s_max)
 
 
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -240,37 +245,23 @@ def _estimates_settled(trace: TrialTrace, bound: int) -> bool:
 def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     """Reduce one trace to the flat JSON record the summary fold consumes."""
     tc = trace.config
-    params = tc.params
+    params, last, bound = tc.params, trace.estimates[-1, 0], stationary_bound(tc)
     rec: dict = {
         "trial": 0,  # overwritten by run_one
         "theta": trace.theta,
-        "final_estimate": None,
+        "final_estimate": None if math.isnan(last) else float(last),
         "converged_at": convergence_time(trace, cfg.epsilon) if params else None,
+        "stationary_bound": bound,
+        "stationary_ok": None,
     }
-
-    last = trace.estimates[-1]
-    if not math.isnan(last[0]):
-        rec["final_estimate"] = float(last[0])
-
-    bound = stationary_bound(tc)
-    rec["stationary_bound"] = bound
-    if bound is not None:
-        if tc.protocol == "min":
-            tail = trace.estimates[bound - 1 :]
-            rec["stationary_ok"] = bool((tail == min(tc.inputs)).all())
-        else:
-            rec["stationary_ok"] = bool(
-                _estimates_settled(trace, bound)
-                and _at_offline_minima(trace, ((s.x_vec, s.y_vec) for s in trace.final_states))
-            )
-    else:
-        rec["stationary_ok"] = None
+    if bound is not None and tc.protocol == "min":
+        rec["stationary_ok"] = bool((trace.estimates[bound - 1 :] == min(tc.inputs)).all())
+    elif bound is not None:
+        rec["stationary_ok"] = bool(_estimates_settled(trace, bound) and _at_offline_minima(
+            trace, ((s.x_vec, s.y_vec) for s in trace.final_states)))
 
     if params is not None:
-        est = last[0]
-        rec["accurate"] = bool(
-            not math.isnan(est) and abs(est - trace.theta) <= cfg.epsilon
-        )
+        rec["accurate"] = bool(not math.isnan(last) and abs(last - trace.theta) <= cfg.epsilon)
 
     if tc.protocol in ("rbar", "rbard"):
         z, upper = admissible_interval(params.eta, params.ell, trace.n, params.a, params.b)
@@ -279,34 +270,23 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
         report = message_bits(trace)
         rec["distinct_exponents"] = report.distinct_exponents
         rec["level_budget"] = count_levels(z, upper, params.beta)
-        rec["levels_ok"] = bool(
-            rec["samples_in_interval"] and report.distinct_exponents <= rec["level_budget"]
-        )
+        rec["levels_ok"] = bool(rec["samples_in_interval"]
+                                and report.distinct_exponents <= rec["level_budget"])
         rec["max_message_bits"] = int(report.per_message_max)
 
     if tc.protocol == "rbard":
         dr = check_decision_spec(trace, cfg.epsilon)
-        decision_bound = round_bound(tc.protocol, tc.schedule, params, tc.s_max)
-        rounds = trace.decision_rounds
-        rec["decision_bound"] = decision_bound
+        rounds, finals = trace.decision_rounds, trace.decisions[-1]
+        rec["decision_bound"] = PROTOCOLS[tc.protocol].bound(tc.schedule, params, tc.s_max)
         rec["irrevocable"] = dr.irrevocability
-        rec["all_decided_by_bound"] = bool(
-            (rounds > 0).all() and (rounds <= decision_bound).all()
-        )
-        finals = trace.decisions[-1]
-        rec["decisions_identical"] = bool(
-            dr.termination and (finals == finals[0]).all()
-        )
+        rec["all_decided_by_bound"] = bool((rounds > 0).all()
+                                           and (rounds <= rec["decision_bound"]).all())
+        rec["decisions_identical"] = bool(dr.termination and (finals == finals[0]).all())
         rec["decisions_valid"] = dr.validity and dr.termination
         rec["decided_when_stationary"] = bool(
-            (rounds > 0).all() and _at_offline_minima(trace, trace.decision_vectors.values())
-        )
-        rec["decision_good"] = bool(
-            rec["all_decided_by_bound"]
-            and rec["decisions_identical"]
-            and rec["decisions_valid"]
-            and rec["decided_when_stationary"]
-        )
+            (rounds > 0).all() and _at_offline_minima(trace, trace.decision_vectors.values()))
+        rec["decision_good"] = all(rec[k] for k in ("all_decided_by_bound", "decisions_identical",
+                                                    "decisions_valid", "decided_when_stationary"))
         rec["last_decision_round"] = dr.last_decision_round
 
     return rec
@@ -332,9 +312,9 @@ class Summary:
     failure_fraction: Optional[float] = None
     mean_convergence_round: Optional[float] = None
     max_convergence_round: Optional[int] = None
-    decision_rounds: Optional[dict] = None
     max_distinct_exponents: Optional[int] = None
     max_message_bits: Optional[int] = None
+    decision_rounds: Optional[dict] = None
     claims: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     schema: int = 1
@@ -380,13 +360,12 @@ def summary_from_records(cfg: ExperimentConfig, records: list[dict]) -> Summary:
         frac = np.mean([bool(r["stationary_ok"]) for r in records])
         s.claims["stationary_by_bound"] = _claim(float(frac), 1.0, ">=")
 
+    # The failure probability each claim below tolerates, and its binomial slack.
+    p = cfg.eta * PROTOCOLS[cfg.protocol].share
+    slack = _slack(p, trials, cfg.slack_sigmas)
     if cfg.protocol in ("r", "rbar"):
-        failures = np.mean([not r["accurate"] for r in records])
-        s.failure_fraction = float(failures)
-        p = cfg.eta if cfg.protocol == "r" else cfg.eta / 2.0
-        s.claims["accuracy_failure_rate"] = _claim(
-            s.failure_fraction, p + _slack(p, trials, cfg.slack_sigmas), "<="
-        )
+        s.failure_fraction = float(np.mean([not r["accurate"] for r in records]))
+        s.claims["accuracy_failure_rate"] = _claim(s.failure_fraction, p + slack, "<=")
 
     if cfg.protocol in ("rbar", "rbard"):
         s.max_distinct_exponents = max(r["distinct_exponents"] for r in records)
@@ -394,26 +373,17 @@ def summary_from_records(cfg: ExperimentConfig, records: list[dict]) -> Summary:
 
     if cfg.protocol == "rbar":
         ok = np.mean([r["levels_ok"] for r in records])
-        p = cfg.eta / 2.0
-        s.claims["quantization_levels"] = _claim(
-            float(ok), 1.0 - p - _slack(p, trials, cfg.slack_sigmas), ">="
-        )
+        s.claims["quantization_levels"] = _claim(float(ok), 1.0 - p - slack, ">=")
 
     if cfg.protocol == "rbard":
         irrev = np.mean([r["irrevocable"] for r in records])
         s.claims["irrevocability"] = _claim(float(irrev), 1.0, ">=")
         good = np.mean([r["decision_good"] for r in records])
-        p = cfg.eta
-        s.claims["decision_good_rate"] = _claim(
-            float(good), 1.0 - p - _slack(p, trials, cfg.slack_sigmas), ">="
-        )
+        s.claims["decision_good_rate"] = _claim(float(good), 1.0 - p - slack, ">=")
         rounds = [r["last_decision_round"] for r in records if r["last_decision_round"]]
         if rounds:
-            s.decision_rounds = {
-                "min": int(min(rounds)),
-                "mean": float(np.mean(rounds)),
-                "max": int(max(rounds)),
-            }
+            s.decision_rounds = {"min": int(min(rounds)), "mean": float(np.mean(rounds)),
+                                 "max": int(max(rounds))}
     return s
 
 
@@ -445,22 +415,16 @@ def monte_carlo(
 
 
 def render_csv(summary: Summary) -> str:
-    """Fixed-column CSV: section,name,observed,bound,passed."""
+    """Fixed-column CSV: section,name,observed,bound,passed.  The stat rows
+    are Summary's set numeric fields in field order, then one row per
+    decision_rounds key."""
     lines = ["section,name,observed,bound,passed"]
-    stats = {
-        "trials": summary.trials,
-        "failure_fraction": summary.failure_fraction,
-        "mean_convergence_round": summary.mean_convergence_round,
-        "max_convergence_round": summary.max_convergence_round,
-        "max_distinct_exponents": summary.max_distinct_exponents,
-        "max_message_bits": summary.max_message_bits,
-    }
-    if summary.decision_rounds:
-        for k, v in summary.decision_rounds.items():
-            stats[f"decision_round_{k}"] = v
-    for name, value in stats.items():
-        if value is not None:
-            lines.append(f"stat,{name},{value},,")
+    for f in fields(Summary):
+        value = getattr(summary, f.name)
+        if f.name == "decision_rounds":
+            lines += [f"stat,decision_round_{k},{v},," for k, v in (value or {}).items()]
+        elif value is not None and f.name not in ("protocol", "claims", "config", "schema"):
+            lines.append(f"stat,{f.name},{value},,")
     for name, c in summary.claims.items():
         lines.append(f"claim,{name},{c['observed']},{c['bound']},{c['passed']}")
     return "\n".join(lines) + "\n"

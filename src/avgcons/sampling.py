@@ -53,6 +53,9 @@ class ProtocolParams:
         _check_ranges(self.epsilon, self.eta, self.a, self.b, self.size_bound)
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
+        if self.ell > np.iinfo(np.intp).max // 8:  # bytes of one float64 vector
+            raise ValueError(f"replica count ell, about 10^{len(str(self.ell)) - 1}, is too large "
+                             f"for any array: raise epsilon or narrow [a, b]")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
@@ -80,8 +83,8 @@ def _stable_ceil(make_expr) -> int:
 
 def _check_ranges(epsilon: float, eta: float, a: float, b: float,
                   size_bound: Optional[int] = None) -> None:
-    """The range check of ProtocolParams, run by the params_* factories
-    before their mpmath formulas see the values."""
+    """The range check of ProtocolParams, run before the replica formulas
+    see the values."""
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0 < eta < 0.5:
@@ -99,40 +102,32 @@ def rounding_ratio(epsilon: float, a: float, b: float) -> float:
     return epsilon / (8.0 * (b - a + 1.0))
 
 
-def params_r(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
-    """Parameters for the full-vector protocol: ell = ceil(27 ln(4/eta) w^2 / eps^2)."""
+def _replicas(k: int, c: int, epsilon: float, eta: float, a: float, b: float) -> int:
+    """ceil(k ln(c/eta) w^2 / eps^2), w = b - a + 1: the replica count of
+    the params_* formulas, after the range check."""
     _check_ranges(epsilon, eta, a, b)
     w = b - a + 1.0
-    ell = _stable_ceil(lambda: 27 * mp.log(4 / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2)
-    return ProtocolParams(epsilon=epsilon, eta=eta, a=a, b=b, ell=ell)
+    return _stable_ceil(lambda: k * mp.log(c / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2)
+
+
+def params_r(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
+    """Parameters for the full-vector protocol: ell = ceil(27 ln(4/eta) w^2 / eps^2)."""
+    return ProtocolParams(epsilon, eta, a, b, ell=_replicas(27, 4, epsilon, eta, a, b))
 
 
 def params_rbar(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
     """Quantized variant: ell = ceil(108 ln(8/eta) w^2 / eps^2), beta = eps / (8 w)."""
-    _check_ranges(epsilon, eta, a, b)
-    w = b - a + 1.0
-    ell = _stable_ceil(lambda: 108 * mp.log(8 / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2)
-    return ProtocolParams(epsilon=epsilon, eta=eta, a=a, b=b, ell=ell,
+    return ProtocolParams(epsilon, eta, a, b, ell=_replicas(108, 8, epsilon, eta, a, b),
                           beta=rounding_ratio(epsilon, a, b))
 
 
 def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int) -> ProtocolParams:
     """Deciding variant: ell = max(ceil(108 ln(24/eta) w^2/eps^2), ceil(243 ln(6 N^2/eta)))."""
     _check_ranges(epsilon, eta, a, b, size_bound)
-    w = b - a + 1.0
-    accuracy_term = _stable_ceil(
-        lambda: 108 * mp.log(24 / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2
-    )
-    firing_term = _stable_ceil(lambda: 243 * mp.log(6 * mp.mpf(size_bound) ** 2 / mp.mpf(eta)))
-    return ProtocolParams(
-        epsilon=epsilon,
-        eta=eta,
-        a=a,
-        b=b,
-        ell=max(accuracy_term, firing_term),
-        beta=rounding_ratio(epsilon, a, b),
-        size_bound=size_bound,
-    )
+    ell = max(_replicas(108, 24, epsilon, eta, a, b),
+              _stable_ceil(lambda: 243 * mp.log(6 * mp.mpf(size_bound) ** 2 / mp.mpf(eta))))
+    return ProtocolParams(epsilon, eta, a, b, ell=ell, beta=rounding_ratio(epsilon, a, b),
+                          size_bound=size_bound)
 
 
 @dataclass

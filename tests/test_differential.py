@@ -134,7 +134,7 @@ def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
         protocol=protocol, trials=2, n=n, seed=17 * n + len(kind),
         s_max=3 if protocol == "rbard" else 0,
         **{k: v for k, v in (("ell", 6), ("beta", 0.1), ("size_bound", n + 1))
-           if k in eng.PROTOCOLS[protocol]},
+           if k in eng.PROTOCOLS[protocol].fields},
         schedule_kind=kind, **{k: 2 for k in ("delay", "c") if k == SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 1)

@@ -443,11 +443,11 @@ def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary)
     cfg = hn.ExperimentConfig(
         protocol=protocol, trials=1, n=5, s_max=2 if protocol == "rbard" else 0, schedule_kind=kind,
         **{k: v for k, v in (("ell", 10), ("beta", 0.1), ("size_bound", 8))
-           if k in eng.PROTOCOLS[protocol]},
+           if k in eng.PROTOCOLS[protocol].fields},
         **{k: v for k, v in (("delay", 3), ("c", 2)) if k == gr.SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 0)
-    assert eng.default_horizon(tc.protocol, tc.schedule, tc.params, tc.s_max) == horizon
+    assert 4 * eng.PROTOCOLS[tc.protocol].bound(tc.schedule, tc.params, tc.s_max) == horizon
     assert tc.t_max == horizon
     assert hn.stationary_bound(tc) == stationary
 

@@ -98,6 +98,11 @@ def test_rbard_claims_cover_decisions():
     assert set(summary.claims) == {"irrevocability", "decision_good_rate"}
     assert summary.claims["irrevocability"]["observed"] == 1.0
     assert summary.decision_rounds is not None
+    stats = [line.split(",")[1] for line in hn.render_csv(summary).splitlines()
+             if line.startswith("stat,")]
+    assert stats == ["trials", "mean_convergence_round", "max_convergence_round",
+                     "max_distinct_exponents", "max_message_bits", "decision_round_min",
+                     "decision_round_mean", "decision_round_max"]
 
 
 def test_experiment_config_json_roundtrip():
@@ -113,6 +118,15 @@ def test_experiment_config_validation():
         tiny_r_config(s_max=3)  # staggering is rbard-only
     with pytest.raises(ValueError):
         tiny_r_config(inputs=(0.1,))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        tiny_r_config(seed=-1)
+
+
+def test_json_integers_in_float_fields_give_the_same_digest():
+    from_json = hn.experiment_from_json({"protocol": "r", "trials": 1, "n": 3, "a": 0, "b": 1})
+    assert type(from_json.a) is float and type(from_json.b) is float
+    built = hn.ExperimentConfig(protocol="r", trials=1, n=3, a=0.0, b=1.0)  # as `avgcons run` builds it
+    assert hn.trial_config(from_json, 0).digest() == hn.trial_config(built, 0).digest()
 
 
 def test_render_csv_has_fixed_columns():
@@ -194,11 +208,16 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "r", "--b", "inf"], "a and b must be finite"),
         (["--protocol", "rbar", "--a", "nan"], "a and b must be finite"),
         (["--protocol", "min", "--a", "nan"], "inputs must be finite"),
+        # ell ~ 3.2e32 and ~3.2e20 resolve, but no float64 vector that long fits an index.
+        (["--protocol", "r", "--n", "3", "--epsilon", "1e-15"], "too large for any array"),
+        (["--protocol", "r", "--n", "3", "--epsilon", "1e-9"], "raise epsilon or narrow [a, b]"),
+        (["--protocol", "r", "--seed", "-1"], "--seed must be a non-negative integer, got '-1'"),
+        (["--protocol", "r", "--seed", "1.5"], "--seed must be a non-negative integer, got '1.5'"),
     ],
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
-         "nan-a", "min-nan-a"],
+         "nan-a", "min-nan-a", "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     code = cli(["run", "--n", "6", *extra])
@@ -223,11 +242,13 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
      ({"size_bound": 4}, "protocol 'r' takes no size_bound"),
      ({"protocol": "min", "ell": None, "inputs": [float("nan"), 0.5, 0.2]},
       "inputs must be finite"),
-     ({"ell": None, "b": float("inf")}, "a and b must be finite")],
+     ({"ell": None, "b": float("inf")}, "a and b must be finite"),
+     ({"seed": -2}, "seed must be >= 0, got -2"),
+     ({"protocol": "rbard", "ell": None}, "rbard requires size_bound")],
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
          "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
          "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
-         "infinite-b"],
+         "infinite-b", "negative-seed", "rbard-without-size-bound"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
     good = tiny_r_config(trials=2).to_json()
@@ -305,6 +326,45 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "[PASS]" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,env,needle",
+    [(["verify-bounds", "--seed", "-1"], None, "--seed must be a non-negative integer, got '-1'"),
+     (["verify-graph", "--seed", "-1"], None, "--seed must be a non-negative integer, got '-1'"),
+     (["sweep", "--seed", "-1"], None, "--seed must be a non-negative integer, got '-1'"),
+     (["run", "--protocol", "min", "--n", "3"], "-4", "AVGCONS_SEED must be a non-negative integer"),
+     (["run", "--protocol", "min", "--n", "3"], "abc", "AVGCONS_SEED must be a non-negative "
+                                                       "integer, got 'abc'"),
+     (["verify-bounds"], "abc", "AVGCONS_SEED must be a non-negative integer, got 'abc'")],
+    ids=["verify-bounds", "verify-graph", "sweep", "env-negative", "env-not-a-number",
+         "env-verify-bounds"],
+)
+def test_cli_rejects_a_bad_seed_from_any_source(argv, env, needle, monkeypatch, tmp_path, capsys):
+    if env is None:
+        monkeypatch.delenv("AVGCONS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("AVGCONS_SEED", env)
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_r_config(trials=1).to_json()))
+        argv = [*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("protocol,extra", [("min", {}), ("r", {}), ("rbar", {}),
+                                            ("rbard", {"size_bound": 4})])
+def test_cli_run_defaults_are_the_experiment_config_defaults(protocol, extra, monkeypatch, tmp_path):
+    monkeypatch.delenv("AVGCONS_SEED", raising=False)
+    out = tmp_path / "trace.jsonl"
+    flags = ["--bigN", str(extra["size_bound"])] if extra else []
+    assert cli(["run", "--protocol", protocol, "--n", "3", "--t-max", "2", *flags,
+                "--out", str(out)]) == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    cfg = hn.ExperimentConfig(protocol=protocol, trials=1, n=3, t_max=2, **extra)
+    assert header["config"] == hn.trial_config(cfg, 0).digest()
 
 
 def test_cli_seed_env_fallback(monkeypatch, tmp_path):
