@@ -13,7 +13,7 @@ Exit codes: 0 when everything checked passes, 1 when some claim fails,
 2 on usage errors and runs too large for memory.  The master seed comes
 from --seed, falling back (except for sweep, whose config holds it) to the
 AVGCONS_SEED environment variable, then to the callee's default.  ``run``
-hands ExperimentConfig only the flags given, so its defaults live there.
+and ``verify-*`` pass only the flags given, so the defaults live in the callee.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def _parse_schedule(spec: str) -> tuple[str, dict]:
             raise ValueError(f"schedule {kind!r} takes no parameter, got {spec!r}")
         return kind, {}
     if not arg:
-        raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:3")
+        raise ValueError(f"schedule {kind!r} needs a parameter, e.g. {kind}:4")
     try:
         return kind, {field_name: int(arg)}
     except ValueError:
@@ -85,14 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", default=None, help="override config seed")
     sweep_p.add_argument("--trials", type=int, default=None, help="override trial count")
 
-    vg = sub.add_parser("verify-graph", help="graph-lemma property suites")
-    vg.add_argument("--seed", default=None)
-    vg.add_argument("--cases", type=int, default=500, help="product-lemma cases")
-    vg.add_argument("--c-cases", type=int, default=200, help="cases per (n, c) pair")
+    vg = sub.add_parser("verify-graph", help="graph-lemma property suites",
+                        argument_default=argparse.SUPPRESS)
+    vg.add_argument("--seed")
+    vg.add_argument("--cases", dest="product_cases", type=int, help="product-lemma cases")
+    vg.add_argument("--c-cases", type=int, help="cases per (n, c) pair")
 
-    vb = sub.add_parser("verify-bounds", help="concentration-bound checks")
-    vb.add_argument("--seed", default=None)
-    vb.add_argument("--reps", type=int, default=10_000)
+    vb = sub.add_parser("verify-bounds", help="concentration-bound checks",
+                        argument_default=argparse.SUPPRESS)
+    vb.add_argument("--seed")
+    vb.add_argument("--reps", type=int)
 
     rep = sub.add_parser("report", help="render a summary JSON to CSV")
     rep.add_argument("--summary", type=Path, required=True)
@@ -146,14 +148,9 @@ def _print_claims(results) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_graph(args: argparse.Namespace) -> int:
-    return _print_claims(
-        harness.verify_graph_claims(**_seed(args), product_cases=args.cases, c_cases=args.c_cases)
-    )
-
-
-def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    return _print_claims(harness.verify_bound_claims(**_seed(args), reps=args.reps))
+def _cmd_verify(suite, args: argparse.Namespace) -> int:
+    sizes = {k: v for k, v in vars(args).items() if k not in ("command", "seed")}
+    return _print_claims(suite(**_seed(args), **sizes))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -177,8 +174,8 @@ def cli(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "verify-graph": _cmd_verify_graph,
-        "verify-bounds": _cmd_verify_bounds,
+        "verify-graph": lambda args: _cmd_verify(harness.verify_graph_claims, args),
+        "verify-bounds": lambda args: _cmd_verify(harness.verify_bound_claims, args),
         "report": _cmd_report,
     }
     try:

@@ -15,7 +15,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -61,6 +61,9 @@ class ExperimentConfig:
     schema: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "eta", "a", "b", "beta", "slack_sigmas"):
+            if getattr(self, name) is not None:  # so 0 and 0.0 give one config digest
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "min" and self.schedule_kind == "blocking":
@@ -77,8 +80,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.s_max < 0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
-        if self.slack_sigmas < 0:
-            raise ValueError("slack_sigmas must be >= 0")
+        if not (math.isfinite(self.slack_sigmas) and self.slack_sigmas >= 0):
+            raise ValueError(f"slack_sigmas must be finite and >= 0, got {self.slack_sigmas}")
         if self.protocol != "rbard" and self.s_max != 0:
             raise ValueError("staggered starts are only supported by rbard")
         if self.inputs is not None and len(self.inputs) != self.n:
@@ -136,7 +139,7 @@ def _json_value(name: str, value, hint):
     if value is None and optional or type(value) is hint:
         return value
     if hint is float and type(value) is int:
-        return float(value)  # so 0 and 0.0 give one config digest
+        return float(value)
     if get_origin(hint) is tuple and isinstance(value, list) and all(
             type(v) in (int, float) for v in value):
         return tuple(float(v) for v in value)
@@ -144,20 +147,18 @@ def _json_value(name: str, value, hint):
 
 
 def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
-    """The protocol's formula parameters, or ell (and beta) as pinned."""
+    """The protocol's formula parameters, a pinned ell or beta replacing the formula's."""
     proto = PROTOCOLS[cfg.protocol]
     if proto.formula is None:
         return None
-    if cfg.ell is not None:
-        beta = cfg.beta
-        if beta is None and "beta" in proto.fields:
-            beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b)
-        return ProtocolParams(
-            epsilon=cfg.epsilon, eta=cfg.eta, a=cfg.a, b=cfg.b,
-            ell=cfg.ell, beta=beta, size_bound=cfg.size_bound,
-        )
-    size_bound = () if cfg.size_bound is None else (cfg.size_bound,)  # rbard's N
-    return proto.formula(cfg.epsilon, cfg.eta, cfg.a, cfg.b, *size_bound)
+    if cfg.ell is None:
+        size_bound = () if cfg.size_bound is None else (cfg.size_bound,)  # rbard's N
+        params = proto.formula(cfg.epsilon, cfg.eta, cfg.a, cfg.b, *size_bound)
+    else:
+        beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b) if "beta" in proto.fields else None
+        params = ProtocolParams(cfg.epsilon, cfg.eta, cfg.a, cfg.b, ell=cfg.ell, beta=beta,
+                                size_bound=cfg.size_bound)
+    return params if cfg.beta is None else replace(params, beta=cfg.beta)
 
 
 def build_schedule(cfg: ExperimentConfig, trial: int,

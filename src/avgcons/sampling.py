@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from typing import Optional
 
 import numpy as np
-from mpmath import mp
 
 from .seeds import stable_seed
 
@@ -64,7 +64,7 @@ class ProtocolParams:
 
 
 def _stable_ceil(make_expr) -> int:
-    """Ceiling of an mpmath expression, cross-checked at two precisions.
+    """Ceiling of a Decimal expression, cross-checked at two precisions.
 
     The replication counts are ceilings of log expressions that can sit
     arbitrarily close to an integer; evaluating at 40 and 80 digits and
@@ -72,9 +72,9 @@ def _stable_ceil(make_expr) -> int:
     count too large for 40 digits (tiny epsilon, huge b - a).
     """
     values = []
-    for dps in (40, 80):
-        with mp.workdps(dps):
-            values.append(int(mp.ceil(make_expr())))
+    for prec in (40, 80):
+        with localcontext(Context(prec=prec)):
+            values.append(int(make_expr().to_integral_value(ROUND_CEILING)))
     if values[0] != values[1]:
         raise ValueError(f"replica count ell, about 10^{len(str(values[1])) - 1}, cannot be "
                          f"resolved: its ceiling differs at 40 and 80 digits")
@@ -107,7 +107,7 @@ def _replicas(k: int, c: int, epsilon: float, eta: float, a: float, b: float) ->
     the params_* formulas, after the range check."""
     _check_ranges(epsilon, eta, a, b)
     w = b - a + 1.0
-    return _stable_ceil(lambda: k * mp.log(c / mp.mpf(eta)) * mp.mpf(w) ** 2 / mp.mpf(epsilon) ** 2)
+    return _stable_ceil(lambda: k * (c / Decimal(eta)).ln() * Decimal(w) ** 2 / Decimal(epsilon) ** 2)
 
 
 def params_r(epsilon: float, eta: float, a: float, b: float) -> ProtocolParams:
@@ -125,7 +125,7 @@ def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int
     """Deciding variant: ell = max(ceil(108 ln(24/eta) w^2/eps^2), ceil(243 ln(6 N^2/eta)))."""
     _check_ranges(epsilon, eta, a, b, size_bound)
     ell = max(_replicas(108, 24, epsilon, eta, a, b),
-              _stable_ceil(lambda: 243 * mp.log(6 * mp.mpf(size_bound) ** 2 / mp.mpf(eta))))
+              _stable_ceil(lambda: 243 * (6 * Decimal(size_bound) ** 2 / Decimal(eta)).ln()))
     return ProtocolParams(epsilon, eta, a, b, ell=ell, beta=rounding_ratio(epsilon, a, b),
                           size_bound=size_bound)
 

@@ -129,6 +129,26 @@ def test_json_integers_in_float_fields_give_the_same_digest():
     assert hn.trial_config(from_json, 0).digest() == hn.trial_config(built, 0).digest()
 
 
+def test_python_integers_in_float_fields_give_the_same_digest():
+    ints = hn.ExperimentConfig(protocol="rbar", trials=1, n=3, epsilon=0.25, a=0, b=1, beta=1,
+                               slack_sigmas=3)
+    floats = hn.ExperimentConfig(protocol="rbar", trials=1, n=3, epsilon=0.25, a=0.0, b=1.0,
+                                 beta=1.0, slack_sigmas=3.0)
+    assert all(type(getattr(ints, k)) is float
+               for k in ("epsilon", "eta", "a", "b", "beta", "slack_sigmas"))
+    assert hn.trial_config(ints, 0).digest() == hn.trial_config(floats, 0).digest()
+    assert ints.to_json() == floats.to_json()
+
+
+@pytest.mark.parametrize("protocol,extra", [("rbar", {}), ("rbard", {"size_bound": 4})])
+def test_a_pinned_beta_alone_overrides_the_formula(protocol, extra):
+    formula = hn.build_params(hn.ExperimentConfig(protocol=protocol, trials=1, n=3, **extra))
+    params = hn.trial_config(
+        hn.ExperimentConfig(protocol=protocol, trials=1, n=3, beta=0.1, **extra), 0).params
+    assert params.beta == 0.1 != formula.beta
+    assert params.ell == formula.ell
+
+
 def test_render_csv_has_fixed_columns():
     summary = hn.monte_carlo(tiny_r_config())
     csv = hn.render_csv(summary)
@@ -213,11 +233,15 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "r", "--n", "3", "--epsilon", "1e-9"], "raise epsilon or narrow [a, b]"),
         (["--protocol", "r", "--seed", "-1"], "--seed must be a non-negative integer, got '-1'"),
         (["--protocol", "r", "--seed", "1.5"], "--seed must be a non-negative integer, got '1.5'"),
+        # The hint's value must be one every kind with a parameter accepts.
+        (["--protocol", "rbar", "--schedule", "blocking"],
+         "schedule 'blocking' needs a parameter, e.g. blocking:4"),
     ],
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
-         "nan-a", "min-nan-a", "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed"],
+         "nan-a", "min-nan-a", "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
+         "blocking-without-parameter"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     code = cli(["run", "--n", "6", *extra])
@@ -225,6 +249,15 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("kind", ["delayed", "c_connected", "blocking"])
+def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp_path, capsys):
+    assert cli(["run", "--protocol", "rbar", "--n", "6", "--schedule", kind]) == 2
+    hint = capsys.readouterr().err.split("e.g. ")[1].strip()
+    out = tmp_path / "trace.jsonl"
+    assert cli(["run", "--protocol", "rbar", "--n", "6", "--schedule", hint, "--t-max", "2",
+                "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -244,11 +277,15 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
       "inputs must be finite"),
      ({"ell": None, "b": float("inf")}, "a and b must be finite"),
      ({"seed": -2}, "seed must be >= 0, got -2"),
-     ({"protocol": "rbard", "ell": None}, "rbard requires size_bound")],
+     ({"protocol": "rbard", "ell": None}, "rbard requires size_bound"),
+     ({"slack_sigmas": float("nan")}, "slack_sigmas must be finite and >= 0, got nan"),
+     ({"slack_sigmas": float("inf")}, "slack_sigmas must be finite and >= 0, got inf"),
+     ({"slack_sigmas": -1.0}, "slack_sigmas must be finite and >= 0, got -1.0")],
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
          "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
          "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
-         "infinite-b", "negative-seed", "rbard-without-size-bound"],
+         "infinite-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
+         "infinite-slack-sigmas", "negative-slack-sigmas"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
     good = tiny_r_config(trials=2).to_json()
@@ -309,6 +346,17 @@ def test_cli_verify_graph_small(capsys):
     assert "product_of_n_minus_1_complete" in out
 
 
+@pytest.mark.parametrize("argv,suite", [(["verify-graph"], "verify_graph_claims"),
+                                        (["verify-bounds"], "verify_bound_claims"),
+                                        (["verify-graph", "--cases", "7"], "verify_graph_claims")])
+def test_cli_verify_passes_only_the_suite_sizes_given(argv, suite, monkeypatch):
+    monkeypatch.delenv("AVGCONS_SEED", raising=False)
+    calls = []
+    monkeypatch.setattr(hn, suite, lambda **kw: calls.append(kw) or [])
+    assert cli(argv) == 0
+    assert calls == [{"product_cases": 7} if "--cases" in argv else {}]
+
+
 @pytest.mark.parametrize("extra", [["--cases", "-3"], ["--cases", "0", "--c-cases", "0"],
                                    ["--c-cases", "0"]],
                          ids=["negative-cases", "zero-cases", "zero-c-cases"])
@@ -326,6 +374,16 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "[PASS]" in done.stdout
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    src = str(Path(hn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, avgcons.cli; assert 'mpmath' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(
