@@ -13,6 +13,7 @@ seed, so the topology cannot react to the agents' random choices.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -273,26 +274,42 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
         ]
 
 
+# Cells (rounds times n^2) in one block of _rotation_rounds: it bounds the
+# block's adjacency and masked-minimum arrays at any n.
+_BLOCK_CELLS = 1 << 16
+
+
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     """The rounds of rbar: round t exchanges entry (t-1) mod ell of every
-    agent, so only that column of the exponent matrices changes, by scalar
-    minima over the in-lists.  The estimates are refreshed on the wrap."""
-    n, p = cfg.n, cfg.params
+    agent, so only that column of the exponent matrices changes, and no two
+    columns interact.  A block of rounds inside one rotation touches each
+    of its columns once, so it is one masked minimum over the block's
+    in-adjacency A: new[v, i] = min of old[u, i] over u with A[k, v, u],
+    k the round of column i.  A block ends at a wrap, where the estimates
+    are refreshed, at a checkpoint round, at t_max, or at _BLOCK_CELLS."""
+    n, p, t_max = cfg.n, cfg.params, cfg.t_max
     xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
     est = [math.nan] * n
-    checkpoints = set(cfg.checkpoint_rounds)
-    for t in range(1, cfg.t_max + 1):
-        ins = cfg.schedule.graph_at(t).in_neighbor_lists
+    stops = sorted({*cfg.checkpoint_rounds, t_max})
+    cap = max(1, _BLOCK_CELLS // (n * n))
+    t = 1
+    while t <= t_max:
         i = (t - 1) % p.ell
+        last = min(t - 1 + p.ell - i, stops[bisect.bisect_left(stops, t)], t - 1 + cap)
+        adj = cfg.schedule.in_adjacency(t, last + 1)
         for m in (xs, ys):
-            col = m[:, i].tolist()
-            m[:, i] = [min([col[u] for u in src]) for src in ins]
-        if i == p.ell - 1:
+            cols = m[:, i : i + len(adj)].T  # cols[k, u]: agent u's entry of round t+k
+            m[:, i : i + len(adj)] = np.minimum.reduce(
+                np.broadcast_to(cols[:, None, :], adj.shape), axis=2, where=adj,
+                initial=np.iinfo(m.dtype).max).T
+        trace.estimates[t - 1 : last] = est
+        if last % p.ell == 0:
             est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]
-        trace.estimates[t - 1] = est
-        if t in checkpoints:
-            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
-    trace.final_states = [proto.RbarState(xs[v], ys[v], cfg.t_max % p.ell, _unset(est[v]), p)
+            trace.estimates[last - 1] = est
+        if last in cfg.checkpoint_rounds:
+            trace.checkpoints[last] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+        t = last + 1
+    trace.final_states = [proto.RbarState(xs[v], ys[v], t_max % p.ell, _unset(est[v]), p)
                           for v in range(n)]
 
 
@@ -416,17 +433,28 @@ def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:
         else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs)),
     }
     fp.write(json.dumps(header) + "\n")
-    bits = message_bits(trace).per_round
-    for t in range(1, trace.t_max + 1):
-        agents = []
-        for u in range(trace.n):
-            x = trace.estimates[t - 1, u]
-            d = None if trace.decisions is None else trace.decisions[t - 1, u]
-            agents.append(
-                {
-                    "x": None if math.isnan(x) else x,
-                    "d": None if d is None or math.isnan(d) else d,
-                    "C": None if trace.counters is None else int(trace.counters[t - 1, u]),
-                }
-            )
-        fp.write(json.dumps({"t": t, "agents": agents, "msg_bits": int(bits[t - 1])}) + "\n")
+    bits = message_bits(trace).per_round.tolist()
+    # A round's agents list is encoded only when its row differs, as bytes,
+    # from the round before: an rbar row changes only on a wrap.
+    changed = np.ones(trace.t_max, dtype=bool)
+    changed[1:] = False
+    for a in (trace.estimates, trace.decisions, trace.counters):
+        if a is not None:
+            rows = a.view(np.int64)
+            changed[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+    agents = ""
+    for t, new in enumerate(changed.tolist(), 1):
+        if new:
+            agents = json.dumps([_agent_json(trace, t, u) for u in range(trace.n)])
+        fp.write(f'{{"t": {t}, "agents": {agents}, "msg_bits": {bits[t - 1]}}}\n')
+
+
+def _agent_json(trace: TrialTrace, t: int, u: int) -> dict:
+    """Agent u's entry of round t in the JSON-Lines dump."""
+    x = trace.estimates[t - 1, u]
+    d = None if trace.decisions is None else trace.decisions[t - 1, u]
+    return {
+        "x": None if math.isnan(x) else x,
+        "d": None if d is None or math.isnan(d) else d,
+        "C": None if trace.counters is None else int(trace.counters[t - 1, u]),
+    }

@@ -18,6 +18,8 @@ from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .seeds import extend_key, key_hash, seed_of
 
 # Exhaustive subset checks (c-in-connectivity) are capped at this size.
@@ -140,6 +142,17 @@ def is_c_in_connected(g: DirectedGraph, c: int) -> bool:
     return True
 
 
+def _c_in_connected_draws(n: int, c: int, rng: random.Random) -> tuple[list[int], list[int], list[int]]:
+    """The random draws of random_c_in_connected, in their one order: the
+    relabelling perm, then the extra edges as parallel lists (us[j], vs[j])."""
+    if n < 1 or c < 1:
+        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ends = [rng.randrange(n) for _ in range(2 * rng.randint(0, n))]  # u0, v0, u1, v1, ...
+    return perm, ends[0::2], ends[1::2]
+
+
 def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     """Random self-looped graph that is c-in-connected by construction.
 
@@ -152,19 +165,15 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     outside it.  Extra edges never remove an in-neighbor.  With c = 1
     this is a random Hamiltonian cycle plus extra edges, the csc graph.
     """
-    if n < 1 or c < 1:
-        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
-    perm = list(range(n))
-    rng.shuffle(perm)
+    perm, us, vs = _c_in_connected_draws(n, c, rng)
     # perm[i] hears perm[i-m..i], its loop included: window[i : i+m+1].
     m = min(c, n - 1)
     window = perm[n - m :] + perm
     ins: list = [None] * n
     for i, v in enumerate(perm):
         ins[v] = set(window[i : i + m + 1])
-    for _ in range(rng.randint(0, n)):
-        u = rng.randrange(n)
-        ins[rng.randrange(n)].add(u)
+    for u, v in zip(us, vs):
+        ins[v].add(u)
     return _from_in_sets(ins)
 
 
@@ -246,6 +255,37 @@ class DynamicSchedule:
             cycle = [(perm[i], perm[(i + 1) % self.n]) for i in range(self.n)]
             return tuple(make_graph(self.n, cycle[slot :: self.delay]) for slot in range(self.delay))
         return loops_only(self.n), complete_graph(self.n)  # blocking
+
+    @cached_property
+    def _period_adjacency(self) -> np.ndarray:
+        """_period_graphs as a bool (period, n, n) in-adjacency array."""
+        return np.array([[np.isin(np.arange(self.n), us) for us in g.in_neighbor_lists]
+                         for g in self._period_graphs])
+
+    def in_adjacency(self, t0: int, t1: int) -> np.ndarray:
+        """Rounds t0..t1-1 as a bool (t1-t0, n, n) array, A[k, v, u] true when
+        v hears u in round t0+k: the graphs graph_at returns, from the same
+        draws, with no DirectedGraph built."""
+        if not 1 <= t0 <= t1:
+            raise ValueError(f"need 1 <= t0 <= t1, got t0={t0}, t1={t1}")
+        if self.kind not in ("csc", "c_connected"):
+            period = self._period_adjacency
+            return period[np.arange(t0 - 1, t1 - 1) % len(period)]
+        n, c, rounds = self.n, self.c or 1, t1 - t0
+        perms, extras, us, vs = [], [], [], []
+        for t in range(t0, t1):
+            perm, eu, ev = _c_in_connected_draws(n, c, random.Random(self.round_key(t)))
+            perms.append(perm)
+            extras.append(len(eu))
+            us += eu
+            vs += ev
+        # perm[i] hears perm[i-j] for j in 0..m, as in random_c_in_connected.
+        perm = np.array(perms, dtype=np.intp).reshape(rounds, n)
+        back = (np.arange(n)[:, None] - np.arange(min(c, n - 1) + 1)) % n
+        adj = np.zeros((rounds, n, n), dtype=bool)
+        adj[np.arange(rounds)[:, None, None], perm[:, :, None], perm[:, back]] = True
+        adj[np.repeat(np.arange(rounds), extras), vs, us] = True
+        return adj
 
     def graph_at(self, t: int) -> DirectedGraph:
         if t < 1:

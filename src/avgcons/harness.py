@@ -16,6 +16,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -62,8 +63,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta", "a", "b", "beta", "slack_sigmas"):
-            if getattr(self, name) is not None:  # so 0 and 0.0 give one config digest
-                object.__setattr__(self, name, float(getattr(self, name)))
+            if getattr(self, name) is not None:  # so 0, 0.0 and -0.0 give one config digest
+                object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "min" and self.schedule_kind == "blocking":
@@ -146,8 +147,10 @@ def _json_value(name: str, value, hint):
     raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
 
 
+@lru_cache(maxsize=64)
 def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
-    """The protocol's formula parameters, a pinned ell or beta replacing the formula's."""
+    """The protocol's formula parameters, a pinned ell or beta replacing the
+    formula's; evaluated once per config, since both are frozen."""
     proto = PROTOCOLS[cfg.protocol]
     if proto.formula is None:
         return None

@@ -5,7 +5,9 @@ state object of ``protocol``, every round every agent emits its outbox
 message, receives the messages of its in-neighbours and applies its
 transition.  ``engine.run_trial`` must produce the same trace bit for bit:
 estimates, decisions, counters, decision rounds and vectors, checkpoints
-and every field of every final state, dtypes included.
+and every field of every final state, dtypes included.  For rbar, whose
+engine runs blocks of rounds at once, ``scalar_rotation_run`` is a second
+oracle: the same matrices updated one round and one column at a time.
 """
 import math
 import struct
@@ -66,6 +68,29 @@ def reference_run(cfg):
         if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(s.x_vec.copy(), s.y_vec.copy()) for s in states]
     trace.final_states = states
+    return trace
+
+
+def scalar_rotation_run(cfg):
+    """The rbar rounds one at a time: each round's column of the exponent
+    matrices updated by scalar minima over graph_at's in-lists."""
+    trace = eng._new_trace(cfg)
+    n, p = cfg.n, cfg.params
+    xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
+    est = [math.nan] * n
+    for t in range(1, cfg.t_max + 1):
+        ins = cfg.schedule.graph_at(t).in_neighbor_lists
+        i = (t - 1) % p.ell
+        for m in (xs, ys):
+            col = m[:, i].tolist()
+            m[:, i] = [min([col[u] for u in src]) for src in ins]
+        if i == p.ell - 1:
+            est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]
+        trace.estimates[t - 1] = est
+        if t in cfg.checkpoint_rounds:
+            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+    trace.final_states = [proto.RbarState(xs[v], ys[v], cfg.t_max % p.ell, eng._unset(est[v]), p)
+                          for v in range(n)]
     return trace
 
 
@@ -163,3 +188,31 @@ def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
                               schedule_kind="ring")
     tc = hn.trial_config(cfg, 0)
     assert_same_trace(reference_run(tc), eng.run_trial(tc))
+
+
+# rbar block boundaries: (n, ell, t_max, checkpoints, schedule, block cells).
+# None keeps the default horizon 4*ell*n and the engine's block size.
+RBAR_BLOCK_CASES = {
+    "checkpoint-mid-later-rotation": (5, 6, None, (2 * 6 + 3, 3 * 6 + 1), {}, None),
+    "t_max-below-ell": (4, 8, 5, (3,), {}, None),
+    "t_max-not-a-multiple-of-ell": (4, 6, 3 * 6 + 2, (7, 20), {}, None),
+    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, 5 * 3 * 3),
+    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, 1),
+    "c_connected-split-by-cell-cap": (6, 10, None, (25,), dict(schedule_kind="c_connected", c=2), 7 * 36),
+    "blocking-split-by-cell-cap": (4, 6, 5 * 6 + 3, (8,), dict(schedule_kind="blocking"), 4 * 16),
+    "n1": (1, 6, 2 * 6 + 4, (3, 9), {}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RBAR_BLOCK_CASES))
+def test_rbar_blocks_match_both_oracles(name, monkeypatch):
+    n, ell, t_max, checkpoints, sched, cells = RBAR_BLOCK_CASES[name]
+    cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=n, seed=31 + len(name), ell=ell,
+                              beta=0.1, **sched)
+    tc = hn.trial_config(cfg, 0)
+    tc = replace(tc, t_max=t_max or tc.t_max, checkpoint_rounds=checkpoints)
+    if cells is not None:
+        monkeypatch.setattr(eng, "_BLOCK_CELLS", cells)
+    got = eng.run_trial(tc)
+    assert_same_trace(reference_run(tc), got)
+    assert_same_trace(scalar_rotation_run(tc), got)

@@ -6,12 +6,16 @@ dumps it (dump_trace_jsonl).  The pinned sha256 prefixes make "traces are
 bit-identical" a checked fact: a refactor or speed-up that changes any
 estimate, decision, counter, initial draw, final vector, dump line or
 evaluation record fails here.  The cases span all four protocols and all
-six schedule kinds.  The schedule streams are pinned separately, at the
-benchmark's sizes, since the trial cases stop at n = 6.
+six schedule kinds.  One rbar trial is also pinned at full size, since
+its engine works on blocks of up to a rotation of rounds, and every dump
+is checked against the plain per-round encoder.  The schedule streams
+are pinned separately, at the benchmark's sizes, since the trial cases
+stop at n = 6; the in-adjacency arrays are checked against them.
 """
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,9 +72,39 @@ def _sha(parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _observe(name):
-    cfg = hn.ExperimentConfig(trials=2, **CASES[name])
-    tc = hn.trial_config(cfg, 1)
+def reference_dump(trace) -> str:
+    """The JSON-Lines dump encoded the plain way: every round's object
+    built and passed to json.dumps whole."""
+    cfg = trace.config
+    header = {
+        "config": cfg.digest(),
+        "protocol": cfg.protocol,
+        "n": trace.n,
+        "t_max": trace.t_max,
+        "theta": trace.theta,
+        "shifted_sum": None if cfg.params is None
+        else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs)),
+    }
+    lines = [json.dumps(header)]
+    bits = eng.message_bits(trace).per_round
+    for t in range(1, trace.t_max + 1):
+        agents = []
+        for u in range(trace.n):
+            x = trace.estimates[t - 1, u]
+            d = None if trace.decisions is None else trace.decisions[t - 1, u]
+            agents.append(
+                {
+                    "x": None if math.isnan(x) else x,
+                    "d": None if d is None or math.isnan(d) else d,
+                    "C": None if trace.counters is None else int(trace.counters[t - 1, u]),
+                }
+            )
+        lines.append(json.dumps({"t": t, "agents": agents, "msg_bits": int(bits[t - 1])}))
+    return "".join(line + "\n" for line in lines)
+
+
+def _run(cfg, trial):
+    tc = hn.trial_config(cfg, trial)
     trace = eng.run_trial(tc)
     arrays = [trace.estimates, trace.decisions, trace.counters, trace.decision_rounds,
               trace.init_x_raw, trace.init_y_raw, trace.init_x_quant, trace.init_y_quant]
@@ -78,13 +112,38 @@ def _observe(name):
         arrays += [getattr(s, "x_vec", None), getattr(s, "y_vec", None)]
     buf = io.StringIO()
     eng.dump_trace_jsonl(trace, buf)
+    return tc, trace, _sha(arrays), buf.getvalue()
+
+
+def _observe(name):
+    cfg = hn.ExperimentConfig(trials=2, **CASES[name])
+    tc, trace, trace_sha, dump = _run(cfg, 1)
     record = json.dumps(hn.evaluate_trial(cfg, trace), sort_keys=True)
-    return tc.digest(), tc.t_max, _sha(arrays), _sha([buf.getvalue()]), _sha([record])
+    return tc.digest(), tc.t_max, trace_sha, _sha([dump]), _sha([record])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     assert _observe(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dump_matches_the_reference_encoder(name):
+    _, trace, _, dump = _run(hn.ExperimentConfig(trials=2, **CASES[name]), 1)
+    assert dump == reference_dump(trace)
+
+
+# Trial 0 of the acceptance suite's criterion-5 config at full size (rbar,
+# n=6, ell=8089, 56,623 rounds): (config digest, t_max, trace sha256, dump
+# sha256), the last two hashed as in GOLDEN.
+CRITERION_5 = dict(protocol="rbar", trials=50, n=6, seed=20250811 + 5, epsilon=0.4, eta=0.4,
+                   a=0.0, b=1.0, t_max=8089 * 7)
+CRITERION_5_GOLDEN = ("6a7508e5a199f267", 56623, "021792ba24a89a2e", "ad2ea6e98428e980")
+
+
+def test_golden_digests_at_full_size():
+    tc, _, trace_sha, dump = _run(hn.ExperimentConfig(**CRITERION_5), 0)
+    assert (tc.digest(), tc.t_max, trace_sha, _sha([dump])) == CRITERION_5_GOLDEN
 
 
 # Rounds 1..200 of each schedule, hashed as the engine reads them: name:
@@ -105,3 +164,17 @@ def test_schedule_stream_digests(name):
     sched = gr.DynamicSchedule(**kwargs)
     rounds = [repr(sched.graph_at(t).in_neighbor_lists) for t in range(1, 201)]
     assert _sha(rounds) == expected
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_in_adjacency_matches_graph_at(name):
+    # (1, 201) is the pinned stretch; (37, 90) starts mid-stream and, for
+    # delayed (period 3) and blocking (period 2), crosses period boundaries
+    # at an offset; (5, 5) is empty.
+    sched = gr.DynamicSchedule(**STREAMS[name][0])
+    for t0, t1 in ((1, 201), (37, 90), (5, 5)):
+        adj = sched.in_adjacency(t0, t1)
+        assert adj.shape == (t1 - t0, sched.n, sched.n) and adj.dtype == bool
+        for k, t in enumerate(range(t0, t1)):
+            rows = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj[k])
+            assert rows == sched.graph_at(t).in_neighbor_lists, t

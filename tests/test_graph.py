@@ -193,6 +193,13 @@ def test_csc_schedule_graphs_are_strongly_connected():
         assert gr.is_strongly_connected(sched.graph_at(t))
 
 
+def test_in_adjacency_rejects_a_bad_window():
+    sched = gr.DynamicSchedule("csc", 4, seed=1)
+    for t0, t1 in ((0, 3), (5, 4)):
+        with pytest.raises(ValueError, match="need 1 <= t0 <= t1"):
+            sched.in_adjacency(t0, t1)
+
+
 def test_csc_schedule_is_deterministic_per_round():
     sched = gr.DynamicSchedule("csc", 6, seed=11)
     assert sched.graph_at(7) == sched.graph_at(7)

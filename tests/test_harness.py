@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,36 @@ def test_python_integers_in_float_fields_give_the_same_digest():
                for k in ("epsilon", "eta", "a", "b", "beta", "slack_sigmas"))
     assert hn.trial_config(ints, 0).digest() == hn.trial_config(floats, 0).digest()
     assert ints.to_json() == floats.to_json()
+
+
+def test_negative_zero_in_a_float_field_gives_the_same_digest():
+    # build_params caches by config equality, under which -0.0 == 0.0.
+    neg = hn.ExperimentConfig(protocol="r", trials=1, n=3, a=-0.0, b=1.0)
+    pos = hn.ExperimentConfig(protocol="r", trials=1, n=3, a=0.0, b=1.0)
+    assert str(neg.a) == "0.0" and str(hn.build_params(neg).a) == "0.0"
+    assert hn.trial_config(neg, 0).digest() == hn.trial_config(pos, 0).digest()
+
+
+def test_the_parameter_formula_runs_once_per_config(monkeypatch):
+    calls = []
+    record = hn.PROTOCOLS["rbar"]
+
+    def counted(*args):
+        calls.append(args)
+        return record.formula(*args)
+
+    monkeypatch.setitem(hn.PROTOCOLS, "rbar", replace(record, formula=counted))
+    hn.build_params.cache_clear()
+    try:
+        cfg = hn.ExperimentConfig(protocol="rbar", trials=4, n=3, seed=5, epsilon=0.4,
+                                  eta=0.4, t_max=20)
+        hn.monte_carlo(cfg)
+        hn.monte_carlo(cfg)
+        assert len(calls) == 1
+        hn.monte_carlo(replace(cfg, eta=0.3))
+        assert len(calls) == 2
+    finally:
+        hn.build_params.cache_clear()
 
 
 @pytest.mark.parametrize("protocol,extra", [("rbar", {}), ("rbard", {"size_bound": 4})])
