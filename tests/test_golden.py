@@ -6,7 +6,8 @@ dumps it (dump_trace_jsonl).  The pinned sha256 prefixes make "traces are
 bit-identical" a checked fact: a refactor or speed-up that changes any
 estimate, decision, counter, initial draw, final vector, dump line or
 evaluation record fails here.  The cases span all four protocols and all
-six schedule kinds.  One rbar trial is also pinned at full size, since
+six schedule kinds.  One small sweep per protocol pins the summary fold
+and its CSV rendering.  One rbar trial is also pinned at full size, since
 its engine works on blocks of up to a rotation of rounds, and every dump
 is checked against the plain per-round encoder.  The schedule streams
 are pinned separately, at the benchmark's sizes, since the trial cases
@@ -125,6 +126,29 @@ def _observe(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     assert _observe(name) == GOLDEN[name]
+
+
+# One small sweep per protocol, folded the way ``avgcons sweep`` folds it:
+# name: (ExperimentConfig arguments, summary JSON sha256, render_csv sha256).
+# GOLDEN pins the per-trial records; these pin the claims, bounds and stats
+# summary_from_records draws from them.
+SUMMARIES = {
+    "min": (dict(protocol="min", trials=3, n=5, seed=21), "c77e446c8c5bc17c", "48e5ec02b1de2b22"),
+    "r": (dict(protocol="r", trials=4, n=4, seed=22, ell=64, epsilon=0.45),
+          "3c7817977ba09fb7", "2d9dfddbacb77a3d"),
+    "rbar": (dict(protocol="rbar", trials=4, n=4, seed=23, ell=32, beta=0.05, epsilon=0.45),
+             "f883471807fb6358", "cd7bea400d086966"),
+    "rbard": (dict(protocol="rbard", trials=3, n=4, seed=24, ell=32, beta=0.05, size_bound=6,
+                   s_max=2), "989a7e9c7f6ff52c", "417d8c82e2c7382c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_summary_digests(name):
+    kwargs, summary_sha, csv_sha = SUMMARIES[name]
+    summary = hn.monte_carlo(hn.ExperimentConfig(**kwargs))
+    assert _sha([json.dumps(summary.to_json(), sort_keys=True)]) == summary_sha
+    assert _sha([hn.render_csv(summary)]) == csv_sha
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
