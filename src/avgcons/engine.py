@@ -30,15 +30,23 @@ from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_r
 
 @dataclass(frozen=True)
 class Protocol:
-    """What differs between the protocols, other than their rounds: the
-    optional ExperimentConfig fields each takes, its sampling.params_*
-    formula (None for min), the round bound(schedule, params, s_max) by
-    which its guarantee is due, and the share of eta its claims tolerate."""
+    """What differs between the protocols: the optional ExperimentConfig
+    fields each takes, its sampling.params_* formula (None for min), the
+    round bound(schedule, params, s_max) by which its guarantee is due,
+    the share of eta its claims tolerate, and whether it sends one vector
+    entry per round, rotating through the entries."""
 
     fields: tuple[str, ...]
     formula: Optional[Callable[..., ProtocolParams]]
     bound: Callable[[DynamicSchedule, Optional[ProtocolParams], int], int]
     share: float = 1.0
+    rotates: bool = False
+
+    # Whether it averages through sampled vectors, stores them as exponents
+    # on the (1+beta) grid, and writes an irrevocable decision.
+    randomized = property(lambda self: self.formula is not None)
+    quantized = property(lambda self: "beta" in self.fields)
+    decides = property(lambda self: "size_bound" in self.fields)
 
 
 # min and r are stationary after the schedule's flooding length, rbar after
@@ -46,7 +54,8 @@ class Protocol:
 PROTOCOLS = {
     "min": Protocol((), None, lambda sched, p, s_max: sched.sweep),
     "r": Protocol(("ell",), params_r, lambda sched, p, s_max: sched.sweep),
-    "rbar": Protocol(("ell", "beta"), params_rbar, lambda sched, p, s_max: p.ell * sched.n, 0.5),
+    "rbar": Protocol(("ell", "beta"), params_rbar, lambda sched, p, s_max: p.ell * sched.n, 0.5,
+                     rotates=True),
     "rbard": Protocol(("ell", "beta", "size_bound"), params_rbard,
                       lambda sched, p, s_max: s_max + 2 * sched.n),
 }
@@ -75,28 +84,30 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        protocol = PROTOCOLS[self.protocol]
         n = self.schedule.n
         if len(self.inputs) != n or len(self.start_rounds) != n:
             raise ValueError(
                 f"inputs ({len(self.inputs)}) and start_rounds ({len(self.start_rounds)}) "
                 f"must match schedule.n ({n})"
             )
-        if self.protocol != "min" and self.params is None:
-            raise ValueError(f"protocol {self.protocol!r} requires params")
-        if "beta" in PROTOCOLS[self.protocol].fields and self.params.beta is None:
+        if (self.params is None) == protocol.randomized:
+            raise ValueError(f"protocol {self.protocol!r} "
+                             f"{'requires' if protocol.randomized else 'takes no'} params")
+        if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
         if not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"inputs must be finite, got {self.inputs}")
         if any(s < 1 for s in self.start_rounds):
             raise ValueError("start rounds must be >= 1")
-        if self.protocol != "rbard" and any(s != 1 for s in self.start_rounds):
+        if not protocol.decides and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if any(not 1 <= t <= self.t_max for t in self.checkpoint_rounds):
             raise ValueError(f"checkpoint rounds {self.checkpoint_rounds} not in [1, {self.t_max}]")
-        if self.protocol == "min" and self.checkpoint_rounds:
-            raise ValueError("protocol 'min' keeps no vectors to checkpoint")
+        if not protocol.randomized and self.checkpoint_rounds:
+            raise ValueError(f"protocol {self.protocol!r} keeps no vectors to checkpoint")
         # -0.0 ties 0.0 in a minimum; one sign keeps every engine's result equal.
         object.__setattr__(self, "inputs", tuple(x + 0.0 for x in self.inputs))
 
@@ -126,6 +137,14 @@ class TrialConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@dataclass(eq=False, slots=True)
+class FinalVectors:
+    """One agent's vectors at the end of the horizon."""
+
+    x_vec: np.ndarray
+    y_vec: np.ndarray
+
+
 @dataclass(eq=False)
 class TrialTrace:
     """Per-round record of one trial, with the config that produced it.
@@ -136,6 +155,8 @@ class TrialTrace:
     estimates array itself.  init_* arrays hold every agent's generated
     samples (raw, and quantized where applicable), which pin down the
     offline entrywise minima that a stationary run must reach.
+    final_states[u] holds agent u's vectors after round t_max (min keeps
+    none); the rest of its final state is in the last rows of the arrays.
     """
 
     config: TrialConfig
@@ -169,29 +190,28 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     vectors are the minimum of the initial rows that have reached it, and
     each derived float is the same formula applied to the same row."""
     trace = _new_trace(cfg)
-    (_rotation_rounds if cfg.protocol == "rbar" else _reach_rounds)(cfg, trace)
+    (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
     return trace
 
 
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
     per-round arrays, allocated in full so a horizon too large fails now."""
-    p = cfg.params
-    draws = None if cfg.protocol == "min" else [
-        proto.init_samples(theta, p, RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init"))
-        for u, theta in enumerate(cfg.inputs)
-    ]
+    p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                        estimates=np.full((t_max, n), np.nan))
-    if cfg.protocol == "rbard":
+    if protocol.decides:
         trace.decisions = trace.estimates
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
-    if draws is not None:
+    if protocol.randomized:
+        draws = [proto.init_samples(theta, p, RngStream(cfg.seed, trial=cfg.trial, agent=u,
+                                                        purpose="init"))
+                 for u, theta in enumerate(cfg.inputs)]
         trace.init_x_raw = np.stack([x for x, _ in draws])
         trace.init_y_raw = np.stack([y for _, y in draws])
-    if cfg.protocol in ("rbar", "rbard"):
+    if protocol.quantized:
         # quantize_array is elementwise, so this quantizes each row.
         trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
         trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
@@ -206,19 +226,19 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     the counter).  Only newly reached rows are folded in, and the derived
     float (the min or r estimate, rbard's n_est) is recomputed only when
     the set grew or on the agent's first active round."""
-    n, p, protocol = cfg.n, cfg.params, cfg.protocol
-    if protocol == "min":
+    n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
+    if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
         derive = lambda v: float(xs[v, 0])
-    elif protocol == "r":
-        inits = (trace.init_x_raw, trace.init_y_raw)
-        derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
-    else:
+    elif protocol.quantized:
         inits = (trace.init_x_quant, trace.init_y_quant)
         derive = lambda v: proto.rbard_size_estimate(ys[v], p)
+    else:
+        inits = (trace.init_x_raw, trace.init_y_raw)
+        derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
-    rbard = protocol == "rbard"
+    decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
     reach, counter = [1 << v for v in range(n)], [0] * n
     value, decision = [math.nan] * n, [math.nan] * n
@@ -248,30 +268,21 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                         np.minimum(m[v], m0[idx].min(axis=0), out=m[v])
             if reach[v] != prev[v] or t == starts[v]:
                 value[v] = derive(v)
-            if rbard:
+            if decides:
                 counter[v] = 0 if heartbeat else 1 + min([prev_counter[u] for u in src])
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
                     decision[v] = proto.quantized_estimate(xs[v], ys[v], p)
                     trace.decision_rounds[v] = t
                     trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
-        if rbard:
+        if decides:
             trace.estimates[t - 1] = decision
             trace.counters[t - 1] = counter
         else:
             trace.estimates[t - 1] = value
         if t in checkpoints:
             trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
-
-    if protocol == "min":
-        trace.final_states = [proto.MinState(x) for x in value]
-    elif protocol == "r":
-        trace.final_states = [proto.RState(xs[v], ys[v], value[v], p) for v in range(n)]
-    else:
-        trace.final_states = [
-            proto.RbarDState(xs[v], ys[v], counter[v], _unset(value[v]), _unset(decision[v]),
-                             starts[v], cfg.t_max, p)
-            for v in range(n)
-        ]
+    if protocol.randomized:
+        trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
 
 # Cells (rounds times n^2) in one block of _rotation_rounds: it bounds the
@@ -309,13 +320,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
         if last in cfg.checkpoint_rounds:
             trace.checkpoints[last] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
         t = last + 1
-    trace.final_states = [proto.RbarState(xs[v], ys[v], t_max % p.ell, _unset(est[v]), p)
-                          for v in range(n)]
-
-
-def _unset(f: float) -> Optional[float]:
-    """None for a float that is not set yet (NaN)."""
-    return None if math.isnan(f) else f
+    trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:
@@ -388,14 +393,10 @@ class MessageBitsReport:
 
 def message_bits(trace: TrialTrace) -> MessageBitsReport:
     n, t_max = trace.n, trace.t_max
-    protocol, params = trace.config.protocol, trace.config.params
+    protocol, params = PROTOCOLS[trace.config.protocol], trace.config.params
 
-    if protocol == "min":
-        per_round = np.full(t_max, 64 * n, dtype=np.int64)
-        return MessageBitsReport(per_round, 64, None)
-
-    if protocol == "r":
-        per_msg = 2 * params.ell * 64
+    if not protocol.quantized:  # min sends one real, r two vectors of ell
+        per_msg = 64 * (2 * params.ell if protocol.randomized else 1)
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None)
 
     exponents = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
@@ -403,7 +404,7 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
     entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
     distinct = int(len(np.unique(exponents)))
 
-    if protocol == "rbar":
+    if protocol.rotates:  # a cursor and one entry of each vector
         cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0
         per_msg = cursor_bits + 2 * entry_bits
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, distinct)

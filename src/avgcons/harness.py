@@ -67,14 +67,19 @@ class ExperimentConfig:
                 object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "min" and self.schedule_kind == "blocking":
+        protocol = PROTOCOLS[self.protocol]
+        if not protocol.randomized and self.schedule_kind == "blocking":
             raise ValueError("blocking schedule rotates over the protocol's replicas; min has none")
-        takes = PROTOCOLS[self.protocol].fields
         for name in ("ell", "beta", "size_bound"):
-            if getattr(self, name) is not None and name not in takes:
+            if getattr(self, name) is not None and name not in protocol.fields:
                 raise ValueError(f"protocol {self.protocol!r} takes no {name}")
-        if "size_bound" in takes and self.size_bound is None:
+        if protocol.decides and self.size_bound is None:
             raise ValueError(f"{self.protocol} requires size_bound")
+        # ProtocolParams checks them too, but min builds none and its summary needs eta.
+        if not 0 < self.eta < 0.5:
+            raise ValueError(f"eta must be in (0, 1/2), got {self.eta}")
+        if self.a > self.b:
+            raise ValueError(f"need a <= b, got a={self.a}, b={self.b}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -83,7 +88,7 @@ class ExperimentConfig:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if not (math.isfinite(self.slack_sigmas) and self.slack_sigmas >= 0):
             raise ValueError(f"slack_sigmas must be finite and >= 0, got {self.slack_sigmas}")
-        if self.protocol != "rbard" and self.s_max != 0:
+        if not protocol.decides and self.s_max != 0:
             raise ValueError("staggered starts are only supported by rbard")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise ValueError("fixed inputs must have length n")
@@ -155,10 +160,10 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
     if proto.formula is None:
         return None
     if cfg.ell is None:
-        size_bound = () if cfg.size_bound is None else (cfg.size_bound,)  # rbard's N
+        size_bound = (cfg.size_bound,) if proto.decides else ()  # rbard's N
         params = proto.formula(cfg.epsilon, cfg.eta, cfg.a, cfg.b, *size_bound)
     else:
-        beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b) if "beta" in proto.fields else None
+        beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b) if proto.quantized else None
         params = ProtocolParams(cfg.epsilon, cfg.eta, cfg.a, cfg.b, ell=cfg.ell, beta=beta,
                                 size_bound=cfg.size_bound)
     return params if cfg.beta is None else replace(params, beta=cfg.beta)
@@ -217,10 +222,10 @@ def stationary_bound(tc: TrialConfig) -> Optional[int]:
     """Round by which the trial's vectors must be globally agreed: its round
     bound, or None when the schedule gives no such guarantee (blocking,
     delayed + entry rotation) or the protocol decides instead (rbard)."""
-    kind = tc.schedule.kind
-    if kind == "blocking" or tc.protocol == "rbard" or (tc.protocol == "rbar" and kind == "delayed"):
+    kind, protocol = tc.schedule.kind, PROTOCOLS[tc.protocol]
+    if kind == "blocking" or protocol.decides or (protocol.rotates and kind == "delayed"):
         return None
-    return PROTOCOLS[tc.protocol].bound(tc.schedule, tc.params, tc.s_max)
+    return protocol.bound(tc.schedule, tc.params, tc.s_max)
 
 
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +253,7 @@ def _estimates_settled(trace: TrialTrace, bound: int) -> bool:
 
 def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     """Reduce one trace to the flat JSON record the summary fold consumes."""
-    tc = trace.config
+    tc, protocol = trace.config, PROTOCOLS[trace.config.protocol]
     params, last, bound = tc.params, trace.estimates[-1, 0], stationary_bound(tc)
     rec: dict = {
         "trial": 0,  # overwritten by run_one
@@ -258,16 +263,16 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
         "stationary_bound": bound,
         "stationary_ok": None,
     }
-    if bound is not None and tc.protocol == "min":
-        rec["stationary_ok"] = bool((trace.estimates[bound - 1 :] == min(tc.inputs)).all())
-    elif bound is not None:
-        rec["stationary_ok"] = bool(_estimates_settled(trace, bound) and _at_offline_minima(
-            trace, ((s.x_vec, s.y_vec) for s in trace.final_states)))
+    if bound is not None:
+        # min keeps no vectors: its settled estimate is the minimum itself.
+        rec["stationary_ok"] = bool(_estimates_settled(trace, bound) and (
+            _at_offline_minima(trace, ((s.x_vec, s.y_vec) for s in trace.final_states))
+            if protocol.randomized else last == min(tc.inputs)))
 
     if params is not None:
         rec["accurate"] = bool(not math.isnan(last) and abs(last - trace.theta) <= cfg.epsilon)
 
-    if tc.protocol in ("rbar", "rbard"):
+    if protocol.quantized:
         z, upper = admissible_interval(params.eta, params.ell, trace.n, params.a, params.b)
         raw = np.concatenate([trace.init_x_raw.ravel(), trace.init_y_raw.ravel()])
         rec["samples_in_interval"] = bool(((raw >= z) & (raw <= upper)).all())
@@ -278,10 +283,10 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
                                 and report.distinct_exponents <= rec["level_budget"])
         rec["max_message_bits"] = int(report.per_message_max)
 
-    if tc.protocol == "rbard":
+    if protocol.decides:
         dr = check_decision_spec(trace, cfg.epsilon)
         rounds, finals = trace.decision_rounds, trace.decisions[-1]
-        rec["decision_bound"] = PROTOCOLS[tc.protocol].bound(tc.schedule, params, tc.s_max)
+        rec["decision_bound"] = protocol.bound(tc.schedule, params, tc.s_max)
         rec["irrevocable"] = dr.irrevocability
         rec["all_decided_by_bound"] = bool((rounds > 0).all()
                                            and (rounds <= rec["decision_bound"]).all())
@@ -365,21 +370,21 @@ def summary_from_records(cfg: ExperimentConfig, records: list[dict]) -> Summary:
         s.claims["stationary_by_bound"] = _claim(float(frac), 1.0, ">=")
 
     # The failure probability each claim below tolerates, and its binomial slack.
-    p = cfg.eta * PROTOCOLS[cfg.protocol].share
+    protocol = PROTOCOLS[cfg.protocol]
+    p = cfg.eta * protocol.share
     slack = _slack(p, trials, cfg.slack_sigmas)
-    if cfg.protocol in ("r", "rbar"):
-        s.failure_fraction = float(np.mean([not r["accurate"] for r in records]))
-        s.claims["accuracy_failure_rate"] = _claim(s.failure_fraction, p + slack, "<=")
-
-    if cfg.protocol in ("rbar", "rbard"):
+    if protocol.quantized:
         s.max_distinct_exponents = max(r["distinct_exponents"] for r in records)
         s.max_message_bits = max(r["max_message_bits"] for r in records)
 
-    if cfg.protocol == "rbar":
-        ok = np.mean([r["levels_ok"] for r in records])
-        s.claims["quantization_levels"] = _claim(float(ok), 1.0 - p - slack, ">=")
+    if protocol.randomized and not protocol.decides:  # the estimate converges
+        s.failure_fraction = float(np.mean([not r["accurate"] for r in records]))
+        s.claims["accuracy_failure_rate"] = _claim(s.failure_fraction, p + slack, "<=")
+        if protocol.quantized:
+            ok = np.mean([r["levels_ok"] for r in records])
+            s.claims["quantization_levels"] = _claim(float(ok), 1.0 - p - slack, ">=")
 
-    if cfg.protocol == "rbard":
+    if protocol.decides:
         irrev = np.mean([r["irrevocable"] for r in records])
         s.claims["irrevocability"] = _claim(float(irrev), 1.0, ">=")
         good = np.mean([r["decision_good"] for r in records])

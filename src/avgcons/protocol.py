@@ -7,22 +7,12 @@ accessor mapping state -> message, and a transition mapping
 (state, inbox) -> new state.  The machines never see the communication
 graph: a caller decides who hears whom and hands every agent the list of
 messages it received, always including the agent's own (self-loops are
-mandatory).  States are never mutated in place.  The machines define
-the protocols; ``engine.run_trial`` computes their states for the whole
-network at once, with the same estimate formulas.
+mandatory).  States are never mutated in place.
 
-Protocol tags used across the package:
-
-* ``min``   -- plain minimum propagation of a scalar.
-* ``r``     -- randomized averaging: each agent samples two vectors of
-  ell exponentials (rates input-a+1 and 1), the network computes the
-  entrywise minimum of each, and 1/mean of the minima estimates the
-  shifted input sum and network size; their ratio estimates the average.
-* ``rbar``  -- same idea with samples rounded onto a (1+beta) grid and
-  exchanged one vector entry per round, rotating through the entries.
-* ``rbard`` -- quantized full-vector variant with asynchronous starts, a
-  min-plus round counter reset by heartbeats from passive agents, an
-  online network-size estimate, and a write-once decision.
+The machines define the protocols, and the tests check ``engine.run_trial``
+against them; the engine runs none of them and takes only init_samples and
+the estimate formulas from here.  The protocol tags, and what differs
+between the protocols as data, are defined in ``engine.PROTOCOLS``.
 """
 from __future__ import annotations
 
@@ -315,7 +305,9 @@ def estimate(state: State) -> Optional[float]:
 
 
 def r_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
-    """The r estimate of the average from the minima of the raw draws."""
+    """The r estimate of the average from the minima of the raw draws: 1/mean
+    of the minima estimates the shifted input sum (x) and the network size
+    (y), and their ratio, shifted back, the average."""
     return p.a - 1.0 + float(y_vec.sum() / x_vec.sum())
 
 

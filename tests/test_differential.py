@@ -5,7 +5,8 @@ state object of ``protocol``, every round every agent emits its outbox
 message, receives the messages of its in-neighbours and applies its
 transition.  ``engine.run_trial`` must produce the same trace bit for bit:
 estimates, decisions, counters, decision rounds and vectors, checkpoints
-and every field of every final state, dtypes included.  For rbar, whose
+and every agent's final vectors, dtypes included, and every other field
+of the machines' final states must follow from that trace.  For rbar, whose
 engine runs blocks of rounds at once, ``scalar_rotation_run`` is a second
 oracle: the same matrices updated one round and one column at a time.
 """
@@ -42,7 +43,8 @@ def _init_states(cfg):
 
 
 def reference_run(cfg):
-    """The trial as per-agent machines exchanging messages, round by round."""
+    """The trial as per-agent machines exchanging messages, round by round:
+    its trace, and the machines' final states."""
     n, t_max = cfg.n, cfg.t_max
     states = _init_states(cfg)
     outbox, apply = _OUTBOX[cfg.protocol], _APPLY[cfg.protocol]
@@ -67,8 +69,9 @@ def reference_run(cfg):
                     trace.decision_vectors[v] = (s.x_vec.copy(), s.y_vec.copy())
         if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(s.x_vec.copy(), s.y_vec.copy()) for s in states]
-    trace.final_states = states
-    return trace
+    if eng.PROTOCOLS[cfg.protocol].randomized:
+        trace.final_states = [eng.FinalVectors(s.x_vec, s.y_vec) for s in states]
+    return trace, states
 
 
 def scalar_rotation_run(cfg):
@@ -89,8 +92,7 @@ def scalar_rotation_run(cfg):
         trace.estimates[t - 1] = est
         if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
-    trace.final_states = [proto.RbarState(xs[v], ys[v], cfg.t_max % p.ell, eng._unset(est[v]), p)
-                          for v in range(n)]
+    trace.final_states = [eng.FinalVectors(xs[v], ys[v]) for v in range(n)]
     return trace
 
 
@@ -125,15 +127,38 @@ def assert_same_trace(ref, got):
                 assert_same(ya, yb, (name, key, "y"))
     assert len(ref.final_states) == len(got.final_states)
     for v, (sa, sb) in enumerate(zip(ref.final_states, got.final_states)):
-        assert type(sa) is type(sb), v
-        for slot in type(sa).__slots__:
-            a, b = getattr(sa, slot), getattr(sb, slot)
+        assert type(sb) is eng.FinalVectors, v
+        assert_same(sa.x_vec, sb.x_vec, (v, "x_vec"))
+        assert_same(sa.y_vec, sb.y_vec, (v, "y_vec"))
+
+
+def assert_states_follow(states, got):
+    """Every field of the machines' final states, against what the engine's
+    trace holds of it: the vectors in final_states, the estimate or
+    decision and the counter in the last rows, the cursor from t_max, and
+    the size estimate from the formula."""
+    cfg = got.config
+    for v, s in enumerate(states):
+        e = got.estimates[-1, v]
+        want = {"x": e, "d": e, "params": cfg.params, "start_round": cfg.start_rounds[v],
+                "rounds_done": cfg.t_max}
+        if got.final_states:
+            want.update(x_vec=got.final_states[v].x_vec, y_vec=got.final_states[v].y_vec)
+        if got.counters is not None:
+            want["counter"] = got.counters[-1, v]
+            want["n_est"] = proto.rbard_size_estimate(got.final_states[v].y_vec, cfg.params)
+        if cfg.params is not None:
+            want["cursor"] = cfg.t_max % cfg.params.ell
+        for slot in type(s).__slots__:
+            a, b = getattr(s, slot), want[slot]
             if slot == "params":
                 assert a == b
             elif a is None:
-                assert b is None, (v, slot)
-            else:
+                assert math.isnan(b) or slot == "n_est" and cfg.t_max < s.start_round, (v, slot)
+            elif isinstance(b, np.ndarray):
                 assert_same(a, b, (v, slot))
+            else:
+                assert_same(a, type(a)(b), (v, slot))
 
 
 # Every (protocol, schedule kind) pair the config accepts: min has no
@@ -167,7 +192,13 @@ def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
         tc = replace(tc, checkpoint_rounds=tuple(sorted({1, (tc.t_max + 1) // 2, tc.t_max})))
     if protocol == "rbard" and n > 1:
         assert len(set(tc.start_rounds)) > 1  # staggered starts
-    assert_same_trace(reference_run(tc), eng.run_trial(tc))
+    assert_matches_reference(tc, eng.run_trial(tc))
+
+
+def assert_matches_reference(tc, got):
+    ref, states = reference_run(tc)
+    assert_same_trace(ref, got)
+    assert_states_follow(states, got)
 
 
 def test_matrix_engine_matches_the_reference_loop_on_hand_picked_starts():
@@ -176,9 +207,9 @@ def test_matrix_engine_matches_the_reference_loop_on_hand_picked_starts():
                               size_bound=7, schedule_kind="ring")
     tc = replace(hn.trial_config(cfg, 0), start_rounds=(1, 4, 2, 6, 1), t_max=30,
                  checkpoint_rounds=(3, 6, 30))
-    ref, got = reference_run(tc), eng.run_trial(tc)
+    got = eng.run_trial(tc)
     assert (got.decision_rounds > 0).all()
-    assert_same_trace(ref, got)
+    assert_matches_reference(tc, got)
 
 
 def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
@@ -187,7 +218,7 @@ def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
     cfg = hn.ExperimentConfig(protocol="min", trials=1, n=3, inputs=(0.0, -0.0, 0.5),
                               schedule_kind="ring")
     tc = hn.trial_config(cfg, 0)
-    assert_same_trace(reference_run(tc), eng.run_trial(tc))
+    assert_matches_reference(tc, eng.run_trial(tc))
 
 
 # rbar block boundaries: (n, ell, t_max, checkpoints, schedule, block cells).
@@ -214,5 +245,5 @@ def test_rbar_blocks_match_both_oracles(name, monkeypatch):
     if cells is not None:
         monkeypatch.setattr(eng, "_BLOCK_CELLS", cells)
     got = eng.run_trial(tc)
-    assert_same_trace(reference_run(tc), got)
+    assert_matches_reference(tc, got)
     assert_same_trace(scalar_rotation_run(tc), got)

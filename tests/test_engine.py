@@ -125,6 +125,9 @@ def test_config_validation():
         cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=3, checkpoint_rounds=(1,))
     with pytest.raises(ValueError, match="beta"):
         cfg_for("rbar", sched, (0.1, 0.2, 0.3), t_max=3)
+    with pytest.raises(ValueError, match="protocol 'min' takes no params"):
+        replace(cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=3),
+                params=ProtocolParams(epsilon=0.3, eta=0.2, a=0.0, b=1.0, ell=8))
 
 
 def test_checkpoints_capture_vectors_at_requested_rounds():
@@ -207,8 +210,9 @@ def test_rbar_entry_i_is_agreed_by_round_i_plus_n_minus_1_ell():
 def test_r_estimate_is_exactly_the_sum_ratio_of_its_own_vectors():
     sched = gr.DynamicSchedule("csc", 4, seed=19)
     trace = eng.run_trial(cfg_for("r", sched, (0.1, 0.4, 0.6, 0.9), t_max=6, ell=16))
-    for s in trace.final_states:
-        assert s.x == s.params.a - 1.0 + s.y_vec.sum() / s.x_vec.sum()
+    a = trace.config.params.a
+    for x, s in zip(trace.estimates[-1], trace.final_states, strict=True):
+        assert x == a - 1.0 + s.y_vec.sum() / s.x_vec.sum()
 
 
 def test_min_estimates_never_increase():

@@ -109,7 +109,7 @@ def _run(cfg, trial):
     trace = eng.run_trial(tc)
     arrays = [trace.estimates, trace.decisions, trace.counters, trace.decision_rounds,
               trace.init_x_raw, trace.init_y_raw, trace.init_x_quant, trace.init_y_quant]
-    for s in trace.final_states:
+    for s in trace.final_states or [None] * trace.n:  # min keeps no vectors
         arrays += [getattr(s, "x_vec", None), getattr(s, "y_vec", None)]
     buf = io.StringIO()
     eng.dump_trace_jsonl(trace, buf)
