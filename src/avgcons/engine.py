@@ -225,7 +225,10 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     senders count, only active receivers update, and a heartbeat resets
     the counter).  Only newly reached rows are folded in, and the derived
     float (the min or r estimate, rbard's n_est) is recomputed only when
-    the set grew or on the agent's first active round."""
+    the set grew or on the agent's first active round.  Once every agent is
+    active, every set is full and every counter equal, no round can change
+    a vector, and rbard's counters all go up by one a round, so the rest of
+    the trace is filled in with no graph drawn."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
@@ -243,6 +246,11 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     reach, counter = [1 << v for v in range(n)], [0] * n
     value, decision = [math.nan] * n, [math.nan] * n
     checkpoints = set(cfg.checkpoint_rounds)
+
+    def decide(v: int, t: int) -> None:
+        decision[v] = proto.quantized_estimate(xs[v], ys[v], p)
+        trace.decision_rounds[v] = t
+        trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
 
     for t in range(1, cfg.t_max + 1):
         ins = cfg.schedule.graph_at(t).in_neighbor_lists
@@ -271,16 +279,27 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
             if decides:
                 counter[v] = 0 if heartbeat else 1 + min([prev_counter[u] for u in src])
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
-                    decision[v] = proto.quantized_estimate(xs[v], ys[v], p)
-                    trace.decision_rounds[v] = t
-                    trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
+                    decide(v, t)
+        trace.estimates[t - 1] = decision if decides else value
         if decides:
-            trace.estimates[t - 1] = decision
             trace.counters[t - 1] = counter
-        else:
-            trace.estimates[t - 1] = value
         if t in checkpoints:
             trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+        if t > s_max and reach.count(full) == n and len(set(counter)) == 1:
+            break
+    # Frozen after round t (or t == t_max): fill in the rounds after it.
+    trace.estimates[t:] = decision if decides else value
+    if decides:
+        trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
+        for v in [v for v in range(n) if math.isnan(decision[v])]:
+            r = next((r for r in range(t + 1, cfg.t_max + 1)
+                      if proto.rbard_decides(counter[0] + r - t, value[v])), None)
+            if r is not None:
+                decide(v, r)
+                trace.estimates[r - 1 :, v] = decision[v]
+    for s in sorted(checkpoints):
+        if s > t:
+            trace.checkpoints[s] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
     if protocol.randomized:
         trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
@@ -294,12 +313,17 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     """The rounds of rbar: round t exchanges entry (t-1) mod ell of every
     agent, so only that column of the exponent matrices changes, and no two
     columns interact.  A block of rounds inside one rotation touches each
-    of its columns once, so it is one masked minimum over the block's
-    in-adjacency A: new[v, i] = min of old[u, i] over u with A[k, v, u],
-    k the round of column i.  A block ends at a wrap, where the estimates
-    are refreshed, at a checkpoint round, at t_max, or at _BLOCK_CELLS."""
+    of its columns once, so it is one masked minimum over the in-adjacency
+    A of its live rounds: new[v, i] = min of old[u, i] over u with
+    A[k, v, u], k the round of column i.  A column that every agent holds
+    at one value is at its offline minimum for good, so its rounds are not
+    drawn; once every column is, the next wrap fixes the estimates and the
+    rest of the trace is filled in.  A block ends at a wrap, where the
+    estimates are refreshed, at a checkpoint round, at t_max, or at
+    _BLOCK_CELLS."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
     xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
+    live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
     cap = max(1, _BLOCK_CELLS // (n * n))
@@ -307,10 +331,11 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     while t <= t_max:
         i = (t - 1) % p.ell
         last = min(t - 1 + p.ell - i, stops[bisect.bisect_left(stops, t)], t - 1 + cap)
-        adj = cfg.schedule.in_adjacency(t, last + 1)
+        c = i + np.flatnonzero(live(slice(i, i + last - t + 1)))
+        adj = cfg.schedule.in_adjacency((c - i + t).tolist())
         for m in (xs, ys):
-            cols = m[:, i : i + len(adj)].T  # cols[k, u]: agent u's entry of round t+k
-            m[:, i : i + len(adj)] = np.minimum.reduce(
+            cols = m[:, c].T  # cols[k, u]: agent u's entry of the k-th live round
+            m[:, c] = np.minimum.reduce(
                 np.broadcast_to(cols[:, None, :], adj.shape), axis=2, where=adj,
                 initial=np.iinfo(m.dtype).max).T
         trace.estimates[t - 1 : last] = est
@@ -319,7 +344,14 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
             trace.estimates[last - 1] = est
         if last in cfg.checkpoint_rounds:
             trace.checkpoints[last] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+        if last % p.ell == 0 and not live(slice(None)).any():
+            break
         t = last + 1
+    # Frozen after round last (or last == t_max): fill in the rounds after it.
+    trace.estimates[last:] = est
+    for s in stops:
+        if s > last and s in cfg.checkpoint_rounds:
+            trace.checkpoints[s] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
     trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -262,29 +262,29 @@ class DynamicSchedule:
         return np.array([[np.isin(np.arange(self.n), us) for us in g.in_neighbor_lists]
                          for g in self._period_graphs])
 
-    def in_adjacency(self, t0: int, t1: int) -> np.ndarray:
-        """Rounds t0..t1-1 as a bool (t1-t0, n, n) array, A[k, v, u] true when
-        v hears u in round t0+k: the graphs graph_at returns, from the same
-        draws, with no DirectedGraph built."""
-        if not 1 <= t0 <= t1:
-            raise ValueError(f"need 1 <= t0 <= t1, got t0={t0}, t1={t1}")
+    def in_adjacency(self, rounds: Sequence[int]) -> np.ndarray:
+        """The given rounds as a bool (len(rounds), n, n) array, A[k, v, u]
+        true when v hears u in round rounds[k]: the graphs graph_at returns,
+        from the same draws, with no DirectedGraph built."""
+        if any(t < 1 for t in rounds):
+            raise ValueError(f"rounds start at 1, got {min(rounds)}")
         if self.kind not in ("csc", "c_connected"):
             period = self._period_adjacency
-            return period[np.arange(t0 - 1, t1 - 1) % len(period)]
-        n, c, rounds = self.n, self.c or 1, t1 - t0
+            return period[(np.asarray(rounds, dtype=np.intp) - 1) % len(period)]
+        n, c, count = self.n, self.c or 1, len(rounds)
         perms, extras, us, vs = [], [], [], []
-        for t in range(t0, t1):
+        for t in rounds:
             perm, eu, ev = _c_in_connected_draws(n, c, random.Random(self.round_key(t)))
             perms.append(perm)
             extras.append(len(eu))
             us += eu
             vs += ev
         # perm[i] hears perm[i-j] for j in 0..m, as in random_c_in_connected.
-        perm = np.array(perms, dtype=np.intp).reshape(rounds, n)
+        perm = np.array(perms, dtype=np.intp).reshape(count, n)
         back = (np.arange(n)[:, None] - np.arange(min(c, n - 1) + 1)) % n
-        adj = np.zeros((rounds, n, n), dtype=bool)
-        adj[np.arange(rounds)[:, None, None], perm[:, :, None], perm[:, back]] = True
-        adj[np.repeat(np.arange(rounds), extras), vs, us] = True
+        adj = np.zeros((count, n, n), dtype=bool)
+        adj[np.arange(count)[:, None, None], perm[:, :, None], perm[:, back]] = True
+        adj[np.repeat(np.arange(count), extras), vs, us] = True
         return adj
 
     def graph_at(self, t: int) -> DirectedGraph:

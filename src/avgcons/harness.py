@@ -76,8 +76,9 @@ class ExperimentConfig:
         if protocol.decides and self.size_bound is None:
             raise ValueError(f"{self.protocol} requires size_bound")
         # ProtocolParams checks them too, but min builds none and its summary needs eta.
-        if not 0 < self.eta < 0.5:
-            raise ValueError(f"eta must be in (0, 1/2), got {self.eta}")
+        for name in ("epsilon", "eta"):
+            if not 0 < getattr(self, name) < 0.5:
+                raise ValueError(f"{name} must be in (0, 1/2), got {getattr(self, name)}")
         if self.a > self.b:
             raise ValueError(f"need a <= b, got a={self.a}, b={self.b}")
         if self.seed < 0:

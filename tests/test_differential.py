@@ -9,15 +9,20 @@ and every agent's final vectors, dtypes included, and every other field
 of the machines' final states must follow from that trace.  For rbar, whose
 engine runs blocks of rounds at once, ``scalar_rotation_run`` is a second
 oracle: the same matrices updated one round and one column at a time.
+Both oracles draw every round, so they also check the engine's skip of the
+rounds after the state has frozen.
 """
 import math
 import struct
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
 
 from avgcons import engine as eng
+from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import protocol as proto
 from avgcons.graph import SCHEDULE_KINDS
@@ -178,16 +183,20 @@ def test_every_accepted_pair_is_covered():
     assert len(PAIRS) == 23
 
 
-@pytest.mark.parametrize("protocol,kind,n", _cases())
-def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
-    cfg = hn.ExperimentConfig(
-        protocol=protocol, trials=2, n=n, seed=17 * n + len(kind),
-        s_max=3 if protocol == "rbard" else 0,
-        **{k: v for k, v in (("ell", 6), ("beta", 0.1), ("size_bound", n + 1))
+def pair_config(protocol, kind, n, seed, ell, s_max):
+    """A small config of the pair: the fields its protocol takes, staggered
+    starts up to s_max for rbard, and 2 for a kind's delay or c."""
+    return hn.ExperimentConfig(
+        protocol=protocol, trials=2, n=n, seed=seed, s_max=s_max if protocol == "rbard" else 0,
+        **{k: v for k, v in (("ell", ell), ("beta", 0.1), ("size_bound", n + 1))
            if k in eng.PROTOCOLS[protocol].fields},
         schedule_kind=kind, **{k: 2 for k in ("delay", "c") if k == SCHEDULE_KINDS[kind][0]},
     )
-    tc = hn.trial_config(cfg, 1)
+
+
+@pytest.mark.parametrize("protocol,kind,n", _cases())
+def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
+    tc = hn.trial_config(pair_config(protocol, kind, n, 17 * n + len(kind), 6, 3), 1)
     if protocol != "min":  # min keeps no vectors to checkpoint
         tc = replace(tc, checkpoint_rounds=tuple(sorted({1, (tc.t_max + 1) // 2, tc.t_max})))
     if protocol == "rbard" and n > 1:
@@ -247,3 +256,82 @@ def test_rbar_blocks_match_both_oracles(name, monkeypatch):
     got = eng.run_trial(tc)
     assert_matches_reference(tc, got)
     assert_same_trace(scalar_rotation_run(tc), got)
+
+
+def freeze_round(tc):
+    """The first round after which no round can change the state, from the
+    oracles and graph_at alone; None if the horizon ends first.  rbar
+    freezes once every agent holds the same vectors; the others once every
+    agent is active and has heard from every agent, and (rbard) every
+    counter is equal."""
+    if tc.protocol == "rbar":
+        snaps = reference_run(replace(tc, checkpoint_rounds=tuple(range(1, tc.t_max + 1))))[0].checkpoints
+        return next((t for t in range(1, tc.t_max + 1) if all(
+            (x == snaps[t][0][0]).all() and (y == snaps[t][0][1]).all() for x, y in snaps[t])), None)
+    counters = reference_run(tc)[0].counters
+    full, reach = (1 << tc.n) - 1, [1 << v for v in range(tc.n)]
+    for t in range(1, tc.t_max + 1):
+        ins = tc.schedule.graph_at(t).in_neighbor_lists
+        on = [t >= s for s in tc.start_rounds]
+        reach = [reduce(or_, [reach[u] for u in ins[v] if on[u]], reach[v]) if on[v] else reach[v]
+                 for v in range(tc.n)]
+        if t > tc.s_max and reach.count(full) == tc.n and (
+                counters is None or len(set(counters[t - 1].tolist())) == 1):
+            return t
+    return None
+
+
+@pytest.mark.parametrize("protocol,kind", PAIRS, ids=[f"{p}-{k}" for p, k in PAIRS])
+def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
+    # The same trial with the freeze just before a checkpoint, and with a
+    # horizon that ends the round before it, so it never freezes; rbar in
+    # blocks of 3 rounds.  rbar never freezes on blocking, whose even
+    # columns never mix.
+    n, ell = 5, 6 if kind == "blocking" else 7
+    tc = hn.trial_config(pair_config(protocol, kind, n, 0, ell, 4), 0)
+    f = freeze_round(tc)
+    assert (f is None) == ((protocol, kind) == ("rbar", "blocking"))
+    if (protocol, kind) == ("rbar", "csc"):  # mid-rotation, and mid-block
+        assert f % ell != 0 and f % ell % 3 != 0
+    monkeypatch.setattr(eng, "_BLOCK_CELLS", 3 * n * n)
+    variants = [tc]
+    if f is not None:  # min keeps no vectors to checkpoint
+        variants = [replace(tc, checkpoint_rounds=() if protocol == "min" else (f + 1, tc.t_max))]
+        variants += [replace(tc, t_max=f - 1)] if f > 1 else []
+    for v in variants:
+        got = eng.run_trial(v)
+        assert_matches_reference(v, got)
+        if protocol == "rbar":
+            assert_same_trace(scalar_rotation_run(v), got)
+    if (protocol, kind) == ("rbard", "delayed"):  # agents decide before and after the freeze
+        rounds = eng.run_trial(tc).decision_rounds
+        assert (rounds <= f).any() and (rounds > f).any()
+
+
+def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
+    drawn = []
+    in_adjacency, graph_at = gr.DynamicSchedule.in_adjacency, gr.DynamicSchedule.graph_at
+    # min on csc at n=32 reads every round up to its last reach-set growth
+    # and none after it.
+    tc = hn.trial_config(hn.ExperimentConfig(protocol="min", trials=1, n=32, seed=3), 0)
+    f = freeze_round(tc)
+    monkeypatch.setattr(gr.DynamicSchedule, "in_adjacency",
+                        lambda sched, rounds: drawn.extend(rounds) or in_adjacency(sched, rounds))
+    monkeypatch.setattr(gr.DynamicSchedule, "graph_at",
+                        lambda sched, t: drawn.append(t) or graph_at(sched, t))
+    eng.run_trial(tc)
+    assert drawn == list(range(1, f + 1)) and f < tc.t_max
+    # The criterion-5 shape, rbar at n=6 for ell*(n+1) rounds, with a
+    # smaller ell: it skips the rounds of settled columns before its last
+    # draw, draws nothing in its last rotation, and refreshes the estimates
+    # at no wrap after the one that follows its last draw.
+    drawn.clear()
+    refreshed = []
+    quantized_estimate = proto.quantized_estimate
+    monkeypatch.setattr(proto, "quantized_estimate",
+                        lambda *args: refreshed.append(args) or quantized_estimate(*args))
+    cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=6, seed=5, epsilon=0.4, eta=0.4, ell=1000)
+    tc = replace(hn.trial_config(cfg, 0), t_max=1000 * 7)
+    eng.run_trial(tc)
+    assert len(drawn) < max(drawn) <= tc.t_max - 1000
+    assert len(refreshed) == 6 * -(-max(drawn) // 1000)

@@ -192,13 +192,14 @@ def test_schedule_stream_digests(name):
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_in_adjacency_matches_graph_at(name):
-    # (1, 201) is the pinned stretch; (37, 90) starts mid-stream and, for
-    # delayed (period 3) and blocking (period 2), crosses period boundaries
-    # at an offset; (5, 5) is empty.
+    # 1..200 is the pinned stretch; 37..89 starts mid-stream and, for delayed
+    # (period 3) and blocking (period 2), crosses period boundaries at an
+    # offset; every third round from 38 and an irregular set skip rounds, as
+    # the rbar engine does for settled columns; () is empty.
     sched = gr.DynamicSchedule(**STREAMS[name][0])
-    for t0, t1 in ((1, 201), (37, 90), (5, 5)):
-        adj = sched.in_adjacency(t0, t1)
-        assert adj.shape == (t1 - t0, sched.n, sched.n) and adj.dtype == bool
-        for k, t in enumerate(range(t0, t1)):
+    for rounds in (range(1, 201), range(37, 90), range(38, 120, 3), (2, 3, 7, 8, 64, 199), ()):
+        adj = sched.in_adjacency(rounds)
+        assert adj.shape == (len(rounds), sched.n, sched.n) and adj.dtype == bool
+        for k, t in enumerate(rounds):
             rows = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj[k])
             assert rows == sched.graph_at(t).in_neighbor_lists, t

@@ -195,9 +195,9 @@ def test_csc_schedule_graphs_are_strongly_connected():
 
 def test_in_adjacency_rejects_a_bad_window():
     sched = gr.DynamicSchedule("csc", 4, seed=1)
-    for t0, t1 in ((0, 3), (5, 4)):
-        with pytest.raises(ValueError, match="need 1 <= t0 <= t1"):
-            sched.in_adjacency(t0, t1)
+    for rounds in ((0, 1, 2), (3, -1, 5)):
+        with pytest.raises(ValueError, match=f"rounds start at 1, got {min(rounds)}"):
+            sched.in_adjacency(rounds)
 
 
 def test_csc_schedule_is_deterministic_per_round():

@@ -269,6 +269,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "rbar", "--a", "nan"], "a and b must be finite"),
         (["--protocol", "min", "--a", "nan"], "inputs must be finite"),
         (["--protocol", "min", "--eta", "5"], "eta must be in (0, 1/2), got 5.0"),
+        (["--protocol", "min", "--epsilon", "5"], "epsilon must be in (0, 1/2), got 5.0"),
+        (["--protocol", "min", "--epsilon", "nan"], "epsilon must be in (0, 1/2), got nan"),
         (["--protocol", "min", "--a", "3", "--b", "1"], "need a <= b, got a=3.0, b=1.0"),
         # ell ~ 3.2e32 and ~3.2e20 resolve, but no float64 vector that long fits an index.
         (["--protocol", "r", "--n", "3", "--epsilon", "1e-15"], "too large for any array"),
@@ -282,7 +284,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
-         "nan-a", "min-nan-a", "min-eta-above-half", "min-a-above-b", "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
+         "nan-a", "min-nan-a", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
+         "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
          "blocking-without-parameter"],
 )
 def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
@@ -319,6 +322,9 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
       "inputs must be finite"),
      ({"ell": None, "b": float("inf")}, "a and b must be finite"),
      ({"protocol": "min", "ell": None, "eta": 5}, "eta must be in (0, 1/2), got 5.0"),
+     ({"protocol": "min", "ell": None, "epsilon": 5}, "epsilon must be in (0, 1/2), got 5.0"),
+     ({"protocol": "min", "ell": None, "epsilon": float("nan")},
+      "epsilon must be in (0, 1/2), got nan"),
      ({"protocol": "min", "ell": None, "a": 3, "b": 1}, "need a <= b, got a=3.0, b=1.0"),
      ({"seed": -2}, "seed must be >= 0, got -2"),
      ({"protocol": "rbard", "ell": None}, "rbard requires size_bound"),
@@ -328,7 +334,7 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
          "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
          "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
-         "infinite-b", "min-eta-above-half", "min-a-above-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
+         "infinite-b", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
          "infinite-slack-sigmas", "negative-slack-sigmas"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):
