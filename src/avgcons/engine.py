@@ -271,7 +271,10 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                 new = got & ~prev[v]
                 if new:
                     reach[v] = got
-                    idx = [u for u in range(n) if new >> u & 1]
+                    idx = []
+                    while new:  # the set bits of new, lowest first
+                        idx.append((new & -new).bit_length() - 1)
+                        new &= new - 1
                     for m, m0 in zip(rows, inits):
                         np.minimum(m[v], m0[idx].min(axis=0), out=m[v])
             if reach[v] != prev[v] or t == starts[v]:

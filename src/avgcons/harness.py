@@ -27,8 +27,8 @@ from . import graph as gr
 from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
     message_bits, run_trial
 from .quantization import admissible_interval, count_levels
-from .sampling import ConcentrationParams, ProtocolParams, RngStream, chernoff_bound, \
-    empirical_tail, min_exponential_stats, rounding_ratio
+from .sampling import ConcentrationParams, ProtocolParams, RngStream, _check_input, \
+    _check_ranges, chernoff_bound, empirical_tail, min_exponential_stats, rounding_ratio
 from .seeds import stable_seed
 
 
@@ -76,11 +76,7 @@ class ExperimentConfig:
         if protocol.decides and self.size_bound is None:
             raise ValueError(f"{self.protocol} requires size_bound")
         # ProtocolParams checks them too, but min builds none and its summary needs eta.
-        for name in ("epsilon", "eta"):
-            if not 0 < getattr(self, name) < 0.5:
-                raise ValueError(f"{name} must be in (0, 1/2), got {getattr(self, name)}")
-        if self.a > self.b:
-            raise ValueError(f"need a <= b, got a={self.a}, b={self.b}")
+        _check_ranges(self.epsilon, self.eta, self.a, self.b)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -95,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("fixed inputs must have length n")
         if self.inputs is not None and not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"fixed inputs must be finite, got {list(self.inputs)}")
+        for x in self.inputs or ():
+            _check_input(x, self.a, self.b)
         if self.size_bound is not None and self.size_bound < self.n:
             raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
         if self.schedule_kind not in gr.SCHEDULE_KINDS:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .quantization import dequantize_array, quantize_array
-from .sampling import ProtocolParams, sample_exponentials
+from .sampling import ProtocolParams, _check_input, sample_exponentials
 
 # ---------------------------------------------------------------------------
 # messages
@@ -109,7 +109,7 @@ def init_samples(theta: float, params: ProtocolParams, stream) -> tuple[np.ndarr
 
     Shifting by -a+1 keeps every rate >= 1 for inputs in [a, b].
     """
-    _check_input(theta, params)
+    _check_input(theta, params.a, params.b)
     x_raw = sample_exponentials(theta - params.a + 1.0, params.ell, stream)
     y_raw = sample_exponentials(1.0, params.ell, stream)
     return x_raw, y_raw
@@ -312,11 +312,8 @@ def r_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float
 
 
 def quantized_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
-    """The rbar estimate and the rbard decision value, from exponent vectors."""
-    # Denominator is a sum of positive represented values, never zero.
-    sum_x = float(dequantize_array(x_vec, p.beta).sum())
-    sum_y = float(dequantize_array(y_vec, p.beta).sum())
-    return p.a - 1.0 + sum_y / sum_x
+    """The rbar estimate and rbard decision: r_estimate of the represented values."""
+    return r_estimate(dequantize_array(x_vec, p.beta), dequantize_array(y_vec, p.beta), p)
 
 
 def rbard_size_estimate(y_vec: np.ndarray, p: ProtocolParams) -> float:
@@ -327,8 +324,3 @@ def rbard_size_estimate(y_vec: np.ndarray, p: ProtocolParams) -> float:
 def rbard_decides(counter: int, n_est: float) -> bool:
     """rbard's decision test: the counter exceeds 3/2 of the size estimate."""
     return counter > 1.5 * n_est
-
-
-def _check_input(theta: float, params: ProtocolParams) -> None:
-    if not params.a <= theta <= params.b:
-        raise ValueError(f"input {theta} outside [{params.a}, {params.b}]")

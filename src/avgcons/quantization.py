@@ -13,29 +13,20 @@ import math
 
 import numpy as np
 
-# A quantized value is just its integer exponent.
-QuantExponent = int
+
+def quantize(x: float, beta: float) -> int:
+    """Exponent k with (1+beta)**k <= x < (1+beta)**(k+1), on quantize_array's grid."""
+    return int(quantize_array([x], beta)[0])
 
 
-def quantize(x: float, beta: float) -> QuantExponent:
-    """Exponent k with (1+beta)**k <= x < (1+beta)**(k+1).
+def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
+    """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise.
 
     The float estimate floor(ln x / ln(1+beta)) can land one off at exact
     powers of (1+beta); the correction loops restore the defining
     bracketing, which is what every property of the rounding relies on.
+    The powers are np.power's, as in dequantize_array.
     """
-    _check_positive(x, beta)
-    base = 1.0 + beta
-    k = math.floor(math.log(x) / math.log1p(beta))
-    while base ** (k + 1) <= x:
-        k += 1
-    while base**k > x:
-        k -= 1
-    return k
-
-
-def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
-    """Vectorized quantize; elementwise identical to the scalar version."""
     xs = np.asarray(xs, dtype=np.float64)
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
@@ -43,8 +34,7 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
         raise ValueError("all values must be positive and finite")
     base = 1.0 + beta
     ks = np.floor(np.log(xs) / np.log1p(beta)).astype(np.int64)
-    # Same correction as the scalar path; converges in one step apart
-    # from pathological float noise, hence the loops.
+    # Converges in one step apart from pathological float noise, hence the loops.
     while True:
         low = np.power(base, (ks + 1).astype(np.float64)) <= xs
         if not low.any():
@@ -58,15 +48,13 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     return ks
 
 
-def dequantize(k: QuantExponent, beta: float) -> float:
-    """The represented value (1+beta)**k."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return (1.0 + beta) ** k
+def dequantize(k: int, beta: float) -> float:
+    """The represented value (1+beta)**k, on dequantize_array's grid."""
+    return float(dequantize_array([k], beta)[0])
 
 
 def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:
-    """Vectorized dequantize, bit-identical to the scalar version."""
+    """The represented values (1+beta)**k, elementwise, by np.power: the one grid."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     return np.power(1.0 + beta, np.asarray(ks, dtype=np.float64))
@@ -98,10 +86,3 @@ def admissible_interval(eta: float, ell: int, n: int, a: float, b: float) -> tup
     if z >= 1.0 / 16.0:
         raise ValueError(f"z={z} >= 1/16; interval derivation does not apply")
     return z, math.log(1.0 / z)
-
-
-def _check_positive(x: float, beta: float) -> None:
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"x must be positive and finite, got {x}")

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .quantization import dequantize_array, quantize_array
 from .seeds import stable_seed
 
 
@@ -83,8 +84,8 @@ def _stable_ceil(make_expr) -> int:
 
 def _check_ranges(epsilon: float, eta: float, a: float, b: float,
                   size_bound: Optional[int] = None) -> None:
-    """The range check of ProtocolParams, run before the replica formulas
-    see the values."""
+    """The range check of ProtocolParams and ExperimentConfig, run before the
+    replica formulas see the values."""
     if not 0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0 < eta < 0.5:
@@ -95,6 +96,11 @@ def _check_ranges(epsilon: float, eta: float, a: float, b: float,
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if size_bound is not None and size_bound < 1:
         raise ValueError(f"size_bound must be >= 1, got {size_bound}")
+
+
+def _check_input(theta: float, a: float, b: float) -> None:
+    if not a <= theta <= b:
+        raise ValueError(f"input {theta} outside [{a}, {b}]")
 
 
 def rounding_ratio(epsilon: float, a: float, b: float) -> float:
@@ -161,14 +167,12 @@ class RngStream:
 
 
 def sample_exponential(rate: float, stream) -> float:
-    """One Exp(rate) sample via inverse CDF: -ln(U)/rate."""
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    return float(-np.log(stream.uniform()) / rate)
+    """One Exp(rate) sample: a batch of one."""
+    return float(sample_exponentials(rate, 1, stream)[0])
 
 
 def sample_exponentials(rate: float, size: int, stream) -> np.ndarray:
-    """Batch of Exp(rate) samples, bit-identical to repeated scalar calls."""
+    """Batch of Exp(rate) samples via inverse CDF: -ln(U)/rate."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     return -np.log(stream.uniforms(size)) / rate
@@ -209,10 +213,7 @@ def empirical_tail(cp: ConcentrationParams, reps: int, stream) -> float:
     """Frequency of the deviation event over `reps` repetitions."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    from .quantization import dequantize_array, quantize_array
-
-    us = stream.uniforms(reps * cp.ell).reshape(reps, cp.ell)
-    xs = -np.log(us) / cp.rate
+    xs = sample_exponentials(cp.rate, reps * cp.ell, stream).reshape(reps, cp.ell)
     threshold = cp.alpha / cp.rate
     if cp.beta is not None:
         xs = dequantize_array(quantize_array(xs, cp.beta), cp.beta)
@@ -231,7 +232,7 @@ def min_exponential_stats(
     sum(rates): mean 1/sum(rates), survival P(min > x) = exp(-sum(rates) x).
     Returns (mean, [frequency of min > x for each x]).
     """
-    rates_arr = np.asarray(rates, dtype=np.float64)
-    us = stream.uniforms(reps * len(rates)).reshape(reps, len(rates))
-    mins = (-np.log(us) / rates_arr).min(axis=1)
+    # Exp(r) is Exp(1)/r, and x/1.0 == x, so these are -ln(U)/r bit for bit.
+    units = sample_exponentials(1.0, reps * len(rates), stream).reshape(reps, len(rates))
+    mins = (units / np.asarray(rates, dtype=np.float64)).min(axis=1)
     return float(mins.mean()), [float(np.mean(mins > x)) for x in xs]

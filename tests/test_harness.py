@@ -132,6 +132,13 @@ def test_experiment_config_validation():
         tiny_r_config(seed=-1)
 
 
+@pytest.mark.parametrize("protocol", ["min", "r", "rbar", "rbard"])
+def test_pinned_inputs_outside_a_b_are_rejected_before_any_trial(protocol):
+    kw = {"size_bound": 3} if protocol == "rbard" else {}
+    with pytest.raises(ValueError, match=r"^input 5\.0 outside \[0\.0, 1\.0\]$"):
+        hn.ExperimentConfig(protocol=protocol, trials=2, n=3, inputs=(0.5, 5.0, -3.0), **kw)
+
+
 def test_json_integers_in_float_fields_give_the_same_digest():
     from_json = hn.experiment_from_json({"protocol": "r", "trials": 1, "n": 3, "a": 0, "b": 1})
     assert type(from_json.a) is float and type(from_json.b) is float
@@ -267,7 +274,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "r", "--n", "3", "--b", "1e300"], "replica count ell"),
         (["--protocol", "r", "--b", "inf"], "a and b must be finite"),
         (["--protocol", "rbar", "--a", "nan"], "a and b must be finite"),
-        (["--protocol", "min", "--a", "nan"], "inputs must be finite"),
+        (["--protocol", "min", "--a", "nan"], "a and b must be finite"),
+        (["--protocol", "min", "--a=-1e400"], "a and b must be finite"),
         (["--protocol", "min", "--eta", "5"], "eta must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "5"], "epsilon must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "nan"], "epsilon must be in (0, 1/2), got nan"),
@@ -284,7 +292,7 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
-         "nan-a", "min-nan-a", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
+         "nan-a", "min-nan-a", "min-infinite-a", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
          "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
          "blocking-without-parameter"],
 )
@@ -321,6 +329,8 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
      ({"protocol": "min", "ell": None, "inputs": [float("nan"), 0.5, 0.2]},
       "inputs must be finite"),
      ({"ell": None, "b": float("inf")}, "a and b must be finite"),
+     ({"protocol": "min", "ell": None, "a": -1e400}, "a and b must be finite"),
+     ({"protocol": "min", "ell": None, "inputs": [5.0, -3.0, 0.5]}, "input 5.0 outside [0.0, 1.0]"),
      ({"protocol": "min", "ell": None, "eta": 5}, "eta must be in (0, 1/2), got 5.0"),
      ({"protocol": "min", "ell": None, "epsilon": 5}, "epsilon must be in (0, 1/2), got 5.0"),
      ({"protocol": "min", "ell": None, "epsilon": float("nan")},
@@ -334,7 +344,8 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
          "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
          "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
-         "infinite-b", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
+         "infinite-b", "min-infinite-a", "min-input-outside-a-b", "min-eta-above-half",
+         "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
          "infinite-slack-sigmas", "negative-slack-sigmas"],
 )
 def test_cli_sweep_rejects_a_bad_config_key(tmp_path, capsys, change, needle):

@@ -54,10 +54,25 @@ def test_roundtrip_over_exponent_range(beta):
 
 def test_array_quantize_matches_scalar():
     rng = np.random.default_rng(42)
-    xs = np.exp(rng.uniform(np.log(1e-9), np.log(1e9), size=500))
+    drawn = np.exp(rng.uniform(np.log(1e-9), np.log(1e9), size=500))
     for beta in BETAS:
+        # Every grid point and its two float neighbours, where a second
+        # grid would round differently.
+        grid = qz.dequantize_array(np.arange(-60, 61), beta)
+        xs = np.concatenate([drawn, grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
         ks = qz.quantize_array(xs, beta)
         assert all(int(ks[i]) == qz.quantize(float(xs[i]), beta) for i in range(len(xs)))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_scalar_rounding_is_on_the_array_grid(beta):
+    ks = np.arange(-60, 61)
+    grid = qz.dequantize_array(ks, beta)
+    for k, x in zip(ks.tolist(), grid.tolist()):
+        assert qz.dequantize(k, beta) == x
+        assert qz.quantize(x, beta) == k
+        # x is the least value with exponent k.
+        assert qz.quantize(float(np.nextafter(x, 0.0)), beta) == k - 1
 
 
 # ---------------------------------------------------------------------------
