@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,8 +60,20 @@ def _parse_schedule(spec: str) -> tuple[str, dict]:
         raise ValueError(f"schedule {kind!r} needs an integer parameter, got {spec!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number float() reads,
+    -1e-3 and -inf among them, as a value; argparse itself knows only -N
+    and -N.M, and takes the rest for an unknown option.  Subparsers are
+    built by the parser's own class, so they read them the same way."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="avgcons")
+    parser = _Parser(prog="avgcons")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # A flag left out stays out of args, so ExperimentConfig's default applies.

@@ -17,6 +17,7 @@ import bisect
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import IO, Callable, Optional
 
@@ -194,11 +195,27 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     return trace
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
-    per-round arrays, allocated in full so a horizon too large fails now."""
+    per-round arrays, allocated in full so a horizon too large fails now.
+    numpy's allocations succeed under overcommit and fail only when
+    touched, so a trial whose arrays and draws exceed physical memory is a
+    MemoryError before anything is sampled."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
+    # Per round, the estimates (and counters); per replica, the raw draws
+    # twice, as drawn and stacked (and their exponents).
+    ell = p.ell if protocol.randomized else 0
+    need = 8 * n * (t_max * (2 if protocol.decides else 1) + ell * (6 if protocol.quantized else 4))
+    if need > (memory := _physical_memory()):
+        sizes = f"ell={ell} and n={n}" if ell else f"n={n}"
+        raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {need / 2**30:.1f} GiB, "
+                          f"more than the {memory / 2**30:.1f} GiB of physical memory")
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                        estimates=np.full((t_max, n), np.nan))
     if protocol.decides:
@@ -307,40 +324,47 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
         trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
 
-# Cells (rounds times n^2) in one block of _rotation_rounds: it bounds the
-# block's adjacency and masked-minimum arrays at any n.
-_BLOCK_CELLS = 1 << 16
+# Cells (rounds times n^2) in one block of _rotation_rounds' masked minimum,
+# and in the in-adjacency array of one segment, drawn in one call: they
+# bound both at any n.
+_BLOCK_CELLS, _SEGMENT_CELLS = 1 << 16, 1 << 22
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     """The rounds of rbar: round t exchanges entry (t-1) mod ell of every
     agent, so only that column of the exponent matrices changes, and no two
-    columns interact.  A block of rounds inside one rotation touches each
+    columns interact.  A segment of rounds inside one rotation touches each
     of its columns once, so it is one masked minimum over the in-adjacency
     A of its live rounds: new[v, i] = min of old[u, i] over u with
-    A[k, v, u], k the round of column i.  A column that every agent holds
-    at one value is at its offline minimum for good, so its rounds are not
-    drawn; once every column is, the next wrap fixes the estimates and the
-    rest of the trace is filled in.  A block ends at a wrap, where the
-    estimates are refreshed, at a checkpoint round, at t_max, or at
-    _BLOCK_CELLS."""
+    A[k, v, u], k the round of column i, run in blocks of _BLOCK_CELLS.  A
+    column that every agent holds at one value is at its offline minimum
+    for good, so its rounds are not drawn; once every column is, the next
+    wrap fixes the estimates and the rest of the trace is filled in.  A
+    segment ends at a wrap, where the estimates are refreshed, at a
+    checkpoint round, at t_max, or at _SEGMENT_CELLS; its live rounds are
+    drawn in one call, as batched schedule generation needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
     xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
-    cap = max(1, _BLOCK_CELLS // (n * n))
+    block, segment = (max(1, cells // (n * n)) for cells in (_BLOCK_CELLS, _SEGMENT_CELLS))
     t = 1
     while t <= t_max:
         i = (t - 1) % p.ell
-        last = min(t - 1 + p.ell - i, stops[bisect.bisect_left(stops, t)], t - 1 + cap)
+        last = min(t - 1 + p.ell - i, stops[bisect.bisect_left(stops, t)])
         c = i + np.flatnonzero(live(slice(i, i + last - t + 1)))
+        if len(c) > segment:
+            c = c[:segment]
+            last = int(c[-1]) - i + t
         adj = cfg.schedule.in_adjacency((c - i + t).tolist())
-        for m in (xs, ys):
-            cols = m[:, c].T  # cols[k, u]: agent u's entry of the k-th live round
-            m[:, c] = np.minimum.reduce(
-                np.broadcast_to(cols[:, None, :], adj.shape), axis=2, where=adj,
-                initial=np.iinfo(m.dtype).max).T
+        for k in range(0, len(c), block):
+            a, b = adj[k : k + block], c[k : k + block]
+            for m in (xs, ys):
+                cols = m[:, b].T  # cols[j, u]: agent u's entry of the j-th live round
+                m[:, b] = np.minimum.reduce(
+                    np.broadcast_to(cols[:, None, :], a.shape), axis=2, where=a,
+                    initial=np.iinfo(m.dtype).max).T
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
             est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .seeds import extend_key, key_hash, seed_of
+from .seeds import MAX_MT_WORDS, extend_key, key_hash, mt_words, seed_of
 
 # Exhaustive subset checks (c-in-connectivity) are capped at this size.
 MAX_SUBSET_CHECK_N = 20
@@ -153,6 +153,68 @@ def _c_in_connected_draws(n: int, c: int, rng: random.Random) -> tuple[list[int]
     return perm, ends[0::2], ends[1::2]
 
 
+# Bytes of generator state in one batch of _c_in_connected_batch, and the
+# fewest rounds worth one (its seeding makes ~10^4 numpy calls at any size).
+# Of _word_budget(6) = 44 words, 20,000 csc rounds used 17.4 on average, 42 at most.
+_BATCH_BYTES, _MIN_BATCH = 1 << 22, 800
+
+
+def _word_budget(n: int) -> int:
+    return 4 * n + 20
+
+
+def _batched_draws(n: int, keys: np.ndarray, words: int) -> tuple[np.ndarray, ...]:
+    """_c_in_connected_draws for every key at once, from its first `words`
+    outputs (seeds.mt_words), each _randbelow(m) drawn as CPython draws it:
+    the top m.bit_length() bits of the next word, again while >= m.  Gives
+    perm (B, n), the extra-edge counts, the (B, 2n) ends in draw order, and
+    which rounds ran out of words."""
+    size, every = len(keys), np.arange(len(keys))
+    # Past its words a round reads zeros, which every draw accepts.
+    flat = np.concatenate([mt_words(keys, words).ravel(), np.zeros(size, dtype=np.uint32)])
+    pos = np.zeros(size, dtype=np.intp)
+
+    def below(m: int, rows: np.ndarray) -> np.ndarray:
+        got, shift = np.zeros(size, dtype=np.intp), 32 - m.bit_length()
+        while rows.size:
+            at = np.minimum(pos[rows], words)
+            r = (flat[at * size + rows] >> shift).astype(np.intp)
+            pos[rows] = at + 1
+            got[rows[r < m]] = r[r < m]
+            rows = rows[r >= m]
+        return got
+
+    perm = np.tile(np.arange(n), (size, 1))
+    for i in range(n - 1, 0, -1):  # shuffle
+        j = below(i + 1, every)
+        perm[every, i], perm[every, j] = perm[every, j], perm[every, i]
+    counts = below(n + 1, every)  # randint(0, n)
+    ends = np.stack([below(n, np.flatnonzero(d < 2 * counts)) for d in range(2 * n)], axis=1)
+    return perm, counts, ends, pos > words
+
+
+def _c_in_connected_batch(n: int, c: int, keys: list[int]) -> tuple[np.ndarray, ...]:
+    """_c_in_connected_draws(n, c, random.Random(key)) for each key: perm
+    (len(keys), n), the extra-edge counts and the ends us, vs (len(keys), n),
+    row k's first counts[k] in use.  random.Random draws every round of a
+    call under _MIN_BATCH keys or of an n whose word budget exceeds one
+    twist, and each batched round that ran out of words or has a key < 2**32."""
+    count, words = len(keys), _word_budget(n)
+    perm, counts = np.empty((count, n), dtype=np.intp), np.empty(count, dtype=np.intp)
+    ends, redo = np.zeros((count, 2 * n), dtype=np.intp), np.ones(count, dtype=bool)
+    room = _BATCH_BYTES // (8 * words + 4)  # keys whose 2*words+1 state words fit
+    parts = -(-count // room) if words <= MAX_MT_WORDS and count >= _MIN_BATCH else 0
+    for part in range(parts):  # batches of even size
+        lo, hi = count * part // parts, count * (part + 1) // parts
+        key = np.array(keys[lo:hi], dtype=np.uint64)
+        perm[lo:hi], counts[lo:hi], ends[lo:hi], short = _batched_draws(n, key, words)
+        redo[lo:hi] = short | (key < 1 << 32)
+    for r in np.flatnonzero(redo):
+        p, us, vs = _c_in_connected_draws(n, c, random.Random(keys[r]))
+        perm[r], counts[r], ends[r, : 2 * len(us)] = p, len(us), [e for uv in zip(us, vs) for e in uv]
+    return perm, counts, ends[:, 0::2], ends[:, 1::2]
+
+
 def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     """Random self-looped graph that is c-in-connected by construction.
 
@@ -272,19 +334,13 @@ class DynamicSchedule:
             period = self._period_adjacency
             return period[(np.asarray(rounds, dtype=np.intp) - 1) % len(period)]
         n, c, count = self.n, self.c or 1, len(rounds)
-        perms, extras, us, vs = [], [], [], []
-        for t in rounds:
-            perm, eu, ev = _c_in_connected_draws(n, c, random.Random(self.round_key(t)))
-            perms.append(perm)
-            extras.append(len(eu))
-            us += eu
-            vs += ev
+        perm, extras, us, vs = _c_in_connected_batch(n, c, [self.round_key(t) for t in rounds])
         # perm[i] hears perm[i-j] for j in 0..m, as in random_c_in_connected.
-        perm = np.array(perms, dtype=np.intp).reshape(count, n)
         back = (np.arange(n)[:, None] - np.arange(min(c, n - 1) + 1)) % n
         adj = np.zeros((count, n, n), dtype=bool)
         adj[np.arange(count)[:, None, None], perm[:, :, None], perm[:, back]] = True
-        adj[np.repeat(np.arange(count), extras), vs, us] = True
+        used = np.arange(n) < extras[:, None]
+        adj[np.nonzero(used)[0], vs[used], us[used]] = True
         return adj
 
     def graph_at(self, t: int) -> DirectedGraph:

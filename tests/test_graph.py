@@ -1,11 +1,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcons import graph as gr
+from avgcons.seeds import MAX_MT_WORDS, mt_words
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,107 @@ def test_in_adjacency_rejects_a_bad_window():
     for rounds in ((0, 1, 2), (3, -1, 5)):
         with pytest.raises(ValueError, match=f"rounds start at 1, got {min(rounds)}"):
             sched.in_adjacency(rounds)
+
+
+# ---------------------------------------------------------------------------
+# batched schedule generation, with random.Random as the oracle
+
+
+@pytest.mark.parametrize("count", [1, 44, MAX_MT_WORDS])
+def test_mt_words_match_random_getrandbits(count):
+    rng = random.Random(count)
+    keys = [rng.randrange(2**32, 2**64) for _ in range(50)] + [2**32, 2**32 + 1, 2**64 - 1]
+    words = mt_words(np.array(keys, dtype=np.uint64), count)
+    assert words.shape == (count, len(keys)) and words.dtype == np.uint32
+    for k, key in enumerate(keys):
+        oracle = random.Random(key)
+        assert words[:, k].tolist() == [oracle.getrandbits(32) for _ in range(count)], key
+
+
+def assert_in_adjacency_matches_graph_at(sched, rounds):
+    adj = sched.in_adjacency(rounds)
+    assert adj.shape == (len(rounds), sched.n, sched.n) and adj.dtype == bool
+    for k, t in enumerate(rounds):
+        rows = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj[k])
+        assert rows == sched.graph_at(t).in_neighbor_lists, t
+
+
+def spy_on_the_fallback(monkeypatch):
+    """The states of the random.Random generators that in_adjacency draws
+    rounds from, one per round not drawn in a batch."""
+    states, draws = [], gr._c_in_connected_draws
+    in_adjacency = gr.DynamicSchedule.in_adjacency
+
+    def spy(sched, rounds):
+        monkeypatch.setattr(gr, "_c_in_connected_draws",
+                            lambda n, c, rng: states.append(rng.getstate()) or draws(n, c, rng))
+        try:
+            return in_adjacency(sched, rounds)
+        finally:
+            monkeypatch.setattr(gr, "_c_in_connected_draws", draws)
+
+    monkeypatch.setattr(gr.DynamicSchedule, "in_adjacency", spy)
+    return states
+
+
+BATCHED_SCHEDULES = {
+    "csc-n1": dict(kind="csc", n=1),
+    "csc-n2": dict(kind="csc", n=2),
+    "csc-n6": dict(kind="csc", n=6),
+    "c_connected-n2-c1": dict(kind="c_connected", n=2, c=1),
+    "c_connected-n5-c-equal-to-n": dict(kind="c_connected", n=5, c=5),
+    "c_connected-n4-c-above-n": dict(kind="c_connected", n=4, c=9),
+    "c_connected-n12-c3": dict(kind="c_connected", n=12, c=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_SCHEDULES))
+def test_batched_in_adjacency_matches_graph_at(name, monkeypatch):
+    # Every call of one round or more is batched, in batches of 40 keys, so
+    # a call spans several batches, one of them short; () is empty.
+    sched = gr.DynamicSchedule(seed=3, **BATCHED_SCHEDULES[name])
+    monkeypatch.setattr(gr, "_MIN_BATCH", 1)
+    monkeypatch.setattr(gr, "_BATCH_BYTES", 40 * (8 * gr._word_budget(sched.n) + 4))
+    fallback = spy_on_the_fallback(monkeypatch)
+    for rounds in ((), (5,), range(1, 201), range(40, 400, 7)):
+        assert_in_adjacency_matches_graph_at(sched, list(rounds))
+    assert len(fallback) < 5  # a round rarely needs more than its budget
+
+
+def test_in_adjacency_batches_a_large_call_by_default(monkeypatch):
+    sched = gr.DynamicSchedule("csc", 6, seed=8)
+    fallback = spy_on_the_fallback(monkeypatch)
+    assert_in_adjacency_matches_graph_at(sched, list(range(1, gr._MIN_BATCH + 1)))
+    assert len(fallback) < 5
+    fallback.clear()
+    assert_in_adjacency_matches_graph_at(sched, list(range(1, gr._MIN_BATCH)))
+    assert len(fallback) == gr._MIN_BATCH - 1
+
+
+def test_in_adjacency_draws_every_round_with_random_past_one_twist(monkeypatch):
+    monkeypatch.setattr(gr, "_MIN_BATCH", 1)
+    sched = gr.DynamicSchedule("csc", 52, seed=2)
+    assert gr._word_budget(sched.n) > MAX_MT_WORDS
+    fallback = spy_on_the_fallback(monkeypatch)
+    assert_in_adjacency_matches_graph_at(sched, list(range(1, 41)))
+    assert len(fallback) == 40
+
+
+def test_in_adjacency_falls_back_to_random_for_short_budgets_and_small_keys(monkeypatch):
+    # Fourteen words are too few for most rounds at n=6, and every third
+    # round's key is below 2**32, so it seeds random.Random from one word,
+    # not two.
+    monkeypatch.setattr(gr, "_MIN_BATCH", 1)
+    monkeypatch.setattr(gr, "_word_budget", lambda n: 14)
+    round_key = gr.DynamicSchedule.round_key
+    monkeypatch.setattr(gr.DynamicSchedule, "round_key",
+                        lambda sched, t: round_key(sched, t) % (2**32 if t % 3 == 0 else 2**64))
+    sched = gr.DynamicSchedule("csc", 6, seed=4)
+    fallback = spy_on_the_fallback(monkeypatch)
+    rounds = list(range(1, 301))
+    assert_in_adjacency_matches_graph_at(sched, rounds)
+    assert all(random.Random(sched.round_key(t)).getstate() in fallback for t in rounds[2::3])
+    assert 100 < len(fallback) < 300
 
 
 def test_csc_schedule_is_deterministic_per_round():

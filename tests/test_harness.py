@@ -276,6 +276,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "rbar", "--a", "nan"], "a and b must be finite"),
         (["--protocol", "min", "--a", "nan"], "a and b must be finite"),
         (["--protocol", "min", "--a=-1e400"], "a and b must be finite"),
+        (["--protocol", "min", "--a", "-1e400"], "a and b must be finite"),
+        (["--protocol", "r", "--a", "-inf"], "a and b must be finite"),
         (["--protocol", "min", "--eta", "5"], "eta must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "5"], "epsilon must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "nan"], "epsilon must be in (0, 1/2), got nan"),
@@ -292,7 +294,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
     ids=["unknown-schedule", "ring-with-parameter", "rbard-bound-below-n", "min-on-blocking",
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
-         "nan-a", "min-nan-a", "min-infinite-a", "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
+         "nan-a", "min-nan-a", "min-infinite-a", "min-infinite-a-spaced", "r-minus-inf-a",
+         "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
          "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
          "blocking-without-parameter"],
 )
@@ -302,6 +305,38 @@ def test_cli_run_rejected_configs_are_usage_errors(extra, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+0", "-.5", "-2."])
+def test_cli_run_reads_a_negative_number_with_an_exponent_as_a_value(value, tmp_path, capsys):
+    out = tmp_path / "trace.jsonl"
+    assert cli(["run", "--protocol", "r", "--n", "3", "--a", value, "--t-max", "2",
+                "--out", str(out)]) == 0
+    cfg = hn.ExperimentConfig(protocol="r", trials=1, n=3, a=float(value), t_max=2)
+    assert json.loads(out.read_text().splitlines()[0])["config"] == hn.trial_config(cfg, 0).digest()
+
+
+@pytest.mark.parametrize(
+    "argv,sizes",
+    [(["--protocol", "r", "--n", "3", "--epsilon", "0.1"], "ell=32354 and n=3 over 8 rounds"),
+     (["--protocol", "rbard", "--n", "3", "--bigN", "3", "--epsilon", "0.3"],
+      "ell=22980 and n=3 over 24 rounds"),
+     (["--protocol", "min", "--n", "3", "--t-max", "100000"], "n=3 over 100000 rounds")],
+    ids=["r", "rbard", "min"],
+)
+def test_cli_run_larger_than_physical_memory_exits_2_before_sampling(argv, sizes, monkeypatch,
+                                                                     capsys):
+    # numpy's allocations succeed under overcommit, so a trial too large for
+    # the machine would be killed while sampling; it must fail first.
+    from avgcons import engine as eng
+    from avgcons import protocol as proto
+
+    monkeypatch.setattr(eng, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(proto, "init_samples", lambda *args: pytest.fail("sampled"))
+    assert cli(["run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a trial with ") and err.count("\n") == 1
+    assert sizes in err and "GiB of physical memory" in err
 
 
 @pytest.mark.parametrize("kind", ["delayed", "c_connected", "blocking"])
