@@ -25,7 +25,7 @@ import numpy as np
 
 from . import protocol as proto
 from .graph import DynamicSchedule
-from .quantization import quantize_array
+from .quantization import dequantize_array, quantize_array
 from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_rbard
 
 
@@ -251,8 +251,8 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
         derive = lambda v: float(xs[v, 0])
     elif protocol.quantized:
-        inits = (trace.init_x_quant, trace.init_y_quant)
-        derive = lambda v: proto.rbard_size_estimate(ys[v], p)
+        inits, vals = (trace.init_x_quant, trace.init_y_quant), _represented(trace)
+        derive = lambda v: proto.rbard_size_estimate(vals(ys[v]), p)
     else:
         inits = (trace.init_x_raw, trace.init_y_raw)
         derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
@@ -265,7 +265,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     checkpoints = set(cfg.checkpoint_rounds)
 
     def decide(v: int, t: int) -> None:
-        decision[v] = proto.quantized_estimate(xs[v], ys[v], p)
+        decision[v] = proto.r_estimate(vals(xs[v]), vals(ys[v]), p)
         trace.decision_rounds[v] = t
         trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
 
@@ -324,6 +324,20 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
         trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
 
 
+def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
+    """The least and greatest of the trial's initial exponents."""
+    ms = (trace.init_x_quant, trace.init_y_quant)
+    return min(int(m.min()) for m in ms), max(int(m.max()) for m in ms)
+
+
+def _represented(trace: TrialTrace) -> Callable[[np.ndarray], np.ndarray]:
+    """dequantize_array, gathered from one table over the initial exponents' span (every
+    vector is a minimum of initial rows); np.power is elementwise, so the floats agree."""
+    lo, hi = _exponent_span(trace)
+    grid = dequantize_array(np.arange(lo, hi + 1), trace.config.params.beta)
+    return lambda ks: grid[ks - lo]
+
+
 # Cells (rounds times n^2) in one block of _rotation_rounds' masked minimum,
 # and in the in-adjacency array of one segment, drawn in one call: they
 # bound both at any n.
@@ -344,7 +358,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     checkpoint round, at t_max, or at _SEGMENT_CELLS; its live rounds are
     drawn in one call, as batched schedule generation needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
-    xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
+    xs, ys, vals = trace.init_x_quant.copy(), trace.init_y_quant.copy(), _represented(trace)
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
@@ -367,7 +381,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                     initial=np.iinfo(m.dtype).max).T
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
-            est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]
+            est = [proto.r_estimate(vals(xs[v]), vals(ys[v]), p) for v in range(n)]
             trace.estimates[last - 1] = est
         if last in cfg.checkpoint_rounds:
             trace.checkpoints[last] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
@@ -458,10 +472,10 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
         per_msg = 64 * (2 * params.ell if protocol.randomized else 1)
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None)
 
-    exponents = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
-    lo, hi = int(exponents.min()), int(exponents.max())
+    lo, hi = _exponent_span(trace)
     entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
-    distinct = int(len(np.unique(exponents)))
+    distinct = int(np.count_nonzero(sum(np.bincount((m - lo).ravel(), minlength=hi - lo + 1)
+                                        for m in (trace.init_x_quant, trace.init_y_quant))))
 
     if protocol.rotates:  # a cursor and one entry of each vector
         cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0

@@ -273,8 +273,8 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
 
     if protocol.quantized:
         z, upper = admissible_interval(params.eta, params.ell, trace.n, params.a, params.b)
-        raw = np.concatenate([trace.init_x_raw.ravel(), trace.init_y_raw.ravel()])
-        rec["samples_in_interval"] = bool(((raw >= z) & (raw <= upper)).all())
+        rec["samples_in_interval"] = all(bool(m.min() >= z and m.max() <= upper)  # NaN fails
+                                         for m in (trace.init_x_raw, trace.init_y_raw))
         report = message_bits(trace)
         rec["distinct_exponents"] = report.distinct_exponents
         rec["level_budget"] = count_levels(z, upper, params.beta)

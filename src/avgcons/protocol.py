@@ -190,7 +190,8 @@ def rbar_apply(s: RbarState, inbox: Sequence[Message]) -> RbarState:
     x = s.x
     if cursor == s.params.ell:
         cursor = 0
-        x = quantized_estimate(x_vec, y_vec, s.params)
+        x = r_estimate(dequantize_array(x_vec, s.params.beta),
+                       dequantize_array(y_vec, s.params.beta), s.params)
     return RbarState(x_vec=x_vec, y_vec=y_vec, cursor=cursor, x=x, params=s.params)
 
 
@@ -267,10 +268,10 @@ def rbard_apply(s: RbarDState, inbox: Sequence[Message]) -> RbarDState:
     x_vec = np.minimum.reduce([s.x_vec] + [m.x_vec for m in real])
     y_vec = np.minimum.reduce([s.y_vec] + [m.y_vec for m in real])
 
-    n_est = rbard_size_estimate(y_vec, p)
+    n_est = rbard_size_estimate(dequantize_array(y_vec, p.beta), p)
     d = s.d
     if d is None and rbard_decides(counter, n_est):
-        d = quantized_estimate(x_vec, y_vec, p)
+        d = r_estimate(dequantize_array(x_vec, p.beta), dequantize_array(y_vec, p.beta), p)
 
     return RbarDState(
         x_vec=x_vec,
@@ -301,24 +302,19 @@ def estimate(state: State) -> Optional[float]:
     return state.x
 
 
-# The estimate formulas: pure functions of one agent's vectors.
+# The estimate formulas: pure functions of one agent's values.
 
 
-def r_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
-    """The r estimate of the average from the minima of the raw draws: 1/mean
-    of the minima estimates the shifted input sum (x) and the network size
-    (y), and their ratio, shifted back, the average."""
-    return p.a - 1.0 + float(y_vec.sum() / x_vec.sum())
+def r_estimate(x_vals: np.ndarray, y_vals: np.ndarray, p: ProtocolParams) -> float:
+    """The r estimate, and of represented values the rbar estimate and rbard
+    decision: 1/mean of the minima estimates the shifted input sum (x) and
+    the network size (y), and their ratio, shifted back, the average."""
+    return p.a - 1.0 + float(y_vals.sum() / x_vals.sum())
 
 
-def quantized_estimate(x_vec: np.ndarray, y_vec: np.ndarray, p: ProtocolParams) -> float:
-    """The rbar estimate and rbard decision: r_estimate of the represented values."""
-    return r_estimate(dequantize_array(x_vec, p.beta), dequantize_array(y_vec, p.beta), p)
-
-
-def rbard_size_estimate(y_vec: np.ndarray, p: ProtocolParams) -> float:
+def rbard_size_estimate(y_vals: np.ndarray, p: ProtocolParams) -> float:
     """rbard's network-size estimate n_est: ell over the represented y sum."""
-    return p.ell / float(dequantize_array(y_vec, p.beta).sum())
+    return p.ell / float(y_vals.sum())
 
 
 def rbard_decides(counter: int, n_est: float) -> bool:

@@ -26,6 +26,7 @@ from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import protocol as proto
 from avgcons.graph import SCHEDULE_KINDS
+from avgcons.quantization import dequantize_array
 from avgcons.sampling import RngStream
 
 _OUTBOX = {tag: getattr(proto, f"{tag}_outbox") for tag in eng.PROTOCOLS}
@@ -93,7 +94,8 @@ def scalar_rotation_run(cfg):
             col = m[:, i].tolist()
             m[:, i] = [min([col[u] for u in src]) for src in ins]
         if i == p.ell - 1:
-            est = [proto.quantized_estimate(xs[v], ys[v], p) for v in range(n)]
+            est = [proto.r_estimate(dequantize_array(xs[v], p.beta),
+                                    dequantize_array(ys[v], p.beta), p) for v in range(n)]
         trace.estimates[t - 1] = est
         if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
@@ -151,7 +153,8 @@ def assert_states_follow(states, got):
             want.update(x_vec=got.final_states[v].x_vec, y_vec=got.final_states[v].y_vec)
         if got.counters is not None:
             want["counter"] = got.counters[-1, v]
-            want["n_est"] = proto.rbard_size_estimate(got.final_states[v].y_vec, cfg.params)
+            want["n_est"] = proto.rbard_size_estimate(
+                dequantize_array(got.final_states[v].y_vec, cfg.params.beta), cfg.params)
         if cfg.params is not None:
             want["cursor"] = cfg.t_max % cfg.params.ell
         for slot in type(s).__slots__:
@@ -335,9 +338,9 @@ def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
     # at no wrap after the one that follows its last draw.
     drawn.clear()
     refreshed = []
-    quantized_estimate = proto.quantized_estimate
-    monkeypatch.setattr(proto, "quantized_estimate",
-                        lambda *args: refreshed.append(args) or quantized_estimate(*args))
+    r_estimate = proto.r_estimate
+    monkeypatch.setattr(proto, "r_estimate",
+                        lambda *args: refreshed.append(args) or r_estimate(*args))
     cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=6, seed=5, epsilon=0.4, eta=0.4, ell=1000)
     tc = replace(hn.trial_config(cfg, 0), t_max=1000 * 7)
     eng.run_trial(tc)

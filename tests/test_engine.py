@@ -404,6 +404,25 @@ def test_message_bits_rbard_charges_heartbeats_one_bit():
     assert report.per_round[1] == 2 * full + 1
     assert report.per_round[2] == 3 * full
     assert report.per_message_max == full
+    assert report.distinct_exponents == len(np.unique(exps))
+
+
+@pytest.mark.parametrize("protocol", ["rbar", "rbard"])
+def test_message_bits_of_one_shared_exponent(protocol):
+    # Every initial exponent the same (hi == lo): entries cost 0 bits.
+    n, ell, t_max = 3, 4, 5
+    cfg = cfg_for(protocol, fixed(gr.complete_graph(n)), (0.2, 0.5, 0.8), t_max=t_max, ell=ell,
+                  beta=0.5, size_bound=n if protocol == "rbard" else None)
+    same = np.full((n, ell), -3, dtype=np.int64)
+    trace = eng.TrialTrace(config=cfg, theta=0.5, estimates=np.full((t_max, n), np.nan),
+                           init_x_quant=same, init_y_quant=same.copy())
+    if protocol == "rbard":
+        trace.counters = np.zeros((t_max, n), dtype=np.int64)
+    report = eng.message_bits(trace)
+    assert report.distinct_exponents == 1
+    # rbar sends its cursor (2 bits for ell=4); rbard a 0-bit counter.
+    assert report.per_message_max == (2 if protocol == "rbar" else 0)
+    assert (report.per_round == n * report.per_message_max).all()
 
 
 # ---------------------------------------------------------------------------

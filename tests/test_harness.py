@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avgcons import engine as eng
 from avgcons import harness as hn
 from avgcons.cli import cli
+from avgcons.quantization import admissible_interval
 
 
 def tiny_r_config(**kw):
@@ -113,6 +115,26 @@ def test_rbard_claims_cover_decisions():
     assert stats == ["trials", "mean_convergence_round", "max_convergence_round",
                      "max_distinct_exponents", "max_message_bits", "decision_round_min",
                      "decision_round_mean", "decision_round_max"]
+
+
+def test_samples_in_interval_fails_on_a_draw_outside_the_interval_or_nan():
+    cfg = hn.ExperimentConfig(protocol="rbard", trials=1, n=3, seed=2, ell=32, size_bound=4,
+                              epsilon=0.3, eta=0.3)
+    trace = eng.run_trial(hn.trial_config(cfg, 0))
+    p = trace.config.params
+    z, upper = admissible_interval(p.eta, p.ell, trace.n, p.a, p.b)
+    # The check over both matrices at once is the oracle.
+    inside = lambda: all(((m >= z) & (m <= upper)).all()
+                         for m in (trace.init_x_raw, trace.init_y_raw))
+    assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside()
+    for m in (trace.init_x_raw, trace.init_y_raw):
+        np.clip(m, z, upper, out=m)
+    assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside() is True
+    for m in (trace.init_x_raw, trace.init_y_raw):
+        for bad in (np.nan, z / 2, upper * 2):
+            good, m[1, 5] = m[1, 5], bad
+            assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside() is False
+            m[1, 5] = good
 
 
 def test_experiment_config_json_roundtrip():

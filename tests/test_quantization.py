@@ -75,6 +75,26 @@ def test_scalar_rounding_is_on_the_array_grid(beta):
         assert qz.quantize(float(np.nextafter(x, 0.0)), beta) == k - 1
 
 
+# The engine reads represented values from one table over a trial's exponent
+# span; the workloads' beta is 0.025.  The spans cross 0 or not, and have odd
+# and even lengths down to one point.
+@pytest.mark.parametrize("beta", (0.025, 0.05, 0.1, 1e-4))
+@pytest.mark.parametrize("lo, hi", [(-573, 106), (-3000, 3000), (-2, 9), (-1, 0), (3, 17),
+                                    (-40, -40), (0, 0)])
+def test_a_gather_from_one_grid_table_is_dequantize_array(beta, lo, hi):
+    grid = qz.dequantize_array(np.arange(lo, hi + 1), beta)
+    ks = np.random.default_rng(hi - lo).integers(lo, hi + 1, size=10_001)
+    rows = ks[:10_000].reshape(100, 100)
+    # Whole, odd-length, strided and one-element inputs; rows and columns
+    # of a matrix, as the engine gathers an agent's row.
+    for sub in (ks, ks[:999], ks[::3], ks[1::2], ks[::-1], ks[:1], rows[17], rows[:, 4],
+                np.arange(lo, hi + 1)):
+        assert grid[sub - lo].tobytes() == qz.dequantize_array(sub, beta).tobytes()
+    for k in ks[:200].tolist():
+        assert grid[k - lo].tobytes() == qz.dequantize_array([k], beta).tobytes()
+        assert float(grid[k - lo]) == qz.dequantize(k, beta)
+
+
 # ---------------------------------------------------------------------------
 # count_levels
 
