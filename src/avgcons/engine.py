@@ -191,7 +191,8 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     vectors are the minimum of the initial rows that have reached it, and
     each derived float is the same formula applied to the same row."""
     trace = _new_trace(cfg)
-    (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
+    final = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
+    trace.final_states = [FinalVectors(x, y) for x, y in zip(*final)]
     return trace
 
 
@@ -208,10 +209,10 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
     MemoryError before anything is sampled."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
-    # Per round, the estimates (and counters); per replica, the raw draws
-    # twice, as drawn and stacked (and their exponents).
+    # Per round, the estimates (and counters); per replica, the raw draws and
+    # working copies (quantized: exponents, final ones, 4 offsets of <= 4 B).
     ell = p.ell if protocol.randomized else 0
-    need = 8 * n * (t_max * (2 if protocol.decides else 1) + ell * (6 if protocol.quantized else 4))
+    need = 8 * n * (t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4))
     if need > (memory := _physical_memory()):
         sizes = f"ell={ell} and n={n}" if ell else f"n={n}"
         raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {need / 2**30:.1f} GiB, "
@@ -223,11 +224,10 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
     if protocol.randomized:
-        draws = [proto.init_samples(theta, p, RngStream(cfg.seed, trial=cfg.trial, agent=u,
-                                                        purpose="init"))
-                 for u, theta in enumerate(cfg.inputs)]
-        trace.init_x_raw = np.stack([x for x, _ in draws])
-        trace.init_y_raw = np.stack([y for _, y in draws])
+        trace.init_x_raw, trace.init_y_raw = np.empty((n, ell)), np.empty((n, ell))
+        for u, theta in enumerate(cfg.inputs):
+            stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
+            trace.init_x_raw[u], trace.init_y_raw[u] = proto.init_samples(theta, p, stream)
     if protocol.quantized:
         # quantize_array is elementwise, so this quantizes each row.
         trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
@@ -235,39 +235,41 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
     return trace
 
 
-def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
-    """The rounds of min (one column), r and rbard.  Agent v's reach set,
-    an n-bit int, holds the agents whose initial rows reached it; a round
-    ORs in its in-neighbours' previous-round sets (for rbard only active
-    senders count, only active receivers update, and a heartbeat resets
-    the counter).  Only newly reached rows are folded in, and the derived
-    float (the min or r estimate, rbard's n_est) is recomputed only when
-    the set grew or on the agent's first active round.  Once every agent is
-    active, every set is full and every counter equal, no round can change
-    a vector, and rbard's counters all go up by one a round, so the rest of
-    the trace is filled in with no graph drawn."""
+def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
+    """The rounds of min (one column), r and rbard; returns the final x and y
+    matrices (none for min).  Agent v's reach set, an n-bit int, holds the
+    agents whose initial rows reached it; a round ORs in its in-neighbours'
+    previous-round sets (for rbard only active senders count, only active
+    receivers update, and a heartbeat resets the counter).  Only newly
+    reached rows are folded in, and the min or r estimate is recomputed
+    only when the set grew or on the agent's first active round.  rbard's
+    rows are _offsets, and its n_est only rises as the set grows, so growth
+    marks it stale, a lower bound, recomputed only when the decision test
+    passes on it.  Once every agent is active, every set is full and every
+    counter equal, no round can change a vector, and rbard's counters all
+    go up by one a round, so the rest is filled in with no graph drawn."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
         derive = lambda v: float(xs[v, 0])
     elif protocol.quantized:
-        inits, vals = (trace.init_x_quant, trace.init_y_quant), _represented(trace)
-        derive = lambda v: proto.rbard_size_estimate(vals(ys[v]), p)
+        grid, keep, inits = _offsets(trace)
+        derive = lambda v: proto.rbard_size_estimate(grid[ys[v]], p)
     else:
-        inits = (trace.init_x_raw, trace.init_y_raw)
+        inits, keep = (trace.init_x_raw, trace.init_y_raw), np.copy
         derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
-    reach, counter = [1 << v for v in range(n)], [0] * n
+    reach, counter, stale = [1 << v for v in range(n)], [0] * n, [False] * n
     value, decision = [math.nan] * n, [math.nan] * n
     checkpoints = set(cfg.checkpoint_rounds)
 
     def decide(v: int, t: int) -> None:
-        decision[v] = proto.r_estimate(vals(xs[v]), vals(ys[v]), p)
+        decision[v] = proto.r_estimate(grid[xs[v]], grid[ys[v]], p)
         trace.decision_rounds[v] = t
-        trace.decision_vectors[v] = (xs[v].copy(), ys[v].copy())
+        trace.decision_vectors[v] = (keep(xs[v]), keep(ys[v]))
 
     for t in range(1, cfg.t_max + 1):
         ins = cfg.schedule.graph_at(t).in_neighbor_lists
@@ -295,16 +297,20 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                     for m, m0 in zip(rows, inits):
                         np.minimum(m[v], m0[idx].min(axis=0), out=m[v])
             if reach[v] != prev[v] or t == starts[v]:
-                value[v] = derive(v)
+                stale[v] = decides and t != starts[v]
+                if not stale[v]:
+                    value[v] = derive(v)
             if decides:
                 counter[v] = 0 if heartbeat else 1 + min([prev_counter[u] for u in src])
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
-                    decide(v, t)
+                    value[v], stale[v] = derive(v) if stale[v] else value[v], False
+                    if proto.rbard_decides(counter[v], value[v]):
+                        decide(v, t)
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
         if t in checkpoints:
-            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+            trace.checkpoints[t] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
         if t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
@@ -312,6 +318,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
         for v in [v for v in range(n) if math.isnan(decision[v])]:
+            value[v] = derive(v) if stale[v] else value[v]
             r = next((r for r in range(t + 1, cfg.t_max + 1)
                       if proto.rbard_decides(counter[0] + r - t, value[v])), None)
             if r is not None:
@@ -319,9 +326,8 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                 trace.estimates[r - 1 :, v] = decision[v]
     for s in sorted(checkpoints):
         if s > t:
-            trace.checkpoints[s] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
-    if protocol.randomized:
-        trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
+            trace.checkpoints[s] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
+    return (keep(xs), keep(ys)) if protocol.quantized else rows if protocol.randomized else ()
 
 
 def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
@@ -330,12 +336,14 @@ def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
     return min(int(m.min()) for m in ms), max(int(m.max()) for m in ms)
 
 
-def _represented(trace: TrialTrace) -> Callable[[np.ndarray], np.ndarray]:
-    """dequantize_array, gathered from one table over the initial exponents' span (every
-    vector is a minimum of initial rows); np.power is elementwise, so the floats agree."""
+def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:
+    """dequantize_array over the initial exponents' span lo..hi, the map back
+    to int64 exponents, and the initial matrices as offsets k - lo in the
+    narrowest dtype that holds hi - lo: the minimum commutes with the shift."""
     lo, hi = _exponent_span(trace)
     grid = dequantize_array(np.arange(lo, hi + 1), trace.config.params.beta)
-    return lambda ks: grid[ks - lo]
+    return grid, lambda m: np.add(m, lo, dtype=np.int64), tuple(
+        (m - lo).astype(np.min_scalar_type(hi - lo)) for m in (trace.init_x_quant, trace.init_y_quant))
 
 
 # Cells (rounds times n^2) in one block of _rotation_rounds' masked minimum,
@@ -344,21 +352,21 @@ def _represented(trace: TrialTrace) -> Callable[[np.ndarray], np.ndarray]:
 _BLOCK_CELLS, _SEGMENT_CELLS = 1 << 16, 1 << 22
 
 
-def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
-    """The rounds of rbar: round t exchanges entry (t-1) mod ell of every
-    agent, so only that column of the exponent matrices changes, and no two
-    columns interact.  A segment of rounds inside one rotation touches each
-    of its columns once, so it is one masked minimum over the in-adjacency
-    A of its live rounds: new[v, i] = min of old[u, i] over u with
-    A[k, v, u], k the round of column i, run in blocks of _BLOCK_CELLS.  A
-    column that every agent holds at one value is at its offline minimum
-    for good, so its rounds are not drawn; once every column is, the next
-    wrap fixes the estimates and the rest of the trace is filled in.  A
-    segment ends at a wrap, where the estimates are refreshed, at a
-    checkpoint round, at t_max, or at _SEGMENT_CELLS; its live rounds are
-    drawn in one call, as batched schedule generation needs."""
+def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
+    """The rounds of rbar, on _offsets; returns the final exponent matrices.
+    Round t exchanges entry (t-1) mod ell of every agent, so only that
+    column changes, and no two columns interact.  A segment of rounds inside
+    one rotation touches each of its columns once, so it is one masked
+    minimum over the in-adjacency A of its live rounds: new[v, i] = min of
+    old[u, i] over u with A[k, v, u], k the round of column i, run in blocks
+    of _BLOCK_CELLS.  A column that every agent holds at one value is at its
+    offline minimum for good, so its rounds are not drawn; once every column
+    is, the next wrap fixes the estimates and the rest of the trace is
+    filled in.  A segment ends at a wrap, where the estimates are refreshed,
+    at a checkpoint round, at t_max, or at _SEGMENT_CELLS; its live rounds
+    are drawn in one call, as batched schedule generation needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
-    xs, ys, vals = trace.init_x_quant.copy(), trace.init_y_quant.copy(), _represented(trace)
+    grid, keep, (xs, ys) = _offsets(trace)
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
@@ -381,10 +389,10 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
                     initial=np.iinfo(m.dtype).max).T
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
-            est = [proto.r_estimate(vals(xs[v]), vals(ys[v]), p) for v in range(n)]
+            est = [proto.r_estimate(grid[xs[v]], grid[ys[v]], p) for v in range(n)]
             trace.estimates[last - 1] = est
         if last in cfg.checkpoint_rounds:
-            trace.checkpoints[last] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
+            trace.checkpoints[last] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
         if last % p.ell == 0 and not live(slice(None)).any():
             break
         t = last + 1
@@ -392,8 +400,8 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> None:
     trace.estimates[last:] = est
     for s in stops:
         if s > last and s in cfg.checkpoint_rounds:
-            trace.checkpoints[s] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
-    trace.final_states = [FinalVectors(xs[v], ys[v]) for v in range(n)]
+            trace.checkpoints[s] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
+    return keep(xs), keep(ys)
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:
@@ -474,8 +482,10 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
 
     lo, hi = _exponent_span(trace)
     entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
-    distinct = int(np.count_nonzero(sum(np.bincount((m - lo).ravel(), minlength=hi - lo + 1)
-                                        for m in (trace.init_x_quant, trace.init_y_quant))))
+    # Row by row, so that no temporary is the size of a matrix.
+    distinct = int(np.count_nonzero(sum(np.bincount(row - lo, minlength=hi - lo + 1)
+                                        for m in (trace.init_x_quant, trace.init_y_quant)
+                                        for row in m)))
 
     if protocol.rotates:  # a cursor and one entry of each vector
         cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+_PIECE = 1 << 14
+
 
 def quantize(x: float, beta: float) -> int:
     """Exponent k with (1+beta)**k <= x < (1+beta)**(k+1), on quantize_array's grid."""
@@ -25,27 +27,30 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     The float estimate floor(ln x / ln(1+beta)) can land one off at exact
     powers of (1+beta); the correction loops restore the defining
     bracketing, which is what every property of the rounding relies on.
-    The powers are np.power's, as in dequantize_array.
+    The powers are np.power's, as in dequantize_array.  Every step is
+    elementwise, so the input goes in cache-sized pieces, each with a table
+    of the powers over its estimated span and two steps above, unless that
+    would outsize the piece (spans are unbounded) or a loop leaves it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if not np.all(xs > 0) or not np.all(np.isfinite(xs)):
         raise ValueError("all values must be positive and finite")
-    base = 1.0 + beta
-    ks = np.floor(np.log(xs) / np.log1p(beta)).astype(np.int64)
-    # Converges in one step apart from pathological float noise, hence the loops.
-    while True:
-        low = np.power(base, (ks + 1).astype(np.float64)) <= xs
-        if not low.any():
-            break
-        ks[low] += 1
-    while True:
-        high = np.power(base, ks.astype(np.float64)) > xs
-        if not high.any():
-            break
-        ks[high] -= 1
-    return ks
+    base, flat, ks = 1.0 + beta, xs.reshape(-1), np.empty(xs.size, dtype=np.int64)
+    for at in range(0, xs.size, _PIECE):
+        x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
+        k[:] = np.floor(np.log(x) / np.log1p(beta))
+        lo, span = int(k.min()), int(np.ptp(k)) + 3
+        table = None if span > len(x) else np.power(base, np.arange(lo, lo + span, dtype=float))
+        power = lambda es: (table[es - lo] if table is not None and lo <= es.min()
+                            and es.max() < lo + span else np.power(base, es.astype(np.float64)))
+        # Converges in one step apart from pathological float noise, hence the loops.
+        while (low := power(k + 1) <= x).any():
+            k[low] += 1
+        while (high := power(k) > x).any():
+            k[high] -= 1
+    return ks.reshape(xs.shape)
 
 
 def dequantize(k: int, beta: float) -> float:

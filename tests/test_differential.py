@@ -346,3 +346,48 @@ def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
     eng.run_trial(tc)
     assert len(drawn) < max(drawn) <= tc.t_max - 1000
     assert len(refreshed) == 6 * -(-max(drawn) // 1000)
+
+
+# rbar and rbard hold their vectors as offsets from the least initial
+# exponent, in the narrowest dtype that holds the span; a smaller beta
+# widens the span.
+@pytest.mark.parametrize("protocol", ["rbar", "rbard"])
+@pytest.mark.parametrize("beta,width", [(0.1, np.uint8), (1e-3, np.uint16), (1e-5, np.uint32)],
+                         ids=["uint8", "uint16", "uint32"])
+def test_every_offset_width_matches_the_reference_loop(protocol, beta, width):
+    cfg = replace(pair_config(protocol, "csc", 5, 7, 6, 3), beta=beta)
+    tc = hn.trial_config(cfg, 0)
+    tc = replace(tc, checkpoint_rounds=(1, tc.t_max // 2, tc.t_max))
+    assert tc.params.beta == beta
+    if protocol == "rbard":
+        assert len(set(tc.start_rounds)) > 1  # staggered starts
+    assert eng._offsets(eng._new_trace(tc))[2][0].dtype == width
+    got = eng.run_trial(tc)
+    assert_matches_reference(tc, got)
+    kept = [a for s in got.final_states for a in (s.x_vec, s.y_vec)]
+    kept += [a for pairs in got.checkpoints.values() for pair in pairs for a in pair]
+    kept += [a for pair in got.decision_vectors.values() for a in pair]
+    assert kept and all(a.dtype == np.int64 for a in kept)
+
+
+@pytest.mark.parametrize("kind", ["csc", "delayed", "blocking"])
+def test_rbard_with_its_size_estimate_computed_lazily_matches_the_reference_loop(kind):
+    tc = hn.trial_config(pair_config("rbard", kind, 12, 5 + len(kind), 6, 4), 0)
+    assert tc.s_max >= 3
+    got = eng.run_trial(tc)
+    assert (got.decision_rounds > 0).any()
+    assert_matches_reference(tc, got)
+
+
+def test_rbard_computes_its_size_estimate_only_when_a_decision_test_needs_it(monkeypatch):
+    # The rbard-wide shape: n = N = 32, s_max = 5.  Recomputed whenever a
+    # reach set grows, n_est took about 7n calls a trial.
+    calls = []
+    size_estimate = proto.rbard_size_estimate
+    monkeypatch.setattr(proto, "rbard_size_estimate",
+                        lambda *args: calls.append(args) or size_estimate(*args))
+    cfg = hn.ExperimentConfig(protocol="rbard", trials=1, n=32, size_bound=32, s_max=5,
+                              epsilon=0.4, eta=0.3, seed=11)
+    trace = eng.run_trial(hn.trial_config(cfg, 0))
+    assert (trace.decision_rounds > 0).all()
+    assert len(calls) <= 3 * 32

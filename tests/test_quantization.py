@@ -75,6 +75,68 @@ def test_scalar_rounding_is_on_the_array_grid(beta):
         assert qz.quantize(float(np.nextafter(x, 0.0)), beta) == k - 1
 
 
+def two_loop_quantize(xs, beta):
+    """The rounding with np.power on every entry, as quantize_array did
+    before it read its powers from a table: the oracle."""
+    xs = np.asarray(xs, dtype=np.float64)
+    base = 1.0 + beta
+    ks = np.floor(np.log(xs) / np.log1p(beta)).astype(np.int64)
+    while True:
+        low = np.power(base, (ks + 1).astype(np.float64)) <= xs
+        if not low.any():
+            break
+        ks[low] += 1
+    while True:
+        high = np.power(base, ks.astype(np.float64)) > xs
+        if not high.any():
+            break
+        ks[high] -= 1
+    return ks
+
+
+def assert_matches_two_loop_quantize(xs, beta):
+    got, want = qz.quantize_array(xs, beta), two_loop_quantize(xs, beta)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40),
+    st.sampled_from((0.1, 0.025, 1e-3, 1.0)),
+)
+def test_quantize_array_matches_the_two_loop_oracle_on_random_floats(values, beta):
+    assert_matches_two_loop_quantize(values, beta)
+
+
+@pytest.mark.parametrize("beta", (0.1, 0.025, 1e-3))
+def test_quantize_array_matches_the_two_loop_oracle_at_and_beside_exact_powers(beta):
+    # More than one piece, so pieces with and without a correction step
+    # meet; and a strided 2-d view, as the engine's draws could be.
+    grid = qz.dequantize_array(np.arange(-4000, 4000), beta)
+    xs = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)])
+    assert xs.size > qz._PIECE
+    assert_matches_two_loop_quantize(xs, beta)
+    assert_matches_two_loop_quantize(xs.reshape(8, -1)[:, ::3], beta)
+    assert_matches_two_loop_quantize(xs[:1], beta)
+
+
+def test_quantize_array_of_empty_input_is_empty():
+    for xs in ([], np.empty((0, 3)), np.empty((2, 0))):
+        assert_matches_two_loop_quantize(xs, 0.1)
+
+
+def test_quantize_array_builds_no_table_over_an_unbounded_span():
+    # A table over this span, about 1.4e12 powers, could not be allocated,
+    # so a result shows that none was built.  The exponents are the
+    # two-loop oracle's (its run takes about a second).
+    xs = [1e-300, 1e300]
+    ks = qz.quantize_array(xs, 1e-9)
+    assert ks.tolist() == [-690775471089, 690775471088]
+    for k, x in zip(ks.tolist(), xs):
+        assert qz.dequantize(k, 1e-9) <= x < qz.dequantize(k + 1, 1e-9)
+
+
 # The engine reads represented values from one table over a trial's exponent
 # span; the workloads' beta is 0.025.  The spans cross 0 or not, and have odd
 # and even lengths down to one point.
