@@ -191,8 +191,10 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     vectors are the minimum of the initial rows that have reached it, and
     each derived float is the same formula applied to the same row."""
     trace = _new_trace(cfg)
-    final = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
+    frozen, final = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
     trace.final_states = [FinalVectors(x, y) for x, y in zip(*final)]
+    for t in sorted(t for t in cfg.checkpoint_rounds if t > frozen):  # rows are final by then
+        trace.checkpoints[t] = [(s.x_vec, s.y_vec) for s in trace.final_states]
     return trace
 
 
@@ -204,19 +206,21 @@ def _physical_memory() -> int:
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
     per-round arrays, allocated in full so a horizon too large fails now.
-    numpy's allocations succeed under overcommit and fail only when
-    touched, so a trial whose arrays and draws exceed physical memory is a
-    MemoryError before anything is sampled."""
+    numpy's allocations succeed under overcommit and fail only when touched,
+    so arrays and draws that exceed physical memory are a MemoryError before
+    anything is sampled, and an exponent grid (1/beta wide) before it is built."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
     # Per round, the estimates (and counters); per replica, the raw draws and
     # working copies (quantized: exponents, final ones, 4 offsets of <= 4 B).
     ell = p.ell if protocol.randomized else 0
     need = 8 * n * (t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4))
-    if need > (memory := _physical_memory()):
-        sizes = f"ell={ell} and n={n}" if ell else f"n={n}"
-        raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {need / 2**30:.1f} GiB, "
-                          f"more than the {memory / 2**30:.1f} GiB of physical memory")
+
+    def fit(total: int, sizes: str) -> None:
+        if total > (memory := _physical_memory()):
+            raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {total / 2**30:.1f} GiB, "
+                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
+    fit(need, f"ell={ell} and n={n}" if ell else f"n={n}")
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                        estimates=np.full((t_max, n), np.nan))
     if protocol.decides:
@@ -232,22 +236,24 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         # quantize_array is elementwise, so this quantizes each row.
         trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
         trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
+        lo, hi = _exponent_span(trace)  # 3 x 8 B per exponent: _offsets' or message_bits'
+        fit(need + 24 * (hi - lo + 1), f"ell={ell}, n={n} and {hi - lo + 1} exponents")
     return trace
 
 
 def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of min (one column), r and rbard; returns the final x and y
-    matrices (none for min).  Agent v's reach set, an n-bit int, holds the
-    agents whose initial rows reached it; a round ORs in its in-neighbours'
-    previous-round sets (for rbard only active senders count, only active
-    receivers update, and a heartbeat resets the counter).  Only newly
-    reached rows are folded in, and the min or r estimate is recomputed
+    """The rounds of min (one column), r and rbard; returns its frozen round
+    and final x and y matrices (none for min).  Agent v's reach set, an n-bit
+    int, holds the agents whose initial rows reached it; a round ORs in its
+    in-neighbours' previous-round sets (for rbard only active senders count,
+    only active receivers update, and a heartbeat resets the counter).  Only
+    newly reached rows are folded in, and the min or r estimate is recomputed
     only when the set grew or on the agent's first active round.  rbard's
     rows are _offsets, and its n_est only rises as the set grows, so growth
     marks it stale, a lower bound, recomputed only when the decision test
     passes on it.  Once every agent is active, every set is full and every
-    counter equal, no round can change a vector, and rbard's counters all
-    go up by one a round, so the rest is filled in with no graph drawn."""
+    counter equal, no round can change a vector, and rbard's counters all go
+    up by one a round, so the rest is filled in with no graph drawn."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
@@ -264,7 +270,6 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
     reach, counter, stale = [1 << v for v in range(n)], [0] * n, [False] * n
     value, decision = [math.nan] * n, [math.nan] * n
-    checkpoints = set(cfg.checkpoint_rounds)
 
     def decide(v: int, t: int) -> None:
         decision[v] = proto.r_estimate(grid[xs[v]], grid[ys[v]], p)
@@ -309,7 +314,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
-        if t in checkpoints:
+        if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
         if t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
@@ -324,10 +329,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             if r is not None:
                 decide(v, r)
                 trace.estimates[r - 1 :, v] = decision[v]
-    for s in sorted(checkpoints):
-        if s > t:
-            trace.checkpoints[s] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
-    return (keep(xs), keep(ys)) if protocol.quantized else rows if protocol.randomized else ()
+    return t, (keep(xs), keep(ys)) if protocol.quantized else rows if protocol.randomized else ()
 
 
 def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
@@ -346,20 +348,19 @@ def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray,
         (m - lo).astype(np.min_scalar_type(hi - lo)) for m in (trace.init_x_quant, trace.init_y_quant))
 
 
-# Cells (rounds times n^2) in one block of _rotation_rounds' masked minimum,
-# and in the in-adjacency array of one segment, drawn in one call: they
-# bound both at any n.
-_BLOCK_CELLS, _SEGMENT_CELLS = 1 << 16, 1 << 22
+# Cells (rounds times n^2) in the in-adjacency array of one segment of
+# _rotation_rounds, drawn in one call and reduced in one masked minimum.
+_SEGMENT_CELLS = 1 << 22
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of rbar, on _offsets; returns the final exponent matrices.
-    Round t exchanges entry (t-1) mod ell of every agent, so only that
-    column changes, and no two columns interact.  A segment of rounds inside
-    one rotation touches each of its columns once, so it is one masked
-    minimum over the in-adjacency A of its live rounds: new[v, i] = min of
-    old[u, i] over u with A[k, v, u], k the round of column i, run in blocks
-    of _BLOCK_CELLS.  A column that every agent holds at one value is at its
+    """The rounds of rbar, on _offsets; returns its frozen round and final
+    exponent matrices.  Round t exchanges entry (t-1) mod ell of every
+    agent, so only that column changes, and no two columns interact.  A
+    segment of rounds inside one rotation touches each of its columns once,
+    so it is one masked minimum over the in-adjacency A of its live rounds:
+    new[v, i] = min of old[u, i] over u with A[k, v, u], k the round of
+    column i.  A column that every agent holds at one value is at its
     offline minimum for good, so its rounds are not drawn; once every column
     is, the next wrap fixes the estimates and the rest of the trace is
     filled in.  A segment ends at a wrap, where the estimates are refreshed,
@@ -370,7 +371,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
-    block, segment = (max(1, cells // (n * n)) for cells in (_BLOCK_CELLS, _SEGMENT_CELLS))
+    segment = max(1, _SEGMENT_CELLS // (n * n))
     t = 1
     while t <= t_max:
         i = (t - 1) % p.ell
@@ -380,13 +381,9 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             c = c[:segment]
             last = int(c[-1]) - i + t
         adj = cfg.schedule.in_adjacency((c - i + t).tolist())
-        for k in range(0, len(c), block):
-            a, b = adj[k : k + block], c[k : k + block]
-            for m in (xs, ys):
-                cols = m[:, b].T  # cols[j, u]: agent u's entry of the j-th live round
-                m[:, b] = np.minimum.reduce(
-                    np.broadcast_to(cols[:, None, :], a.shape), axis=2, where=a,
-                    initial=np.iinfo(m.dtype).max).T
+        for m in (xs, ys):  # cols[j, v, u]: agent u's entry of the j-th live round
+            cols = np.broadcast_to(m[:, c].T[:, None, :], adj.shape)
+            m[:, c] = np.minimum.reduce(cols, axis=2, where=adj, initial=np.iinfo(m.dtype).max).T
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
             est = [proto.r_estimate(grid[xs[v]], grid[ys[v]], p) for v in range(n)]
@@ -398,10 +395,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         t = last + 1
     # Frozen after round last (or last == t_max): fill in the rounds after it.
     trace.estimates[last:] = est
-    for s in stops:
-        if s > last and s in cfg.checkpoint_rounds:
-            trace.checkpoints[s] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
-    return keep(xs), keep(ys)
+    return last, (keep(xs), keep(ys))
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import repeat
@@ -272,7 +271,7 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
         rec["accurate"] = bool(not math.isnan(last) and abs(last - trace.theta) <= cfg.epsilon)
 
     if protocol.quantized:
-        z, upper = admissible_interval(params.eta, params.ell, trace.n, params.a, params.b)
+        z, upper = admissible_interval(params, trace.n)
         rec["samples_in_interval"] = all(bool(m.min() >= z and m.max() <= upper)  # NaN fails
                                          for m in (trace.init_x_raw, trace.init_y_raw))
         report = message_bits(trace)
@@ -405,6 +404,7 @@ def monte_carlo(
     both.  jobs > 1 runs trials in worker processes; the fold is the same
     either way, so the summary is too."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, so only when used
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_one, repeat(cfg), range(cfg.trials)))
     else:

@@ -22,7 +22,8 @@ def quantize(x: float, beta: float) -> int:
 
 
 def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
-    """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise.
+    """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise, for
+    normal floats x (a subnormal power of 1+beta repeats over long runs of k).
 
     The float estimate floor(ln x / ln(1+beta)) can land one off at exact
     powers of (1+beta); the correction loops restore the defining
@@ -32,15 +33,13 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     of the powers over its estimated span and two steps above, unless that
     would outsize the piece (spans are unbounded) or a loop leaves it.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if not np.all(xs > 0) or not np.all(np.isfinite(xs)):
-        raise ValueError("all values must be positive and finite")
-    base, flat, ks = 1.0 + beta, xs.reshape(-1), np.empty(xs.size, dtype=np.int64)
+    xs, base = np.asarray(xs, dtype=np.float64), _base(beta)
+    if not np.all(xs >= np.finfo(np.float64).tiny) or not np.all(np.isfinite(xs)):
+        raise ValueError("all values must be finite normal positive floats")
+    flat, ks = xs.reshape(-1), np.empty(xs.size, dtype=np.int64)
     for at in range(0, xs.size, _PIECE):
         x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
-        k[:] = np.floor(np.log(x) / np.log1p(beta))
+        k[:] = np.floor(np.log(x) / np.log(base))
         lo, span = int(k.min()), int(np.ptp(k)) + 3
         table = None if span > len(x) else np.power(base, np.arange(lo, lo + span, dtype=float))
         power = lambda es: (table[es - lo] if table is not None and lo <= es.min()
@@ -60,9 +59,14 @@ def dequantize(k: int, beta: float) -> float:
 
 def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:
     """The represented values (1+beta)**k, elementwise, by np.power: the one grid."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return np.power(1.0 + beta, np.asarray(ks, dtype=np.float64))
+    return np.power(_base(beta), np.asarray(ks, dtype=np.float64))
+
+
+def _base(beta: float) -> float:
+    """The grid's base 1 + beta; below 1 + ulp every power is 1 and brackets nothing."""
+    if not 1.0 + beta > 1.0:
+        raise ValueError(f"beta must be > 0 with 1 + beta > 1 in floats, got {beta}")
+    return 1.0 + beta
 
 
 def count_levels(c: float, d: float, beta: float) -> int:
@@ -77,17 +81,9 @@ def count_levels(c: float, d: float, beta: float) -> int:
     return quantize(d, beta) - quantize(c, beta) + 1
 
 
-def admissible_interval(eta: float, ell: int, n: int, a: float, b: float) -> tuple[float, float]:
-    """Interval [z, ln(1/z)] that holds all generated samples w.h.p.
-
-    z = eta / (4 (b - a + 2) ell n).  The accounting argument behind the
-    interval requires z < 1/16, which is asserted rather than handled.
-    """
-    if eta <= 0 or ell < 1 or n < 1:
-        raise ValueError("eta, ell, n must be positive")
-    if b < a:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    z = eta / (4.0 * (b - a + 2.0) * ell * n)
-    if z >= 1.0 / 16.0:
-        raise ValueError(f"z={z} >= 1/16; interval derivation does not apply")
+def admissible_interval(params, n: int) -> tuple[float, float]:
+    """Interval [z, ln(1/z)] that holds all samples of n agents run with the
+    ProtocolParams params w.h.p.: z = eta / (4 (b - a + 2) ell n), which
+    eta < 1/2, a <= b and ell >= 1 keep below 1/16, as its derivation needs."""
+    z = params.eta / (4.0 * (params.b - params.a + 2.0) * params.ell * n)
     return z, math.log(1.0 / z)

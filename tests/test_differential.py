@@ -233,30 +233,29 @@ def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
     assert_matches_reference(tc, eng.run_trial(tc))
 
 
-# rbar segment and block boundaries: (n, ell, t_max, checkpoints, schedule,
-# cells), cells setting the engine's _BLOCK_CELLS and _SEGMENT_CELLS.  None
-# keeps the default horizon 4*ell*n and the engine's sizes.
-RBAR_BLOCK_CASES = {
+# rbar segment boundaries: (n, ell, t_max, checkpoints, schedule, cells),
+# cells setting the engine's _SEGMENT_CELLS.  None keeps the default horizon
+# 4*ell*n and the engine's size.
+RBAR_SEGMENT_CASES = {
     "checkpoint-mid-later-rotation": (5, 6, None, (2 * 6 + 3, 3 * 6 + 1), {}, {}),
     "t_max-below-ell": (4, 8, 5, (3,), {}, {}),
     "t_max-not-a-multiple-of-ell": (4, 6, 3 * 6 + 2, (7, 20), {}, {}),
-    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_BLOCK_CELLS=5 * 3 * 3)),
-    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, dict(_BLOCK_CELLS=1)),
+    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_CELLS=5 * 3 * 3)),
+    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, dict(_SEGMENT_CELLS=1)),
     "c_connected-split-by-cell-cap": (6, 10, None, (25,), dict(schedule_kind="c_connected", c=2),
-                                      dict(_BLOCK_CELLS=7 * 36)),
+                                      dict(_SEGMENT_CELLS=7 * 36)),
     "blocking-split-by-cell-cap": (4, 6, 5 * 6 + 3, (8,), dict(schedule_kind="blocking"),
-                                   dict(_BLOCK_CELLS=4 * 16)),
-    "segments-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {},
-                                   dict(_BLOCK_CELLS=2 * 3 * 3, _SEGMENT_CELLS=3 * 3 * 3)),
+                                   dict(_SEGMENT_CELLS=4 * 16)),
+    "segments-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_CELLS=2 * 3 * 3)),
     "one-round-segments": (4, 6, None, (9,), dict(schedule_kind="c_connected", c=2),
                            dict(_SEGMENT_CELLS=1)),
     "n1": (1, 6, 2 * 6 + 4, (3, 9), {}, {}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(RBAR_BLOCK_CASES))
+@pytest.mark.parametrize("name", sorted(RBAR_SEGMENT_CASES))
 def test_rbar_blocks_match_both_oracles(name, monkeypatch):
-    n, ell, t_max, checkpoints, sched, cells = RBAR_BLOCK_CASES[name]
+    n, ell, t_max, checkpoints, sched, cells = RBAR_SEGMENT_CASES[name]
     cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=n, seed=31 + len(name), ell=ell,
                               beta=0.1, **sched)
     tc = hn.trial_config(cfg, 0)
@@ -295,15 +294,14 @@ def freeze_round(tc):
 def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
     # The same trial with the freeze just before a checkpoint, and with a
     # horizon that ends the round before it, so it never freezes; rbar in
-    # segments and blocks of 3 live rounds.  rbar never freezes on blocking,
+    # segments of 3 live rounds.  rbar never freezes on blocking,
     # whose even columns never mix.
     n, ell = 5, 6 if kind == "blocking" else 7
     tc = hn.trial_config(pair_config(protocol, kind, n, 0, ell, 4), 0)
     f = freeze_round(tc)
     assert (f is None) == ((protocol, kind) == ("rbar", "blocking"))
-    if (protocol, kind) == ("rbar", "csc"):  # mid-rotation, and mid-block
+    if (protocol, kind) == ("rbar", "csc"):  # mid-rotation, and mid-segment
         assert f % ell != 0 and f % ell % 3 != 0
-    monkeypatch.setattr(eng, "_BLOCK_CELLS", 3 * n * n)
     monkeypatch.setattr(eng, "_SEGMENT_CELLS", 3 * n * n)
     variants = [tc]
     if f is not None:  # min keeps no vectors to checkpoint

@@ -122,7 +122,7 @@ def test_samples_in_interval_fails_on_a_draw_outside_the_interval_or_nan():
                               epsilon=0.3, eta=0.3)
     trace = eng.run_trial(hn.trial_config(cfg, 0))
     p = trace.config.params
-    z, upper = admissible_interval(p.eta, p.ell, trace.n, p.a, p.b)
+    z, upper = admissible_interval(p, trace.n)
     # The check over both matrices at once is the oracle.
     inside = lambda: all(((m >= z) & (m <= upper)).all()
                          for m in (trace.init_x_raw, trace.init_y_raw))
@@ -361,6 +361,38 @@ def test_cli_run_larger_than_physical_memory_exits_2_before_sampling(argv, sizes
     assert sizes in err and "GiB of physical memory" in err
 
 
+def pinned_beta_sweep(tmp_path, beta):
+    """argv of a one-trial rbar sweep at n=3, ell=4 with beta pinned."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(hn.ExperimentConfig(
+        protocol="rbar", trials=1, n=3, seed=5, ell=4, beta=beta).to_json()))
+    return ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("beta,needle", [(1e-15, "error: out of memory: a trial with ell=4, n=3 and "),
+                                         (1e-17, "error: beta must be > 0 with 1 + beta > 1")])
+def test_cli_sweep_with_a_beta_of_an_ulp_or_less_exits_2(beta, needle, tmp_path):
+    # 1e-15 gives some 10^15 exponents, more than any memory; 1 + 1e-17 is 1.
+    src = str(Path(hn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "avgcons", *pinned_beta_sweep(tmp_path, beta)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr.startswith(needle) and done.stderr.count("\n") == 1
+
+
+def test_cli_sweep_whose_exponent_grid_outgrows_memory_exits_2_before_building_it(
+        tmp_path, monkeypatch, capsys):
+    # At beta=1e-7 the 24 draws span some 10^7 exponents, 3 x 8 B each.
+    monkeypatch.setattr(eng, "_physical_memory", lambda: 256 << 20)
+    monkeypatch.setattr(eng, "_offsets", lambda *args: pytest.fail("built the grid"))
+    assert cli(pinned_beta_sweep(tmp_path, 1e-7)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: a trial with ell=4, n=3 and ") and err.count("\n") == 1
+    assert "exponents over 48 rounds needs" in err and "more than the 0.2 GiB" in err
+
+
 @pytest.mark.parametrize("kind", ["delayed", "c_connected", "blocking"])
 def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp_path, capsys):
     assert cli(["run", "--protocol", "rbar", "--n", "6", "--schedule", kind]) == 2
@@ -492,6 +524,16 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "[PASS]" in done.stdout
+
+
+def test_importing_the_package_loads_no_process_pool():
+    src = str(Path(hn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, avgcons; assert 'concurrent.futures' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_importing_the_cli_loads_no_mpmath():

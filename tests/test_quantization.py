@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcons import quantization as qz
-from avgcons.sampling import RngStream
+from avgcons.sampling import ProtocolParams, RngStream
 
 BETAS = (0.01, 0.1, 1.0)
 
@@ -39,6 +39,26 @@ def test_quantize_rejects_nonpositive():
         qz.quantize(-3.0, 0.1)
     with pytest.raises(ValueError):
         qz.quantize(1.0, 0.0)
+
+
+@pytest.mark.parametrize("beta", [1e-15, 2.3e-16])
+@pytest.mark.parametrize("x", [2.0, 1e300, 1e-300])
+def test_quantize_brackets_at_a_beta_of_a_few_ulps(x, beta):
+    # 1 + beta rounds to a few ulps above 1, percents away from 1 + beta, so a
+    # first guess from log1p(beta), not the rounded base, is 10^13 exponents off.
+    k = qz.quantize_array([x], beta)
+    assert qz.dequantize_array(k, beta)[0] <= x < qz.dequantize_array(k + 1, beta)[0]
+
+
+@pytest.mark.parametrize("call", [lambda: qz.quantize_array([2.0], 1e-17),
+                                  lambda: qz.dequantize_array([3], 1e-17),
+                                  lambda: qz.quantize_array([5e-324], 1e-9),
+                                  lambda: qz.quantize_array([1.0, 1e-308], 0.1)],
+                         ids=["quantize-beta-below-an-ulp", "dequantize-beta-below-an-ulp",
+                              "smallest-subnormal", "subnormal-among-normals"])
+def test_quantization_rejects_a_grid_without_steps_and_subnormal_inputs(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_dequantize_trivials():
@@ -188,29 +208,28 @@ def test_count_levels_rejects_bad_interval():
 # admissible interval
 
 
+def interval_params(eta, ell):
+    return ProtocolParams(epsilon=0.3, eta=eta, a=0.0, b=1.0, ell=ell)
+
+
 def test_admissible_interval_small_case():
-    z, upper = qz.admissible_interval(0.5, 1, 1, 0.0, 1.0)
-    assert z == pytest.approx(0.5 / 12.0, rel=1e-12)
-    assert upper == pytest.approx(math.log(24.0), rel=1e-12)
+    z, upper = qz.admissible_interval(interval_params(0.4, 1), 1)
+    assert z == pytest.approx(0.4 / 12.0, rel=1e-12)
+    assert upper == pytest.approx(math.log(30.0), rel=1e-12)
 
 
 def test_admissible_interval_z_scales_inversely_with_n():
-    z1, _ = qz.admissible_interval(0.2, 100, 4, 0.0, 1.0)
-    z2, _ = qz.admissible_interval(0.2, 100, 8, 0.0, 1.0)
+    z1, _ = qz.admissible_interval(interval_params(0.2, 100), 4)
+    z2, _ = qz.admissible_interval(interval_params(0.2, 100), 8)
     assert z1 == pytest.approx(2.0 * z2, rel=1e-12)
 
 
 def test_admissible_interval_protocol_scale_case():
     # eta/(4 (b-a+2) ell n) with eta=0.2, ell=3596, n=8, a=0, b=1.
-    z, upper = qz.admissible_interval(0.2, 3596, 8, 0.0, 1.0)
+    z, upper = qz.admissible_interval(interval_params(0.2, 3596), 8)
     assert z == pytest.approx(0.2 / (4 * 3 * 3596 * 8), rel=1e-12)
     assert z == pytest.approx(5.7934742e-7, rel=1e-6)
     assert upper == pytest.approx(14.361363, rel=1e-6)
-
-
-def test_admissible_interval_rejects_large_z():
-    with pytest.raises(ValueError):
-        qz.admissible_interval(0.9, 1, 1, 0.0, 1.0)  # z = 0.9/12 > 1/16
 
 
 # ---------------------------------------------------------------------------
