@@ -158,6 +158,8 @@ class TrialTrace:
     offline entrywise minima that a stationary run must reach.
     final_states[u] holds agent u's vectors after round t_max (min keeps
     none); the rest of its final state is in the last rows of the arrays.
+    After a freeze, agents share one read-only pair in final_states, in
+    later checkpoints and in the decision_vectors of agents deciding later.
     """
 
     config: TrialConfig
@@ -191,11 +193,21 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     vectors are the minimum of the initial rows that have reached it, and
     each derived float is the same formula applied to the same row."""
     trace = _new_trace(cfg)
-    frozen, final = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
-    trace.final_states = [FinalVectors(x, y) for x, y in zip(*final)]
+    frozen, finals = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
+    trace.final_states = [FinalVectors(x, y) for x, y in finals]
     for t in sorted(t for t in cfg.checkpoint_rounds if t > frozen):  # rows are final by then
-        trace.checkpoints[t] = [(s.x_vec, s.y_vec) for s in trace.final_states]
+        trace.checkpoints[t] = list(finals)
     return trace
+
+
+def _final_pairs(xs: np.ndarray, ys: np.ndarray, keep: Callable, frozen: bool) -> list:
+    """Every agent's final (x, y) as keep maps the working rows; after a
+    freeze every row is row 0, so all agents share one read-only pair."""
+    if not frozen:
+        return list(zip(keep(xs), keep(ys)))
+    x, y = keep(xs[0]), keep(ys[0])
+    x.flags.writeable = y.flags.writeable = False
+    return [(x, y)] * len(xs)
 
 
 def _physical_memory() -> int:
@@ -243,7 +255,7 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
 
 def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     """The rounds of min (one column), r and rbard; returns its frozen round
-    and final x and y matrices (none for min).  Agent v's reach set, an n-bit
+    and _final_pairs (none for min).  Agent v's reach set, an n-bit
     int, holds the agents whose initial rows reached it; a round ORs in its
     in-neighbours' previous-round sets (for rbard only active senders count,
     only active receivers update, and a heartbeat resets the counter).  Only
@@ -253,7 +265,8 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     marks it stale, a lower bound, recomputed only when the decision test
     passes on it.  Once every agent is active, every set is full and every
     counter equal, no round can change a vector, and rbard's counters all go
-    up by one a round, so the rest is filled in with no graph drawn."""
+    up by one a round, so the rest is filled in with no graph drawn, and the
+    undecided agents, sharing one size estimate, decide together."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
@@ -264,18 +277,13 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     else:
         inits, keep = (trace.init_x_raw, trace.init_y_raw), np.copy
         derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
+    final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
     reach, counter, stale = [1 << v for v in range(n)], [0] * n, [False] * n
     value, decision = [math.nan] * n, [math.nan] * n
-
-    def decide(v: int, t: int) -> None:
-        decision[v] = proto.r_estimate(grid[xs[v]], grid[ys[v]], p)
-        trace.decision_rounds[v] = t
-        trace.decision_vectors[v] = (keep(xs[v]), keep(ys[v]))
-
     for t in range(1, cfg.t_max + 1):
         ins = cfg.schedule.graph_at(t).in_neighbor_lists
         prev, prev_counter = reach, counter
@@ -310,26 +318,31 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
                     value[v], stale[v] = derive(v) if stale[v] else value[v], False
                     if proto.rbard_decides(counter[v], value[v]):
-                        decide(v, t)
+                        decision[v] = proto.r_estimate(grid[xs[v]], grid[ys[v]], p)
+                        trace.decision_rounds[v] = t
+                        trace.decision_vectors[v] = (keep(xs[v]), keep(ys[v]))
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
         if t in cfg.checkpoint_rounds:
             trace.checkpoints[t] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
-        if t > s_max and reach.count(full) == n and len(set(counter)) == 1:
+        if frozen := t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
+    finals = _final_pairs(xs, ys, final, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
-        for v in [v for v in range(n) if math.isnan(decision[v])]:
-            value[v] = derive(v) if stale[v] else value[v]
+        waiting = [v for v in range(n) if math.isnan(decision[v])]
+        if waiting and t < cfg.t_max:
+            n_est = derive(waiting[0]) if stale[waiting[0]] else value[waiting[0]]
             r = next((r for r in range(t + 1, cfg.t_max + 1)
-                      if proto.rbard_decides(counter[0] + r - t, value[v])), None)
+                      if proto.rbard_decides(counter[0] + r - t, n_est)), None)
             if r is not None:
-                decide(v, r)
-                trace.estimates[r - 1 :, v] = decision[v]
-    return t, (keep(xs), keep(ys)) if protocol.quantized else rows if protocol.randomized else ()
+                trace.estimates[r - 1 :, waiting] = proto.r_estimate(grid[xs[0]], grid[ys[0]], p)
+                trace.decision_rounds[waiting] = r
+                trace.decision_vectors.update(dict.fromkeys(waiting, finals[0]))
+    return t, finals
 
 
 def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
@@ -354,8 +367,8 @@ _SEGMENT_CELLS = 1 << 22
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of rbar, on _offsets; returns its frozen round and final
-    exponent matrices.  Round t exchanges entry (t-1) mod ell of every
+    """The rounds of rbar, on _offsets; returns its frozen round and
+    _final_pairs.  Round t exchanges entry (t-1) mod ell of every
     agent, so only that column changes, and no two columns interact.  A
     segment of rounds inside one rotation touches each of its columns once,
     so it is one masked minimum over the in-adjacency A of its live rounds:
@@ -390,12 +403,12 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             trace.estimates[last - 1] = est
         if last in cfg.checkpoint_rounds:
             trace.checkpoints[last] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
-        if last % p.ell == 0 and not live(slice(None)).any():
+        if frozen := last % p.ell == 0 and not live(slice(None)).any():
             break
         t = last + 1
     # Frozen after round last (or last == t_max): fill in the rounds after it.
     trace.estimates[last:] = est
-    return last, (keep(xs), keep(ys))
+    return last, _final_pairs(xs, ys, keep, frozen)
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

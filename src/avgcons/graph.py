@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .seeds import MAX_MT_WORDS, extend_key, key_hash, mt_words, seed_of
+from .seeds import MAX_MT_WORDS, key_hash, mt_words, seed_of
 
 # Exhaustive subset checks (c-in-connectivity) are capped at this size.
 MAX_SUBSET_CHECK_N = 20
@@ -298,7 +298,17 @@ class DynamicSchedule:
 
     def round_key(self, t: int) -> int:
         """stable_seed(kind, n, seed, t), the seed of round t's graph."""
-        return seed_of(extend_key(self._key_prefix, t))
+        return self.round_keys((t,))[0]
+
+    def round_keys(self, rounds: Iterable[int]) -> list[int]:
+        """round_key of each round, extend_key and seed_of inlined: repr of
+        an int t is b"%d" % t."""
+        copy, from_bytes, keys = self._key_prefix.copy, int.from_bytes, []
+        for t in rounds:
+            h = copy()
+            h.update(b"%d\x1f" % t)
+            keys.append(from_bytes(h.digest()[:8], "little"))
+        return keys
 
     @cached_property
     def _period_graphs(self) -> tuple[DirectedGraph, ...]:
@@ -334,7 +344,7 @@ class DynamicSchedule:
             period = self._period_adjacency
             return period[(np.asarray(rounds, dtype=np.intp) - 1) % len(period)]
         n, c, count = self.n, self.c or 1, len(rounds)
-        perm, extras, us, vs = _c_in_connected_batch(n, c, [self.round_key(t) for t in rounds])
+        perm, extras, us, vs = _c_in_connected_batch(n, c, self.round_keys(rounds))
         # perm[i] hears perm[i-j] for j in 0..m, as in random_c_in_connected.
         back = (np.arange(n)[:, None] - np.arange(min(c, n - 1) + 1)) % n
         adj = np.zeros((count, n, n), dtype=bool)

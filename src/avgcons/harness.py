@@ -236,7 +236,8 @@ def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
 
 def _at_offline_minima(trace: TrialTrace, vector_pairs) -> bool:
     min_x, min_y = offline_minima(trace)
-    return all(np.array_equal(x, min_x) and np.array_equal(y, min_y) for x, y in vector_pairs)
+    distinct = {(id(x), id(y)): (x, y) for x, y in vector_pairs}  # agents share a pair after a freeze
+    return all(np.array_equal(x, min_x) and np.array_equal(y, min_y) for x, y in distinct.values())
 
 
 def _estimates_settled(trace: TrialTrace, bound: int) -> bool:

@@ -14,6 +14,7 @@ rounds after the state has frozen.
 """
 import math
 import struct
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from operator import or_
@@ -290,12 +291,30 @@ def freeze_round(tc):
     return None
 
 
+def assert_shared_after_the_freeze(got, frozen):
+    """After the engine's frozen round every agent's final vectors, every
+    later checkpoint and the vectors of every agent that decides later are
+    one read-only pair (r's are row views); a trial that ends before it
+    keeps a pair per agent."""
+    distinct = {(id(s.x_vec), id(s.y_vec)): (s.x_vec, s.y_vec) for s in got.final_states}
+    if frozen is None or frozen > got.t_max:
+        assert len(distinct) == got.n
+        return
+    (x, y), = distinct.values()
+    assert not x.flags.writeable and not y.flags.writeable
+    assert (x.base is not None) == (got.config.protocol == "r")
+    later = [pair for t, ps in got.checkpoints.items() if t > frozen for pair in ps]
+    if got.decision_rounds is not None:
+        later += [got.decision_vectors[v] for v in np.flatnonzero(got.decision_rounds > frozen).tolist()]
+    assert all(a is x and b is y for a, b in later)
+
+
 @pytest.mark.parametrize("protocol,kind", PAIRS, ids=[f"{p}-{k}" for p, k in PAIRS])
 def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
     # The same trial with the freeze just before a checkpoint, and with a
     # horizon that ends the round before it, so it never freezes; rbar in
-    # segments of 3 live rounds.  rbar never freezes on blocking,
-    # whose even columns never mix.
+    # segments of 3 live rounds, stopping at the wrap after the freeze.
+    # rbar never freezes on blocking, whose even columns never mix.
     n, ell = 5, 6 if kind == "blocking" else 7
     tc = hn.trial_config(pair_config(protocol, kind, n, 0, ell, 4), 0)
     f = freeze_round(tc)
@@ -312,6 +331,8 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
         assert_matches_reference(v, got)
         if protocol == "rbar":
             assert_same_trace(scalar_rotation_run(v), got)
+        if protocol != "min":
+            assert_shared_after_the_freeze(got, f and -(-f // ell) * ell if protocol == "rbar" else f)
     if (protocol, kind) == ("rbard", "delayed"):  # agents decide before and after the freeze
         rounds = eng.run_trial(tc).decision_rounds
         assert (rounds <= f).any() and (rounds > f).any()
@@ -389,3 +410,28 @@ def test_rbard_computes_its_size_estimate_only_when_a_decision_test_needs_it(mon
     trace = eng.run_trial(hn.trial_config(cfg, 0))
     assert (trace.decision_rounds > 0).all()
     assert len(calls) <= 3 * 32
+
+
+def test_the_frozen_tail_decides_every_waiting_agent_at_once(monkeypatch):
+    # The rbard-wide shape, n = N = 32 and s_max = 5, with a smaller ell:
+    # every agent decides after the freeze, on one size estimate at most
+    # and one decision.  A horizon that ends at the freeze has no tail.
+    cfg = hn.ExperimentConfig(protocol="rbard", trials=1, n=32, size_bound=32, s_max=5, ell=32,
+                              beta=0.1, seed=11)
+    tc = hn.trial_config(cfg, 0)
+    f = freeze_round(tc)
+    calls = []
+    for name in ("r_estimate", "rbard_size_estimate"):
+        real = getattr(proto, name)
+        monkeypatch.setattr(proto, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    got = eng.run_trial(tc)
+    tail = Counter(calls)
+    calls.clear()
+    eng.run_trial(replace(tc, t_max=f))
+    tail -= Counter(calls)
+    monkeypatch.undo()
+    assert (got.decision_rounds > f).all()
+    assert tail["r_estimate"] == 1 and tail["rbard_size_estimate"] <= 1 and sum(tail.values()) <= 2
+    assert_matches_reference(tc, got)
+    assert_shared_after_the_freeze(got, f)

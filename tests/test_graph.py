@@ -292,9 +292,9 @@ def test_in_adjacency_falls_back_to_random_for_short_budgets_and_small_keys(monk
     # not two.
     monkeypatch.setattr(gr, "_MIN_BATCH", 1)
     monkeypatch.setattr(gr, "_word_budget", lambda n: 14)
-    round_key = gr.DynamicSchedule.round_key
-    monkeypatch.setattr(gr.DynamicSchedule, "round_key",
-                        lambda sched, t: round_key(sched, t) % (2**32 if t % 3 == 0 else 2**64))
+    round_keys = gr.DynamicSchedule.round_keys
+    monkeypatch.setattr(gr.DynamicSchedule, "round_keys", lambda sched, rounds: [
+        k % (2**32 if t % 3 == 0 else 2**64) for t, k in zip(rounds, round_keys(sched, rounds))])
     sched = gr.DynamicSchedule("csc", 6, seed=4)
     fallback = spy_on_the_fallback(monkeypatch)
     rounds = list(range(1, 301))
@@ -314,6 +314,8 @@ def test_round_key_matches_plain_derivation():
     sched = gr.DynamicSchedule("csc", 6, seed=11)
     for t in (1, 7, 10**6):
         assert sched.round_key(t) == stable_seed("csc", 6, 11, t)
+    rounds = (1, 9, 10, 99, 100, 8_089, 10**6, 2**40)
+    assert sched.round_keys(rounds) == [stable_seed("csc", 6, 11, t) for t in rounds]
 
 
 def test_csc_schedule_graphs_vary_with_round_and_seed():
