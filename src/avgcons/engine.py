@@ -431,36 +431,21 @@ class DecisionReport:
 
 
 def check_decision_spec(trace: TrialTrace, epsilon: float) -> DecisionReport:
-    """Literal evaluation of the three decision predicates over a trace:
-    every agent eventually decides (within the horizon), a written
-    decision is never changed or erased, and every written decision lies
-    within epsilon of the true average."""
+    """The three decision predicates over a trace, as column reductions:
+    every agent eventually decides (within the horizon), every row from an
+    agent's first written one on holds that decision (so it is never
+    changed or erased), and every written decision lies within epsilon of
+    the true average."""
     d = trace.decisions
     if d is None:
         raise ValueError("decision checks require a deciding-protocol trace")
-    set_mask = ~np.isnan(d)
-
-    termination = bool(set_mask[-1].all())
-
-    irrevocability = True
-    for u in range(trace.n):
-        rows = np.flatnonzero(set_mask[:, u])
-        if len(rows) == 0:
-            continue
-        first = rows[0]
-        tail = d[first:, u]
-        if np.isnan(tail).any() or not (tail == d[first, u]).all():
-            irrevocability = False
-            break
-
-    written = d[set_mask]
-    validity = bool((np.abs(written - trace.theta) <= epsilon).all())
-
-    first_rounds = [int(np.flatnonzero(set_mask[:, u])[0]) + 1
-                    for u in range(trace.n) if set_mask[:, u].any()]
-    last_decision_round = max(first_rounds) if first_rounds else None
-
-    return DecisionReport(termination, irrevocability, validity, last_decision_round)
+    written = ~np.isnan(d)
+    decided = written.any(axis=0)
+    first = written.argmax(axis=0)  # each agent's first written row, 0 if none
+    kept = (d == d[first, np.arange(trace.n)]) | (np.arange(trace.t_max)[:, None] < first) | ~decided
+    valid = np.abs(d[written] - trace.theta) <= epsilon
+    last = int(first.max()) + 1 if decided.any() else None
+    return DecisionReport(bool(written[-1].all()), bool(kept.all()), bool(valid.all()), last)
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,16 @@ choosing the topology is oblivious to the agents' coin flips.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .seeds import MAX_MT_WORDS, key_hash, mt_words, seed_of
-
-# Exhaustive subset checks (c-in-connectivity) are capped at this size.
-MAX_SUBSET_CHECK_N = 20
 
 
 @dataclass(frozen=True)
@@ -97,21 +95,7 @@ def product(g: DirectedGraph, h: DirectedGraph) -> DirectedGraph:
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    ins = g.in_neighbor_lists
-    outs = [[v for v, us in enumerate(ins) if u in us] for u in range(g.n)]
-    return _reaches_all(ins, 0) and _reaches_all(outs, 0)
-
-
-def _reaches_all(adj, start: int) -> bool:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+    return is_c_in_connected(g, 1)
 
 
 def is_complete(g: DirectedGraph) -> bool:
@@ -121,25 +105,37 @@ def is_complete(g: DirectedGraph) -> bool:
 def is_c_in_connected(g: DirectedGraph, c: int) -> bool:
     """True iff every non-empty S has >= min(c, |V\\S|) in-neighbors outside S.
 
-    An in-neighbor of S is a node w outside S with an edge into S.
-    Checked by exhaustive subset enumeration, so n is capped at
-    MAX_SUBSET_CHECK_N.
+    An in-neighbor of S is a node w outside S with an edge into S.  This
+    holds exactly when removing any set X of fewer than min(c, n) nodes
+    leaves the rest strongly connected: the in-neighbors of a violating S
+    form such an X, and a part of G - X that no edge enters is such an S.
+    So it takes two reachability walks per X, and raises ValueError before
+    any walk when there are more than 2**20 sets X.
     """
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    if g.n > MAX_SUBSET_CHECK_N:
-        raise ValueError(f"subset enumeration capped at n={MAX_SUBSET_CHECK_N}, got {g.n}")
-    ins = g.in_neighbor_lists
-    for mask in range(1, 1 << g.n):
-        members = [v for v in range(g.n) if mask >> v & 1]
-        outside = g.n - len(members)
-        need = min(c, outside)
-        if need == 0:
-            continue
-        feeders = {u for v in members for u in ins[v] if not (mask >> u & 1)}
-        if len(feeders) < need:
-            return False
-    return True
+    n, ins = g.n, g.in_neighbor_lists
+    sizes = range(min(c, n))
+    if (count := sum(math.comb(n, k) for k in sizes)) > 1 << 20:
+        raise ValueError(f"c-in-connectivity at n={n}, c={c} needs {count} removal sets, over 2**20")
+    outs = [[v for v, us in enumerate(ins) if u in us] for u in range(n)]
+    return all(_reaches_all(ins, x) and _reaches_all(outs, x)
+               for k in sizes for x in combinations(range(n), k))
+
+
+def _reaches_all(adj, removed: tuple[int, ...]) -> bool:
+    """True iff the least node not removed reaches every node not removed, avoiding them."""
+    seen = set(removed)
+    start = next(v for v in range(len(adj)) if v not in seen)
+    seen.add(start)
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
 
 
 def _c_in_connected_draws(n: int, c: int, rng: random.Random) -> tuple[list[int], list[int], list[int]]:

@@ -63,9 +63,10 @@ def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _base(beta: float) -> float:
-    """The grid's base 1 + beta; below 1 + ulp every power is 1 and brackets nothing."""
-    if not 1.0 + beta > 1.0:
-        raise ValueError(f"beta must be > 0 with 1 + beta > 1 in floats, got {beta}")
+    """The grid's finite base 1 + beta; below 1 + ulp every power is 1 and
+    brackets nothing, and at infinity every exponent maps to 0 or 1."""
+    if not 1.0 < 1.0 + beta < math.inf:
+        raise ValueError(f"beta must be > 0 with 1 + beta > 1 in floats, and finite, got {beta}")
     return 1.0 + beta
 
 

@@ -90,8 +90,8 @@ def _check_ranges(epsilon: float, eta: float, a: float, b: float,
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0 < eta < 0.5:
         raise ValueError(f"eta must be in (0, 1/2), got {eta}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"a and b must be finite, got a={a}, b={b}")
+    if not math.isfinite(b - a + 1.0):  # also false when a or b is not finite
+        raise ValueError(f"a and b must be finite, as must b - a + 1, got a={a}, b={b}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if size_bound is not None and size_bound < 1:

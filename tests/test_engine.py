@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcons import engine as eng
 from avgcons import graph as gr
@@ -322,6 +324,46 @@ def test_convergence_time_treats_unset_estimates_as_outside():
 
 # ---------------------------------------------------------------------------
 # decision spec checks
+
+
+def decision_spec_oracle(trace, epsilon):
+    """The predicates agent by agent, from each agent's written rows."""
+    d = trace.decisions
+    set_mask = ~np.isnan(d)
+    irrevocability = True
+    for u in range(trace.n):
+        rows = np.flatnonzero(set_mask[:, u])
+        if len(rows) == 0:
+            continue
+        tail = d[rows[0]:, u]
+        if np.isnan(tail).any() or not (tail == d[rows[0], u]).all():
+            irrevocability = False
+    first_rounds = [int(np.flatnonzero(set_mask[:, u])[0]) + 1
+                    for u in range(trace.n) if set_mask[:, u].any()]
+    return eng.DecisionReport(
+        termination=bool(set_mask[-1].all()),
+        irrevocability=irrevocability,
+        validity=bool((np.abs(d[set_mask] - trace.theta) <= epsilon).all()),
+        last_decision_round=max(first_rounds) if first_rounds else None,
+    )
+
+
+VALUES = [0.0, -0.0, 0.25, 0.5, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(1, 5), st.sampled_from(VALUES),
+       st.sampled_from([0.0, 0.25, 0.6]))
+def test_decision_spec_matches_the_per_agent_loop(data, t_max, n, theta, epsilon):
+    # Each agent writes a decision from some round on, or never (first ==
+    # t_max), then some cells are rewritten, erased or written early.
+    d = np.full((t_max, n), np.nan)
+    for u in range(n):
+        d[data.draw(st.integers(0, t_max)):, u] = data.draw(st.sampled_from(VALUES))
+        for _ in range(data.draw(st.integers(0, 2))):
+            d[data.draw(st.integers(0, t_max - 1)), u] = data.draw(st.sampled_from([np.nan, *VALUES]))
+    trace = synthetic_trace(np.zeros((t_max, n)), theta=theta, decisions=d)
+    assert eng.check_decision_spec(trace, epsilon) == decision_spec_oracle(trace, epsilon)
 
 
 def test_decision_spec_termination_fails_when_someone_never_decides():

@@ -149,16 +149,28 @@ def test_loops_only_is_never_c_in_connected():
 
 def test_c_in_connected_agrees_with_oracle_on_random_graphs():
     rng = random.Random(5)
-    for _ in range(40):
-        edges = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randint(0, 10))]
-        g = gr.make_graph(4, edges)
-        for c in (1, 2, 3):
-            assert gr.is_c_in_connected(g, c) == c_in_connected_oracle(g, c)
+    outcomes = set()
+    for n in range(1, 10):
+        for _ in range(8):
+            density = rng.random()
+            g = gr.make_graph(n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density])
+            for c in range(1, n + 2):
+                got = gr.is_c_in_connected(g, c)
+                assert got == c_in_connected_oracle(g, c), (g.to_json(), c)
+                outcomes.add((c > 1, got))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_c_in_connected_rejects_large_n():
-    with pytest.raises(ValueError):
-        gr.is_c_in_connected(gr.loops_only(21), 1)
+def test_c_in_connected_rejects_over_2_20_removal_sets_before_walking(monkeypatch):
+    walks = []
+    monkeypatch.setattr(gr, "_reaches_all", lambda adj, removed: walks.append(removed) or False)
+    for n, c in ((64, 32), (21, 21), (21, 100)):
+        with pytest.raises(ValueError, match="removal sets, over 2\\*\\*20"):
+            gr.is_c_in_connected(gr.loops_only(n), c)
+    assert walks == []
+    # The old n <= 20 cap's largest case: 2**20 - 1 removal sets, so it walks.
+    assert not gr.is_c_in_connected(gr.loops_only(20), 21)
+    assert walks == [()]
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,13 +374,15 @@ def test_c_connected_schedule_rounds_pass_checker():
 
 
 def test_c_connected_schedule_works_past_the_subset_check_cap():
-    # n=32 is beyond is_c_in_connected's reach; check what c=4 implies:
-    # strong connectivity and at least 4 in-neighbors besides the self-loop.
+    # Past the old n=20 cap: the full check on a few rounds (43,745 removal
+    # sets each), and what c=4 implies on more: strong connectivity and at
+    # least 4 in-neighbors besides the self-loop.
     sched = gr.DynamicSchedule("c_connected", 32, seed=8, c=4)
     for t in range(1, 21):
         g = sched.graph_at(t)
         assert gr.is_strongly_connected(g)
         assert all(len(set(ins) - {v}) >= 4 for v, ins in enumerate(g.in_neighbor_lists))
+        assert t > 3 or gr.is_c_in_connected(g, 4)
 
 
 def test_blocking_schedule_two_round_products_are_complete():

@@ -300,6 +300,8 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "min", "--a=-1e400"], "a and b must be finite"),
         (["--protocol", "min", "--a", "-1e400"], "a and b must be finite"),
         (["--protocol", "r", "--a", "-inf"], "a and b must be finite"),
+        (["--protocol", "r", "--n", "3", "--a", "-1e308", "--b", "1e308"],
+         "as must b - a + 1, got a=-1e+308, b=1e+308"),
         (["--protocol", "min", "--eta", "5"], "eta must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "5"], "epsilon must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "nan"], "epsilon must be in (0, 1/2), got nan"),
@@ -317,6 +319,7 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
          "nan-a", "min-nan-a", "min-infinite-a", "min-infinite-a-spaced", "r-minus-inf-a",
+         "r-infinite-width",
          "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
          "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
          "blocking-without-parameter"],
@@ -419,6 +422,9 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
       "inputs must be finite"),
      ({"ell": None, "b": float("inf")}, "a and b must be finite"),
      ({"protocol": "min", "ell": None, "a": -1e400}, "a and b must be finite"),
+     ({"ell": None, "a": -1e308, "b": 1e308}, "as must b - a + 1, got a=-1e+308, b=1e+308"),
+     ({"protocol": "rbar", "beta": float("inf")}, "beta must be > 0 with 1 + beta > 1 in floats, "
+                                                  "and finite, got inf"),
      ({"protocol": "min", "ell": None, "inputs": [5.0, -3.0, 0.5]}, "input 5.0 outside [0.0, 1.0]"),
      ({"protocol": "min", "ell": None, "eta": 5}, "eta must be in (0, 1/2), got 5.0"),
      ({"protocol": "min", "ell": None, "epsilon": 5}, "epsilon must be in (0, 1/2), got 5.0"),
@@ -433,7 +439,8 @@ def test_cli_run_accepts_the_usage_hint_of_every_kind_with_a_parameter(kind, tmp
     ids=["unknown-key", "wrongly-typed-value", "list", "string", "negative-s-max", "csc-with-c",
          "ring-with-delay", "delayed-without-delay", "unknown-schedule-kind", "unknown-protocol",
          "min-with-beta", "min-with-ell", "r-with-beta", "r-with-size-bound", "nan-input",
-         "infinite-b", "min-infinite-a", "min-input-outside-a-b", "min-eta-above-half",
+         "infinite-b", "min-infinite-a", "infinite-width", "infinite-beta",
+         "min-input-outside-a-b", "min-eta-above-half",
          "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b", "negative-seed", "rbard-without-size-bound", "nan-slack-sigmas",
          "infinite-slack-sigmas", "negative-slack-sigmas"],
 )

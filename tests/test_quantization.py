@@ -52,9 +52,12 @@ def test_quantize_brackets_at_a_beta_of_a_few_ulps(x, beta):
 
 @pytest.mark.parametrize("call", [lambda: qz.quantize_array([2.0], 1e-17),
                                   lambda: qz.dequantize_array([3], 1e-17),
+                                  lambda: qz.quantize_array([2.0], math.inf),
+                                  lambda: qz.dequantize_array([3], math.inf),
                                   lambda: qz.quantize_array([5e-324], 1e-9),
                                   lambda: qz.quantize_array([1.0, 1e-308], 0.1)],
                          ids=["quantize-beta-below-an-ulp", "dequantize-beta-below-an-ulp",
+                              "quantize-infinite-beta", "dequantize-infinite-beta",
                               "smallest-subnormal", "subnormal-among-normals"])
 def test_quantization_rejects_a_grid_without_steps_and_subnormal_inputs(call):
     with pytest.raises(ValueError):
