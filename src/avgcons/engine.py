@@ -361,30 +361,31 @@ def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray,
         (m - lo).astype(np.min_scalar_type(hi - lo)) for m in (trace.init_x_quant, trace.init_y_quant))
 
 
-# Cells (rounds times n^2) in the in-adjacency array of one segment of
-# _rotation_rounds, drawn in one call and reduced in one masked minimum.
-_SEGMENT_CELLS = 1 << 22
+# Edges in one segment of _rotation_rounds, drawn in one in_edges call: the
+# fold's two flat intp indices take 16 bytes an edge, 2 MiB in all.
+_SEGMENT_EDGES = 1 << 17
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     """The rounds of rbar, on _offsets; returns its frozen round and
-    _final_pairs.  Round t exchanges entry (t-1) mod ell of every
-    agent, so only that column changes, and no two columns interact.  A
-    segment of rounds inside one rotation touches each of its columns once,
-    so it is one masked minimum over the in-adjacency A of its live rounds:
-    new[v, i] = min of old[u, i] over u with A[k, v, u], k the round of
-    column i.  A column that every agent holds at one value is at its
-    offline minimum for good, so its rounds are not drawn; once every column
-    is, the next wrap fixes the estimates and the rest of the trace is
-    filled in.  A segment ends at a wrap, where the estimates are refreshed,
-    at a checkpoint round, at t_max, or at _SEGMENT_CELLS; its live rounds
-    are drawn in one call, as batched schedule generation needs."""
+    _final_pairs.  Round t exchanges entry (t-1) mod ell of every agent, so
+    only that column changes, and no two columns interact.  A segment of
+    rounds inside one rotation touches each of its columns once, so it is
+    one unbuffered np.minimum.at over the in_edges (k, u, v) of its live
+    rounds, entry [v, i] folding in [u, i] for column i of round k, in any
+    order: the minimum is order-free and idempotent.  A column that every
+    agent holds at one value is at its offline minimum for good, so its
+    rounds are not drawn; once every column is, the next wrap fixes the
+    estimates and the rest of the trace is filled in.  A segment ends at a
+    wrap, where the estimates are refreshed, at a checkpoint round, at
+    t_max, or at _SEGMENT_EDGES; its live rounds are drawn in one call, as
+    batched schedule generation needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
     grid, keep, (xs, ys) = _offsets(trace)
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     stops = sorted({*cfg.checkpoint_rounds, t_max})
-    segment = max(1, _SEGMENT_CELLS // (n * n))
+    segment = max(1, _SEGMENT_EDGES // cfg.schedule.edges_per_round)
     t = 1
     while t <= t_max:
         i = (t - 1) % p.ell
@@ -393,10 +394,10 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         if len(c) > segment:
             c = c[:segment]
             last = int(c[-1]) - i + t
-        adj = cfg.schedule.in_adjacency((c - i + t).tolist())
-        for m in (xs, ys):  # cols[j, v, u]: agent u's entry of the j-th live round
-            cols = np.broadcast_to(m[:, c].T[:, None, :], adj.shape)
-            m[:, c] = np.minimum.reduce(cols, axis=2, where=adj, initial=np.iinfo(m.dtype).max).T
+        k, u, v = cfg.schedule.in_edges((c - i + t).tolist())
+        at = lambda e: np.multiply(e, p.ell, dtype=np.intp) + c[k]  # entry [e, c[k]], flat
+        for flat in (xs.reshape(-1), ys.reshape(-1)):  # views: _offsets' matrices are C-ordered
+            np.minimum.at(flat, at(v), flat[at(u)])  # every old entry is read before any is lowered
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
             est = [proto.r_estimate(grid[xs[v]], grid[ys[v]], p) for v in range(n)]
@@ -499,38 +500,26 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
 def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:
     """JSON-Lines dump: a metadata header, then one object per round."""
     cfg = trace.config
-    header = {
-        "config": cfg.digest(),
-        "protocol": cfg.protocol,
-        "n": trace.n,
-        "t_max": trace.t_max,
-        "theta": trace.theta,
-        "shifted_sum": None if cfg.params is None
-        else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs)),
-    }
-    fp.write(json.dumps(header) + "\n")
-    bits = message_bits(trace).per_round.tolist()
-    # A round's agents list is encoded only when its row differs, as bytes,
-    # from the round before: an rbar row changes only on a wrap.
+    shifted = None if cfg.params is None else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs))
+    fp.write(json.dumps({"config": cfg.digest(), "protocol": cfg.protocol, "n": trace.n,
+                         "t_max": trace.t_max, "theta": trace.theta, "shifted_sum": shifted}) + "\n")
+    bits = message_bits(trace).per_round
+    # A run starts where msg_bits or the agents row (as bytes) differs from the round
+    # before, an rbar row only on a wrap; its lines differ only in t, and are joined
+    # up to 1,024 and about 64 KiB a write.
     changed = np.ones(trace.t_max, dtype=bool)
-    changed[1:] = False
+    changed[1:] = bits[1:] != bits[:-1]
     for a in (trace.estimates, trace.decisions, trace.counters):
         if a is not None:
             rows = a.view(np.int64)
             changed[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
-    agents = ""
-    for t, new in enumerate(changed.tolist(), 1):
-        if new:
-            agents = json.dumps([_agent_json(trace, t, u) for u in range(trace.n)])
-        fp.write(f'{{"t": {t}, "agents": {agents}, "msg_bits": {bits[t - 1]}}}\n')
-
-
-def _agent_json(trace: TrialTrace, t: int, u: int) -> dict:
-    """Agent u's entry of round t in the JSON-Lines dump."""
-    x = trace.estimates[t - 1, u]
-    d = None if trace.decisions is None else trace.decisions[t - 1, u]
-    return {
-        "x": None if math.isnan(x) else x,
-        "d": None if d is None or math.isnan(d) else d,
-        "C": None if trace.counters is None else int(trace.counters[t - 1, u]),
-    }
+    starts = np.flatnonzero(changed).tolist() + [trace.t_max]
+    for lo, hi in zip(starts, starts[1:]):  # row lo of each per-round array, NaN and no array null
+        x, d, c = ([None if math.isnan(v) else v for v in a[lo].tolist()] if a is not None
+                   else [None] * trace.n for a in (trace.estimates, trace.decisions, trace.counters))
+        agents = json.dumps([{"x": x[u], "d": d[u], "C": c[u]} for u in range(trace.n)])
+        tail = f', "agents": {agents}, "msg_bits": {int(bits[lo])}}}\n'
+        sep = tail + '{"t": '
+        step = max(1, min(1024, (1 << 16) // len(sep)))
+        for at in range(lo + 1, hi + 1, step):
+            fp.write('{"t": ' + sep.join(map(str, range(at, min(at + step, hi + 1)))) + tail)

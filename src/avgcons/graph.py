@@ -163,8 +163,8 @@ def _batched_draws(n: int, keys: np.ndarray, words: int) -> tuple[np.ndarray, ..
     """_c_in_connected_draws for every key at once, from its first `words`
     outputs (seeds.mt_words), each _randbelow(m) drawn as CPython draws it:
     the top m.bit_length() bits of the next word, again while >= m.  Gives
-    perm (B, n), the extra-edge counts, the (B, 2n) ends in draw order, and
-    which rounds ran out of words."""
+    perm (B, n), the (B, 2n) ends in draw order, 0 past a round's extra-edge
+    count, and which rounds ran out of words."""
     size, every = len(keys), np.arange(len(keys))
     # Past its words a round reads zeros, which every draw accepts.
     flat = np.concatenate([mt_words(keys, words).ravel(), np.zeros(size, dtype=np.uint32)])
@@ -186,29 +186,29 @@ def _batched_draws(n: int, keys: np.ndarray, words: int) -> tuple[np.ndarray, ..
         perm[every, i], perm[every, j] = perm[every, j], perm[every, i]
     counts = below(n + 1, every)  # randint(0, n)
     ends = np.stack([below(n, np.flatnonzero(d < 2 * counts)) for d in range(2 * n)], axis=1)
-    return perm, counts, ends, pos > words
+    return perm, ends, pos > words
 
 
 def _c_in_connected_batch(n: int, c: int, keys: list[int]) -> tuple[np.ndarray, ...]:
     """_c_in_connected_draws(n, c, random.Random(key)) for each key: perm
-    (len(keys), n), the extra-edge counts and the ends us, vs (len(keys), n),
-    row k's first counts[k] in use.  random.Random draws every round of a
-    call under _MIN_BATCH keys or of an n whose word budget exceeds one
-    twist, and each batched round that ran out of words or has a key < 2**32."""
+    (len(keys), n) and the extra edges' ends us, vs (len(keys), n), padded
+    with (0, 0) loops.  random.Random draws every round of a call under
+    _MIN_BATCH keys or of an n whose word budget exceeds one twist, and each
+    batched round that ran out of words or has a key < 2**32."""
     count, words = len(keys), _word_budget(n)
-    perm, counts = np.empty((count, n), dtype=np.intp), np.empty(count, dtype=np.intp)
-    ends, redo = np.zeros((count, 2 * n), dtype=np.intp), np.ones(count, dtype=bool)
+    perm, redo = np.empty((count, n), dtype=np.intp), np.ones(count, dtype=bool)
+    ends = np.zeros((count, 2 * n), dtype=np.intp)
     room = _BATCH_BYTES // (8 * words + 4)  # keys whose 2*words+1 state words fit
     parts = -(-count // room) if words <= MAX_MT_WORDS and count >= _MIN_BATCH else 0
     for part in range(parts):  # batches of even size
         lo, hi = count * part // parts, count * (part + 1) // parts
         key = np.array(keys[lo:hi], dtype=np.uint64)
-        perm[lo:hi], counts[lo:hi], ends[lo:hi], short = _batched_draws(n, key, words)
+        perm[lo:hi], ends[lo:hi], short = _batched_draws(n, key, words)
         redo[lo:hi] = short | (key < 1 << 32)
     for r in np.flatnonzero(redo):
         p, us, vs = _c_in_connected_draws(n, c, random.Random(keys[r]))
-        perm[r], counts[r], ends[r, : 2 * len(us)] = p, len(us), [e for uv in zip(us, vs) for e in uv]
-    return perm, counts, ends[:, 0::2], ends[:, 1::2]
+        perm[r], ends[r] = p, [e for uv in zip(us, vs) for e in uv] + [0] * (2 * (n - len(us)))
+    return perm, ends[:, 0::2], ends[:, 1::2]
 
 
 def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
@@ -324,30 +324,39 @@ class DynamicSchedule:
             return tuple(make_graph(self.n, cycle[slot :: self.delay]) for slot in range(self.delay))
         return loops_only(self.n), complete_graph(self.n)  # blocking
 
-    @cached_property
-    def _period_adjacency(self) -> np.ndarray:
-        """_period_graphs as a bool (period, n, n) in-adjacency array."""
-        return np.array([[np.isin(np.arange(self.n), us) for us in g.in_neighbor_lists]
-                         for g in self._period_graphs])
+    @property
+    def edges_per_round(self) -> int:
+        """The most edges in_edges gives one round."""
+        drawn = self.n * min(self.c or 1, self.n - 1) + self.n  # the circulant's and n extra
+        return drawn if self.kind in ("csc", "c_connected") else self._period_edges[0].shape[1]
 
-    def in_adjacency(self, rounds: Sequence[int]) -> np.ndarray:
-        """The given rounds as a bool (len(rounds), n, n) array, A[k, v, u]
-        true when v hears u in round rounds[k]: the graphs graph_at returns,
-        from the same draws, with no DirectedGraph built."""
-        if any(t < 1 for t in rounds):
+    @cached_property
+    def _period_edges(self) -> tuple[np.ndarray, ...]:
+        """_period_graphs' non-loop edges as narrow (period, most) arrays u, v, padded with loops."""
+        edges = [[e for e in sorted(g.edges) if e[0] != e[1]] for g in self._period_graphs]
+        most, ends = max(1, *map(len, edges)), np.min_scalar_type(self.n - 1)
+        return tuple(np.array([e + [(0, 0)] * (most - len(e)) for e in edges], ends).transpose(2, 0, 1))
+
+    def in_edges(self, rounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The given rounds' non-loop edges as flat arrays (k, u, v), by
+        round: v hears u in round rounds[k].  They are graph_at's graphs,
+        from the same draws, with no DirectedGraph built; an edge may repeat."""
+        if min(rounds, default=1) < 1:
             raise ValueError(f"rounds start at 1, got {min(rounds)}")
-        if self.kind not in ("csc", "c_connected"):
-            period = self._period_adjacency
-            return period[(np.asarray(rounds, dtype=np.intp) - 1) % len(period)]
-        n, c, count = self.n, self.c or 1, len(rounds)
-        perm, extras, us, vs = _c_in_connected_batch(n, c, self.round_keys(rounds))
-        # perm[i] hears perm[i-j] for j in 0..m, as in random_c_in_connected.
-        back = (np.arange(n)[:, None] - np.arange(min(c, n - 1) + 1)) % n
-        adj = np.zeros((count, n, n), dtype=bool)
-        adj[np.arange(count)[:, None, None], perm[:, :, None], perm[:, back]] = True
-        used = np.arange(n) < extras[:, None]
-        adj[np.nonzero(used)[0], vs[used], us[used]] = True
-        return adj
+        n, m = self.n, min(self.c or 1, self.n - 1)
+        if self.kind in ("csc", "c_connected"):
+            draws = _c_in_connected_batch(n, self.c or 1, self.round_keys(rounds))
+            perm, us, vs = (a.astype(np.min_scalar_type(n - 1)) for a in draws)
+            # perm[i] hears perm[i-j] for j in 1..m, as in random_c_in_connected.
+            back = (np.arange(n) - np.arange(1, m + 1)[:, None]).ravel() % n
+            us = np.concatenate([perm[:, back], us], axis=1)
+            vs = np.concatenate([np.tile(perm, m), vs], axis=1)
+        else:
+            us, vs = self._period_edges
+            slots = (np.asarray(rounds, dtype=np.intp) - 1) % len(us)
+            us, vs = us[slots], vs[slots]
+        real, rows = us != vs, np.arange(len(rounds), dtype=np.min_scalar_type(max(len(rounds) - 1, 0)))
+        return np.repeat(rows, np.count_nonzero(real, axis=1)), us[real], vs[real]
 
     def graph_at(self, t: int) -> DirectedGraph:
         if t < 1:

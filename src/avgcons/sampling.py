@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import dequantize_array, quantize_array
+from .quantization import _base, dequantize_array, quantize_array
 from .seeds import stable_seed
 
 
@@ -57,8 +57,8 @@ class ProtocolParams:
         if self.ell > np.iinfo(np.intp).max // 8:  # bytes of one float64 vector
             raise ValueError(f"replica count ell, about 10^{len(str(self.ell)) - 1}, is too large "
                              f"for any array: raise epsilon or narrow [a, b]")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if self.beta is not None:
+            _base(self.beta)  # the grid's rule, 1 < 1 + beta < inf
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -199,8 +199,8 @@ class ConcentrationParams:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not 0 < self.alpha < 0.5:
             raise ValueError(f"alpha must be in (0, 1/2), got {self.alpha}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if self.beta is not None:
+            _base(self.beta)  # the grid's rule, 1 < 1 + beta < inf
 
 
 def chernoff_bound(ell: int, alpha: float) -> float:

@@ -54,13 +54,14 @@ def mt_words(keys: np.ndarray, count: int) -> np.ndarray:
     g, u32 = _GENRAND, np.uint32
     plus = ((keys & 0xFFFFFFFF).astype(u32), ((keys >> 32) + 1).astype(u32))  # key[j] + j
     tmp = np.empty(len(keys), dtype=u32)
+    shr, xor, mul, add_, s30 = np.right_shift, np.bitwise_xor, np.multiply, np.add, u32(30)  # ~9,300 calls
 
     def step(word, row, mult, add):  # word = (row ^ (word ^ word >> 30) * mult) + add
-        np.right_shift(word, u32(30), out=tmp)
-        np.bitwise_xor(tmp, word, out=tmp)
-        np.multiply(tmp, mult, out=tmp)
-        np.bitwise_xor(tmp, row, out=word)
-        word += add
+        shr(word, s30, tmp)
+        xor(tmp, word, tmp)
+        mul(tmp, mult, tmp)
+        xor(tmp, row, word)
+        add_(word, add, word)
 
     m1, m2 = u32(1664525), u32(1566083941)  # the first and the second loop's
     a = np.full(len(keys), g[0])

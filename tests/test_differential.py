@@ -234,34 +234,36 @@ def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
     assert_matches_reference(tc, eng.run_trial(tc))
 
 
-# rbar segment boundaries: (n, ell, t_max, checkpoints, schedule, cells),
-# cells setting the engine's _SEGMENT_CELLS.  None keeps the default horizon
-# 4*ell*n and the engine's size.
+# rbar segment boundaries: (n, ell, t_max, checkpoints, schedule, edges),
+# edges setting the engine's _SEGMENT_EDGES to a number of rounds times the
+# schedule's edges_per_round: 2n for csc, n*c + n for c_connected with
+# c < n, n(n-1) for blocking.  None keeps the default horizon 4*ell*n and
+# the engine's size.
 RBAR_SEGMENT_CASES = {
     "checkpoint-mid-later-rotation": (5, 6, None, (2 * 6 + 3, 3 * 6 + 1), {}, {}),
     "t_max-below-ell": (4, 8, 5, (3,), {}, {}),
     "t_max-not-a-multiple-of-ell": (4, 6, 3 * 6 + 2, (7, 20), {}, {}),
-    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_CELLS=5 * 3 * 3)),
-    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, dict(_SEGMENT_CELLS=1)),
+    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_EDGES=5 * 6)),
+    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, dict(_SEGMENT_EDGES=1)),
     "c_connected-split-by-cell-cap": (6, 10, None, (25,), dict(schedule_kind="c_connected", c=2),
-                                      dict(_SEGMENT_CELLS=7 * 36)),
+                                      dict(_SEGMENT_EDGES=7 * 18)),
     "blocking-split-by-cell-cap": (4, 6, 5 * 6 + 3, (8,), dict(schedule_kind="blocking"),
-                                   dict(_SEGMENT_CELLS=4 * 16)),
-    "segments-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_CELLS=2 * 3 * 3)),
+                                   dict(_SEGMENT_EDGES=4 * 12)),
+    "segments-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_EDGES=2 * 6)),
     "one-round-segments": (4, 6, None, (9,), dict(schedule_kind="c_connected", c=2),
-                           dict(_SEGMENT_CELLS=1)),
+                           dict(_SEGMENT_EDGES=1)),
     "n1": (1, 6, 2 * 6 + 4, (3, 9), {}, {}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RBAR_SEGMENT_CASES))
 def test_rbar_blocks_match_both_oracles(name, monkeypatch):
-    n, ell, t_max, checkpoints, sched, cells = RBAR_SEGMENT_CASES[name]
+    n, ell, t_max, checkpoints, sched, edges = RBAR_SEGMENT_CASES[name]
     cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=n, seed=31 + len(name), ell=ell,
                               beta=0.1, **sched)
     tc = hn.trial_config(cfg, 0)
     tc = replace(tc, t_max=t_max or tc.t_max, checkpoint_rounds=checkpoints)
-    for constant, value in cells.items():
+    for constant, value in edges.items():
         monkeypatch.setattr(eng, constant, value)
     got = eng.run_trial(tc)
     assert_matches_reference(tc, got)
@@ -321,7 +323,7 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
     assert (f is None) == ((protocol, kind) == ("rbar", "blocking"))
     if (protocol, kind) == ("rbar", "csc"):  # mid-rotation, and mid-segment
         assert f % ell != 0 and f % ell % 3 != 0
-    monkeypatch.setattr(eng, "_SEGMENT_CELLS", 3 * n * n)
+    monkeypatch.setattr(eng, "_SEGMENT_EDGES", 3 * tc.schedule.edges_per_round)
     variants = [tc]
     if f is not None:  # min keeps no vectors to checkpoint
         variants = [replace(tc, checkpoint_rounds=() if protocol == "min" else (f + 1, tc.t_max))]
@@ -340,13 +342,13 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
 
 def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
     drawn = []
-    in_adjacency, graph_at = gr.DynamicSchedule.in_adjacency, gr.DynamicSchedule.graph_at
+    in_edges, graph_at = gr.DynamicSchedule.in_edges, gr.DynamicSchedule.graph_at
     # min on csc at n=32 reads every round up to its last reach-set growth
     # and none after it.
     tc = hn.trial_config(hn.ExperimentConfig(protocol="min", trials=1, n=32, seed=3), 0)
     f = freeze_round(tc)
-    monkeypatch.setattr(gr.DynamicSchedule, "in_adjacency",
-                        lambda sched, rounds: drawn.extend(rounds) or in_adjacency(sched, rounds))
+    monkeypatch.setattr(gr.DynamicSchedule, "in_edges",
+                        lambda sched, rounds: drawn.extend(rounds) or in_edges(sched, rounds))
     monkeypatch.setattr(gr.DynamicSchedule, "graph_at",
                         lambda sched, t: drawn.append(t) or graph_at(sched, t))
     eng.run_trial(tc)

@@ -11,7 +11,7 @@ and its CSV rendering.  One rbar trial is also pinned at full size, since
 its engine works on blocks of up to a rotation of rounds, and every dump
 is checked against the plain per-round encoder.  The schedule streams
 are pinned separately, at the benchmark's sizes, since the trial cases
-stop at n = 6; the in-adjacency arrays are checked against them.
+stop at n = 6; in_edges is checked against them.
 """
 import hashlib
 import io
@@ -157,6 +157,40 @@ def test_dump_matches_the_reference_encoder(name):
     assert dump == reference_dump(trace)
 
 
+class LineCounter(io.StringIO):
+    """A text buffer that records how many lines each write held."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, s):
+        self.lines.append(s.count("\n"))
+        return super().write(s)
+
+
+def test_dump_writes_runs_of_at_most_1024_lines_and_splits_where_only_msg_bits_changes():
+    # rbard on the complete graph with agents starting in rounds 1, 2 and 3:
+    # until round 3 every active agent hears a heartbeat, so rounds 1 and 2
+    # have the same all-null, all-zero agents row, but a different msg_bits.
+    params = hn.build_params(hn.ExperimentConfig(protocol="rbard", trials=1, n=3, ell=8, beta=0.05,
+                                                 size_bound=3))
+    complete = gr.DynamicSchedule("fixed", 3, graph=gr.complete_graph(3))
+    staggered = eng.TrialConfig("rbard", params, (0.2, 0.5, 0.8), complete, (1, 2, 3), 40, seed=1)
+    # rbar over 3,000 rounds in rotations of 700: runs longer than 1,024 lines.
+    long = hn.trial_config(hn.ExperimentConfig(protocol="rbar", trials=1, n=3, ell=700, beta=0.05,
+                                               t_max=3000), 0)
+    for tc in (staggered, long):
+        trace = eng.run_trial(tc)
+        buf = LineCounter()
+        eng.dump_trace_jsonl(trace, buf)
+        assert buf.getvalue() == reference_dump(trace)
+        assert max(buf.lines) <= 1024 and sum(buf.lines) == trace.t_max + 1
+        if tc is staggered:
+            rows = [json.loads(line) for line in buf.getvalue().splitlines()[1:3]]
+    assert rows[0]["agents"] == rows[1]["agents"] and rows[0]["msg_bits"] != rows[1]["msg_bits"]
+
+
 # Trial 0 of the acceptance suite's criterion-5 config at full size (rbar,
 # n=6, ell=8089, 56,623 rounds): (config digest, t_max, trace sha256, dump
 # sha256), the last two hashed as in GOLDEN.
@@ -198,8 +232,8 @@ def test_in_adjacency_matches_graph_at(name):
     # the rbar engine does for settled columns; () is empty.
     sched = gr.DynamicSchedule(**STREAMS[name][0])
     for rounds in (range(1, 201), range(37, 90), range(38, 120, 3), (2, 3, 7, 8, 64, 199), ()):
-        adj = sched.in_adjacency(rounds)
-        assert adj.shape == (len(rounds), sched.n, sched.n) and adj.dtype == bool
-        for k, t in enumerate(rounds):
-            rows = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj[k])
-            assert rows == sched.graph_at(t).in_neighbor_lists, t
+        # in_edges scattered into per-round edge sets, the loops added.
+        got = [{(v, v) for v in range(sched.n)} for _ in rounds]
+        for k, u, v in zip(*(a.tolist() for a in sched.in_edges(rounds))):
+            got[k].add((u, v))
+        assert got == [sched.graph_at(t).edges for t in rounds]

@@ -211,7 +211,7 @@ def test_in_adjacency_rejects_a_bad_window():
     sched = gr.DynamicSchedule("csc", 4, seed=1)
     for rounds in ((0, 1, 2), (3, -1, 5)):
         with pytest.raises(ValueError, match=f"rounds start at 1, got {min(rounds)}"):
-            sched.in_adjacency(rounds)
+            sched.in_edges(rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +229,41 @@ def test_mt_words_match_random_getrandbits(count):
         assert words[:, k].tolist() == [oracle.getrandbits(32) for _ in range(count)], key
 
 
+def in_adjacency(sched, rounds):
+    """in_edges scattered into a bool (len(rounds), n, n) array, A[k, v, u]
+    true when v hears u in round rounds[k], the loops added."""
+    k, u, v = sched.in_edges(rounds)
+    assert len(k) == len(u) == len(v) and (u != v).all()
+    assert k.dtype == np.min_scalar_type(max(len(rounds) - 1, 0))
+    assert u.dtype == v.dtype == np.min_scalar_type(sched.n - 1)
+    adj = np.zeros((len(rounds), sched.n, sched.n), dtype=bool)
+    adj[:, np.arange(sched.n), np.arange(sched.n)] = True
+    adj[k, v, u] = True
+    return adj
+
+
 def assert_in_adjacency_matches_graph_at(sched, rounds):
-    adj = sched.in_adjacency(rounds)
-    assert adj.shape == (len(rounds), sched.n, sched.n) and adj.dtype == bool
+    adj = in_adjacency(sched, rounds)
     for k, t in enumerate(rounds):
         rows = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj[k])
         assert rows == sched.graph_at(t).in_neighbor_lists, t
 
 
 def spy_on_the_fallback(monkeypatch):
-    """The states of the random.Random generators that in_adjacency draws
+    """The states of the random.Random generators that in_edges draws
     rounds from, one per round not drawn in a batch."""
     states, draws = [], gr._c_in_connected_draws
-    in_adjacency = gr.DynamicSchedule.in_adjacency
+    in_edges = gr.DynamicSchedule.in_edges
 
     def spy(sched, rounds):
         monkeypatch.setattr(gr, "_c_in_connected_draws",
                             lambda n, c, rng: states.append(rng.getstate()) or draws(n, c, rng))
         try:
-            return in_adjacency(sched, rounds)
+            return in_edges(sched, rounds)
         finally:
             monkeypatch.setattr(gr, "_c_in_connected_draws", draws)
 
-    monkeypatch.setattr(gr.DynamicSchedule, "in_adjacency", spy)
+    monkeypatch.setattr(gr.DynamicSchedule, "in_edges", spy)
     return states
 
 
@@ -313,6 +325,30 @@ def test_in_adjacency_falls_back_to_random_for_short_budgets_and_small_keys(monk
     assert_in_adjacency_matches_graph_at(sched, rounds)
     assert all(random.Random(sched.round_key(t)).getstate() in fallback for t in rounds[2::3])
     assert 100 < len(fallback) < 300
+
+
+@st.composite
+def schedules(draw):
+    """A schedule of any kind at n up to 160, across n=51/52, where the
+    batched draws give way to random.Random."""
+    n = draw(st.integers(1, 160))
+    kind = draw(st.sampled_from(["csc", "c_connected", "delayed", "blocking", "ring", "complete"]
+                                if n > 1 else ["csc", "c_connected", "ring"]))
+    build = gr.SCHEDULE_KINDS[kind][1]
+    param = {"c_connected": draw(st.integers(1, 6)), "delayed": draw(st.integers(1, 4)),
+             "blocking": 2 * draw(st.integers(1, 3))}.get(kind)
+    return build(n, draw(st.integers(0, 2**32)), param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=schedules(), rounds=st.lists(st.integers(1, 10**9), max_size=8), batched=st.booleans())
+def test_in_edges_on_random_round_sets_matches_graph_at(sched, rounds, batched):
+    with pytest.MonkeyPatch.context() as mp:
+        if batched:  # any call, where the word budget fits one twist
+            mp.setattr(gr, "_MIN_BATCH", 1)
+        assert_in_adjacency_matches_graph_at(sched, rounds)
+    k = sched.in_edges(rounds)[0]
+    assert np.bincount(k, minlength=1).max() <= sched.edges_per_round
 
 
 def test_csc_schedule_is_deterministic_per_round():

@@ -385,6 +385,17 @@ def test_cli_sweep_with_a_beta_of_an_ulp_or_less_exits_2(beta, needle, tmp_path)
     assert done.stderr.startswith(needle) and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("beta", [float("inf"), float("nan"), 1e-17, -0.1],
+                         ids=["inf", "nan", "1e-17", "negative"])
+def test_cli_sweep_with_a_beta_off_the_grid_exits_2_before_sampling(beta, tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("sampled"))
+    assert cli(pinned_beta_sweep(tmp_path, beta)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta must be > 0 with 1 + beta > 1 in floats, and finite, got ")
+    assert err.count("\n") == 1
+
+
 def test_cli_sweep_whose_exponent_grid_outgrows_memory_exits_2_before_building_it(
         tmp_path, monkeypatch, capsys):
     # At beta=1e-7 the 24 draws span some 10^7 exponents, 3 x 8 B each.

@@ -152,6 +152,17 @@ def test_protocol_params_validation():
         sp.ProtocolParams(epsilon=0.3, eta=0.2, a=0.0, b=1.0, ell=5, beta=-0.1)
 
 
+# The grid's one rule, 1 < 1 + beta < inf, refuses inf and NaN, for which
+# beta <= 0 is false, and 1e-17, as 1 + 1e-17 is 1 in floats.
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 1e-17, -0.1],
+                         ids=["inf", "nan", "1e-17", "negative"])
+def test_params_reject_a_beta_off_the_grid(beta):
+    with pytest.raises(ValueError, match="beta must be > 0 with 1 \\+ beta > 1 in floats, and finite"):
+        sp.ProtocolParams(0.3, 0.2, 0.0, 1.0, ell=4, beta=beta)
+    with pytest.raises(ValueError, match="beta must be > 0 with 1 \\+ beta > 1 in floats, and finite"):
+        sp.ConcentrationParams(ell=4, rate=1.0, alpha=0.2, beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # concentration checks
 
