@@ -23,7 +23,6 @@ from .graph import (
 from .quantization import (
     admissible_interval,
     count_levels,
-    dequantize,
     dequantize_array,
     quantize,
     quantize_array,
@@ -37,7 +36,6 @@ from .sampling import (
     params_r,
     params_rbar,
     params_rbard,
-    sample_exponential,
     sample_exponentials,
 )
 from .engine import (

@@ -63,13 +63,17 @@ def _parse_schedule(spec: str) -> tuple[str, dict]:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every negative number float() reads,
     -1e-3 and -inf among them, as a value; argparse itself knows only -N
-    and -N.M, and takes the rest for an unknown option.  Subparsers are
-    built by the parser's own class, so they read them the same way."""
+    and -N.M, and takes the rest for an unknown option.  Its usage errors
+    are one line, as every other exit 2 is (-h prints the usage).
+    Subparsers are built by the parser's own class, so they act the same."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -97,14 +97,13 @@ class TrialConfig:
                              f"{'requires' if protocol.randomized else 'takes no'} params")
         if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
+        check_trial_size(protocol, n, self.t_max, self.params.ell if protocol.randomized else 0)
         if not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"inputs must be finite, got {self.inputs}")
         if any(s < 1 for s in self.start_rounds):
             raise ValueError("start rounds must be >= 1")
         if not protocol.decides and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if any(not 1 <= t <= self.t_max for t in self.checkpoint_rounds):
             raise ValueError(f"checkpoint rounds {self.checkpoint_rounds} not in [1, {self.t_max}]")
         if not protocol.randomized and self.checkpoint_rounds:
@@ -215,24 +214,28 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_trial_size(protocol: Protocol, n: int, t_max: int, ell: int, exponents: int = 0) -> None:
+    """The trial-size rules: t_max >= 1, and physical memory holds the per-round
+    estimates (and counters), each replica's draws and working copies (quantized:
+    exponents, final ones, 4 offsets of <= 4 B) and, once drawn, 3 x 8 B per
+    exponent of their span (_offsets' or message_bits').  Checked before any
+    allocation: numpy's succeed under overcommit and fail only when touched."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    per_agent = t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4)
+    if (need := 8 * n * per_agent + 24 * exponents) > (memory := _physical_memory()):
+        sizes = (f"ell={ell}, n={n} and {exponents} exponents" if exponents
+                 else f"ell={ell} and n={n}" if ell else f"n={n}")
+        raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {need / 2**30:.1f} GiB, "
+                          f"more than the {memory / 2**30:.1f} GiB of physical memory")
+
+
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
-    per-round arrays, allocated in full so a horizon too large fails now.
-    numpy's allocations succeed under overcommit and fail only when touched,
-    so arrays and draws that exceed physical memory are a MemoryError before
-    anything is sampled, and an exponent grid (1/beta wide) before it is built."""
+    per-round arrays, allocated in full; TrialConfig has checked that they
+    fit, and the exponent grid (1/beta wide) is checked before it is built."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
-    # Per round, the estimates (and counters); per replica, the raw draws and
-    # working copies (quantized: exponents, final ones, 4 offsets of <= 4 B).
-    ell = p.ell if protocol.randomized else 0
-    need = 8 * n * (t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4))
-
-    def fit(total: int, sizes: str) -> None:
-        if total > (memory := _physical_memory()):
-            raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {total / 2**30:.1f} GiB, "
-                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
-    fit(need, f"ell={ell} and n={n}" if ell else f"n={n}")
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                        estimates=np.full((t_max, n), np.nan))
     if protocol.decides:
@@ -240,7 +243,7 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
     if protocol.randomized:
-        trace.init_x_raw, trace.init_y_raw = np.empty((n, ell)), np.empty((n, ell))
+        trace.init_x_raw, trace.init_y_raw = np.empty((n, p.ell)), np.empty((n, p.ell))
         for u, theta in enumerate(cfg.inputs):
             stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
             trace.init_x_raw[u], trace.init_y_raw[u] = proto.init_samples(theta, p, stream)
@@ -248,8 +251,8 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         # quantize_array is elementwise, so this quantizes each row.
         trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
         trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
-        lo, hi = _exponent_span(trace)  # 3 x 8 B per exponent: _offsets' or message_bits'
-        fit(need + 24 * (hi - lo + 1), f"ell={ell}, n={n} and {hi - lo + 1} exponents")
+        lo, hi = _exponent_span(trace)
+        check_trial_size(protocol, n, t_max, p.ell, hi - lo + 1)
     return trace
 
 

@@ -309,7 +309,8 @@ class DynamicSchedule:
     @cached_property
     def _period_graphs(self) -> tuple[DirectedGraph, ...]:
         """The repeating graphs of a deterministic kind; round t uses entry
-        (t-1) mod period."""
+        (t-1) mod period, or the last, loops-only one of a delayed kind for
+        the slots from n on, which hold no cycle edge, whatever the delay."""
         if self.kind == "fixed":
             return (self.graph,)
         if self.kind == "delayed":
@@ -321,7 +322,8 @@ class DynamicSchedule:
             perm = list(range(self.n))
             rng.shuffle(perm)
             cycle = [(perm[i], perm[(i + 1) % self.n]) for i in range(self.n)]
-            return tuple(make_graph(self.n, cycle[slot :: self.delay]) for slot in range(self.delay))
+            return tuple(make_graph(self.n, cycle[slot :: self.delay])
+                         for slot in range(min(self.delay, self.n + 1)))
         return loops_only(self.n), complete_graph(self.n)  # blocking
 
     @property
@@ -353,7 +355,8 @@ class DynamicSchedule:
             vs = np.concatenate([np.tile(perm, m), vs], axis=1)
         else:
             us, vs = self._period_edges
-            slots = (np.asarray(rounds, dtype=np.intp) - 1) % len(us)
+            period = min(self.delay or len(us), np.iinfo(np.intp).max)  # rounds are intp: t-1 < period
+            slots = np.minimum((np.asarray(rounds, dtype=np.intp) - 1) % period, len(us) - 1)
             us, vs = us[slots], vs[slots]
         real, rows = us != vs, np.arange(len(rounds), dtype=np.min_scalar_type(max(len(rounds) - 1, 0)))
         return np.repeat(rows, np.count_nonzero(real, axis=1)), us[real], vs[real]
@@ -365,7 +368,7 @@ class DynamicSchedule:
             # csc is the c = 1 case; round_key hashes the kind, so its stream is its own.
             return random_c_in_connected(self.n, self.c or 1, random.Random(self.round_key(t)))
         graphs = self._period_graphs
-        return graphs[(t - 1) % len(graphs)]
+        return graphs[min((t - 1) % (self.delay or len(graphs)), len(graphs) - 1)]
 
     def to_json(self) -> dict:
         params = {k: getattr(self, k) for k in ("delay", "c", "ell") if getattr(self, k) is not None}

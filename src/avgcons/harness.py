@@ -24,7 +24,7 @@ import numpy as np
 
 from . import graph as gr
 from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
-    message_bits, run_trial
+    check_trial_size, message_bits, run_trial
 from .quantization import admissible_interval, count_levels
 from .sampling import ConcentrationParams, ProtocolParams, RngStream, _check_input, \
     _check_ranges, chernoff_bound, empirical_tail, min_exponential_stats, rounding_ratio
@@ -176,8 +176,14 @@ def build_schedule(cfg: ExperimentConfig, trial: int,
 
 
 def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int, ...] = ()) -> TrialConfig:
-    params = build_params(cfg)
+    params, protocol = build_params(cfg), PROTOCOLS[cfg.protocol]
     schedule = build_schedule(cfg, trial, params)
+    # By default 4x the guarantee round, so a run that never converges is
+    # told apart from a slow one; the start rounds below make s_max exact.
+    t_max = cfg.t_max if cfg.t_max is not None else 4 * protocol.bound(schedule, params, cfg.s_max)
+    check_trial_size(protocol, cfg.n, t_max, params.ell if params else 0)  # before anything is drawn
+    if protocol.quantized:
+        admissible_interval(params, cfg.n)  # evaluate_trial's level budget needs a normal z
 
     if cfg.inputs is not None:
         inputs = cfg.inputs
@@ -195,10 +201,6 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
     else:
         start_rounds = (1,) * cfg.n
 
-    # By default 4x the guarantee round, so a run that never converges is
-    # told apart from a slow one.
-    t_max = cfg.t_max if cfg.t_max is not None else \
-        4 * PROTOCOLS[cfg.protocol].bound(schedule, params, max(start_rounds) - 1)
     return TrialConfig(
         protocol=cfg.protocol,
         params=params,

@@ -147,8 +147,6 @@ class RbarState:
 
 
 def rbar_init(x_raw: np.ndarray, y_raw: np.ndarray, params: ProtocolParams) -> RbarState:
-    if params.beta is None:
-        raise ValueError("rbar requires params.beta")
     return RbarState(
         x_vec=quantize_array(x_raw, params.beta),
         y_vec=quantize_array(y_raw, params.beta),
@@ -218,8 +216,6 @@ class RbarDState:
 
 def rbard_init(x_raw: np.ndarray, y_raw: np.ndarray, params: ProtocolParams,
                start_round: int = 1) -> RbarDState:
-    if params.beta is None:
-        raise ValueError("rbard requires params.beta")
     if start_round < 1:
         raise ValueError(f"start_round must be >= 1, got {start_round}")
     return RbarDState(

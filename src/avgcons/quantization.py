@@ -52,11 +52,6 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     return ks.reshape(xs.shape)
 
 
-def dequantize(k: int, beta: float) -> float:
-    """The represented value (1+beta)**k, on dequantize_array's grid."""
-    return float(dequantize_array([k], beta)[0])
-
-
 def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:
     """The represented values (1+beta)**k, elementwise, by np.power: the one grid."""
     return np.power(_base(beta), np.asarray(ks, dtype=np.float64))
@@ -85,6 +80,9 @@ def count_levels(c: float, d: float, beta: float) -> int:
 def admissible_interval(params, n: int) -> tuple[float, float]:
     """Interval [z, ln(1/z)] that holds all samples of n agents run with the
     ProtocolParams params w.h.p.: z = eta / (4 (b - a + 2) ell n), which
-    eta < 1/2, a <= b and ell >= 1 keep below 1/16, as its derivation needs."""
-    z = params.eta / (4.0 * (params.b - params.a + 2.0) * params.ell * n)
+    eta < 1/2, a <= b and ell >= 1 keep below 1/16, as its derivation needs,
+    and which must be a normal float, as count_levels needs."""
+    if (z := params.eta / (4.0 * (params.b - params.a + 2.0) * params.ell * n)) < np.finfo(np.float64).tiny:
+        raise ValueError(f"eta={params.eta} is too small for ell={params.ell} and n={n}: "
+                         f"z = eta / (4 (b - a + 2) ell n) is not a normal float")
     return z, math.log(1.0 / z)

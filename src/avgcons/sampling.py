@@ -166,11 +166,6 @@ class RngStream:
         return float(self.uniforms(1)[0])
 
 
-def sample_exponential(rate: float, stream) -> float:
-    """One Exp(rate) sample: a batch of one."""
-    return float(sample_exponentials(rate, 1, stream)[0])
-
-
 def sample_exponentials(rate: float, size: int, stream) -> np.ndarray:
     """Batch of Exp(rate) samples via inverse CDF: -ln(U)/rate."""
     if rate <= 0:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcons import graph as gr
-from avgcons.seeds import MAX_MT_WORDS, mt_words
+from avgcons.seeds import MAX_MT_WORDS, mt_words, seed_of
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +401,48 @@ def test_delayed_schedule_reuses_its_period_graphs():
     sched = gr.DynamicSchedule("delayed", 5, seed=4, delay=3)
     for t in range(1, 7):
         assert sched.graph_at(t) is sched.graph_at(t + 3)
+
+
+def delayed_slot_graph(sched, slot):
+    """Slot `slot` of a delayed schedule as first built, one graph per slot
+    of all `delay`: the fixed random cycle's edges slot, slot + delay, ..."""
+    perm = list(range(sched.n))
+    random.Random(seed_of(sched._key_prefix)).shuffle(perm)
+    cycle = [(perm[i], perm[(i + 1) % sched.n]) for i in range(sched.n)]
+    return gr.make_graph(sched.n, cycle[slot :: sched.delay])
+
+
+def assert_delayed_schedule_matches_its_slot_graphs(sched, rounds, graphs):
+    """graph_at, in_edges (values and dtypes) and edges_per_round of sched
+    against graphs[k], the oracle's graph of rounds[k], and every slot's."""
+    assert [sched.graph_at(t) for t in rounds] == graphs
+    edges = [[e for e in sorted(g.edges) if e[0] != e[1]] for g in graphs]
+    k, u, v = sched.in_edges(rounds)
+    assert k.tolist() == [i for i, es in enumerate(edges) for _ in es]
+    assert u.tolist() == [a for es in edges for a, _ in es]
+    assert v.tolist() == [b for es in edges for _, b in es]
+    assert k.dtype == np.min_scalar_type(max(len(rounds) - 1, 0))
+    assert u.dtype == v.dtype == np.min_scalar_type(sched.n - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_delayed_schedule_keeps_only_the_slots_that_hold_cycle_edges(seed):
+    for n in range(1, 9):
+        for delay in range(1, 2 * n + 3):
+            sched = gr.DynamicSchedule("delayed", n, seed=seed, delay=delay)
+            slots = [delayed_slot_graph(sched, s) for s in range(delay)]
+            rounds = list(range(1, 2 * delay + 2)) + [10**9]
+            assert_delayed_schedule_matches_its_slot_graphs(
+                sched, rounds, [slots[(t - 1) % delay] for t in rounds])
+            assert sched.edges_per_round == max(1, *(len(g.edges) - n for g in slots))
+
+
+def test_delayed_schedule_at_delay_1e9_builds_n_plus_1_slots():
+    sched = gr.DynamicSchedule("delayed", 4, seed=3, delay=10**9)
+    rounds = [1, 2, 3, 4, 5, 6, 10**9 - 1, 10**9, 10**9 + 1, 10**9 + 4, 3 * 10**9]
+    assert_delayed_schedule_matches_its_slot_graphs(
+        sched, rounds, [delayed_slot_graph(sched, (t - 1) % 10**9) for t in rounds])
+    assert len(sched._period_graphs) == 5 and sched.edges_per_round == 1
 
 
 def test_c_connected_schedule_rounds_pass_checker():

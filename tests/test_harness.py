@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -263,7 +264,8 @@ def test_cli_run_writes_a_parsable_trace(tmp_path, capsys):
 
 def test_cli_missing_required_flag_is_a_usage_error(capsys):
     assert cli(["run", "--protocol", "min"]) == 2  # --n missing
-    capsys.readouterr()
+    # One line, as every exit 2; argparse alone would print the usage block first.
+    assert capsys.readouterr().err == "error: avgcons run: the following arguments are required: --n\n"
 
 
 def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
@@ -352,12 +354,14 @@ def test_cli_run_reads_a_negative_number_with_an_exponent_as_a_value(value, tmp_
 def test_cli_run_larger_than_physical_memory_exits_2_before_sampling(argv, sizes, monkeypatch,
                                                                      capsys):
     # numpy's allocations succeed under overcommit, so a trial too large for
-    # the machine would be killed while sampling; it must fail first.
+    # the machine would be killed while sampling; it must fail before the
+    # inputs are drawn, too, which at n = 10^8 would take seconds.
     from avgcons import engine as eng
     from avgcons import protocol as proto
 
     monkeypatch.setattr(eng, "_physical_memory", lambda: 1 << 20)
     monkeypatch.setattr(proto, "init_samples", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew the inputs"))
     assert cli(["run", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: a trial with ") and err.count("\n") == 1
@@ -394,6 +398,38 @@ def test_cli_sweep_with_a_beta_off_the_grid_exits_2_before_sampling(beta, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: beta must be > 0 with 1 + beta > 1 in floats, and finite, got ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [({"t_max": 0}, "t_max must be >= 1, got 0"),
+     ({"t_max": 0, "s_max": 3}, "t_max must be >= 1, got 0"),
+     # z = eta / (4 (b - a + 2) ell n) underflows; it crashed the evaluation.
+     ({"ell": 4, "eta": 5e-324}, "eta=5e-324 is too small for ell=4 and n=4: z = eta / (4 (b - a + 2) "
+                                 "ell n) is not a normal float")],
+    ids=["t-max-0", "t-max-0-staggered", "eta-underflowing-the-admissible-interval"])
+def test_cli_sweep_breaking_a_rule_of_its_size_exits_2_before_drawing(extra, message, tmp_path,
+                                                                       monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"protocol": "rbard", "trials": 2, "n": 4, "size_bound": 4,
+                                    **extra}))
+    monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew"))
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_run_at_n_1e8_exits_2_before_drawing_its_inputs():
+    # It takes about 0.3 s, interpreter start included; drawing and
+    # checking 10^8 inputs first took more than 30 s.
+    src = str(Path(hn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "avgcons", "run", "--protocol", "min",
+                           "--n", "100000000"], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and time.perf_counter() - start < 5.0
+    assert done.stderr.startswith("error: out of memory: a trial with n=100000000 over 399999996 ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_cli_sweep_whose_exponent_grid_outgrows_memory_exits_2_before_building_it(

@@ -24,13 +24,13 @@ class ScriptedStream:
 
 
 def test_inverse_cdf_with_injected_uniform():
-    assert sp.sample_exponential(1.0, ScriptedStream(math.exp(-2.0))) == pytest.approx(2.0)
-    assert sp.sample_exponential(2.0, ScriptedStream(math.exp(-2.0))) == pytest.approx(1.0)
+    assert sp.sample_exponentials(1.0, 1, ScriptedStream(math.exp(-2.0)))[0] == pytest.approx(2.0)
+    assert sp.sample_exponentials(2.0, 1, ScriptedStream(math.exp(-2.0)))[0] == pytest.approx(1.0)
 
 
 def test_sample_exponential_rejects_bad_rate():
     with pytest.raises(ValueError):
-        sp.sample_exponential(0.0, ScriptedStream(0.5))
+        sp.sample_exponentials(0.0, 1, ScriptedStream(0.5))
     with pytest.raises(ValueError):
         sp.sample_exponentials(-1.0, 3, ScriptedStream(0.5, 0.5, 0.5))
 
@@ -45,7 +45,7 @@ def test_batch_sampling_is_bit_identical_to_scalar_calls():
     s1 = sp.RngStream(5, trial=1, agent=2, purpose="p")
     s2 = sp.RngStream(5, trial=1, agent=2, purpose="p")
     batch = sp.sample_exponentials(3.0, 16, s1)
-    singles = np.array([sp.sample_exponential(3.0, s2) for _ in range(16)])
+    singles = np.concatenate([sp.sample_exponentials(3.0, 1, s2) for _ in range(16)])
     assert np.array_equal(batch, singles)
 
 
