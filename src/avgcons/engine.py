@@ -13,7 +13,6 @@ seed, so the topology cannot react to the agents' random choices.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -68,8 +67,7 @@ class TrialConfig:
 
     start_rounds stagger activation for the deciding protocol: agent u is
     passive (emitting heartbeats) strictly before round start_rounds[u].
-    The other protocols require all-1 start rounds.  checkpoint_rounds
-    lists rounds at which full vector snapshots are kept in the trace.
+    The other protocols require all-1 start rounds.
     """
 
     protocol: str
@@ -80,7 +78,6 @@ class TrialConfig:
     t_max: int
     seed: int
     trial: int = 0
-    checkpoint_rounds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -98,16 +95,12 @@ class TrialConfig:
         if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
         check_trial_size(protocol, n, self.t_max, self.params.ell if protocol.randomized else 0)
-        if not all(math.isfinite(x) for x in self.inputs):
-            raise ValueError(f"inputs must be finite, got {self.inputs}")
+        if not math.isfinite(np.mean(self.inputs)):  # false too when their sum overflows
+            raise ValueError(f"inputs must be finite, as must their mean, got {self.inputs}")
         if any(s < 1 for s in self.start_rounds):
             raise ValueError("start rounds must be >= 1")
         if not protocol.decides and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
-        if any(not 1 <= t <= self.t_max for t in self.checkpoint_rounds):
-            raise ValueError(f"checkpoint rounds {self.checkpoint_rounds} not in [1, {self.t_max}]")
-        if not protocol.randomized and self.checkpoint_rounds:
-            raise ValueError(f"protocol {self.protocol!r} keeps no vectors to checkpoint")
         # -0.0 ties 0.0 in a minimum; one sign keeps every engine's result equal.
         object.__setattr__(self, "inputs", tuple(x + 0.0 for x in self.inputs))
 
@@ -157,8 +150,9 @@ class TrialTrace:
     offline entrywise minima that a stationary run must reach.
     final_states[u] holds agent u's vectors after round t_max (min keeps
     none); the rest of its final state is in the last rows of the arrays.
-    After a freeze, agents share one read-only pair in final_states, in
-    later checkpoints and in the decision_vectors of agents deciding later.
+    Past round frozen_at (a wrap for rbar; None if the horizon ends first)
+    no vector or estimate changes, and agents share one read-only pair in
+    final_states and in the decision_vectors of agents deciding later.
     """
 
     config: TrialConfig
@@ -173,7 +167,7 @@ class TrialTrace:
     final_states: list = field(default_factory=list)
     decision_rounds: Optional[np.ndarray] = None
     decision_vectors: dict = field(default_factory=dict)
-    checkpoints: dict = field(default_factory=dict)
+    frozen_at: Optional[int] = None
 
     @property
     def t_max(self) -> int:
@@ -192,10 +186,9 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     vectors are the minimum of the initial rows that have reached it, and
     each derived float is the same formula applied to the same row."""
     trace = _new_trace(cfg)
-    frozen, finals = (_rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds)(cfg, trace)
+    runner = _rotation_rounds if PROTOCOLS[cfg.protocol].rotates else _reach_rounds
+    trace.frozen_at, finals = runner(cfg, trace)
     trace.final_states = [FinalVectors(x, y) for x, y in finals]
-    for t in sorted(t for t in cfg.checkpoint_rounds if t > frozen):  # rows are final by then
-        trace.checkpoints[t] = list(finals)
     return trace
 
 
@@ -257,8 +250,8 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
 
 
 def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of min (one column), r and rbard; returns its frozen round
-    and _final_pairs (none for min).  Agent v's reach set, an n-bit
+    """The rounds of min (one column), r and rbard; returns frozen_at and
+    _final_pairs (none for min).  Agent v's reach set, an n-bit
     int, holds the agents whose initial rows reached it; a round ORs in its
     in-neighbours' previous-round sets (for rbard only active senders count,
     only active receivers update, and a heartbeat resets the counter).  Only
@@ -278,7 +271,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         grid, keep, inits = _offsets(trace)
         derive = lambda v: proto.rbard_size_estimate(grid[ys[v]], p)
     else:
-        inits, keep = (trace.init_x_raw, trace.init_y_raw), np.copy
+        inits = (trace.init_x_raw, trace.init_y_raw)
         derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
     final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
@@ -327,8 +320,6 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
-        if t in cfg.checkpoint_rounds:
-            trace.checkpoints[t] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
         if frozen := t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
@@ -345,7 +336,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 trace.estimates[r - 1 :, waiting] = proto.r_estimate(grid[xs[0]], grid[ys[0]], p)
                 trace.decision_rounds[waiting] = r
                 trace.decision_vectors.update(dict.fromkeys(waiting, finals[0]))
-    return t, finals
+    return t if frozen else None, finals
 
 
 def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
@@ -370,9 +361,9 @@ _SEGMENT_EDGES = 1 << 17
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of rbar, on _offsets; returns its frozen round and
-    _final_pairs.  Round t exchanges entry (t-1) mod ell of every agent, so
-    only that column changes, and no two columns interact.  A segment of
+    """The rounds of rbar, on _offsets; returns frozen_at and _final_pairs.
+    Round t exchanges entry (t-1) mod ell of every agent, so only that
+    column changes, and no two columns interact.  A segment of
     rounds inside one rotation touches each of its columns once, so it is
     one unbuffered np.minimum.at over the in_edges (k, u, v) of its live
     rounds, entry [v, i] folding in [u, i] for column i of round k, in any
@@ -380,19 +371,18 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     agent holds at one value is at its offline minimum for good, so its
     rounds are not drawn; once every column is, the next wrap fixes the
     estimates and the rest of the trace is filled in.  A segment ends at a
-    wrap, where the estimates are refreshed, at a checkpoint round, at
-    t_max, or at _SEGMENT_EDGES; its live rounds are drawn in one call, as
-    batched schedule generation needs."""
+    wrap, where the estimates are refreshed, at t_max, or at _SEGMENT_EDGES;
+    its live rounds are drawn in one call, as batched schedule generation
+    needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
     grid, keep, (xs, ys) = _offsets(trace)
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
-    stops = sorted({*cfg.checkpoint_rounds, t_max})
     segment = max(1, _SEGMENT_EDGES // cfg.schedule.edges_per_round)
     t = 1
     while t <= t_max:
         i = (t - 1) % p.ell
-        last = min(t - 1 + p.ell - i, stops[bisect.bisect_left(stops, t)])
+        last = min(t - 1 + p.ell - i, t_max)
         c = i + np.flatnonzero(live(slice(i, i + last - t + 1)))
         if len(c) > segment:
             c = c[:segment]
@@ -405,14 +395,12 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         if last % p.ell == 0:
             est = [proto.r_estimate(grid[xs[v]], grid[ys[v]], p) for v in range(n)]
             trace.estimates[last - 1] = est
-        if last in cfg.checkpoint_rounds:
-            trace.checkpoints[last] = [(keep(xs[v]), keep(ys[v])) for v in range(n)]
         if frozen := last % p.ell == 0 and not live(slice(None)).any():
             break
         t = last + 1
     # Frozen after round last (or last == t_max): fill in the rounds after it.
     trace.estimates[last:] = est
-    return last, _final_pairs(xs, ys, keep, frozen)
+    return last if frozen else None, _final_pairs(xs, ys, keep, frozen)
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

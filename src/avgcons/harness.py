@@ -175,8 +175,11 @@ def build_schedule(cfg: ExperimentConfig, trial: int,
     return build(cfg.n, stable_seed("schedule", cfg.seed, trial), param)
 
 
-def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int, ...] = ()) -> TrialConfig:
+def trial_config(cfg: ExperimentConfig, trial: int) -> TrialConfig:
     params, protocol = build_params(cfg), PROTOCOLS[cfg.protocol]
+    check_trial_size(protocol, cfg.n, 1 if cfg.t_max is None else cfg.t_max, 0)  # before complete's n^2 edges
+    if not math.isfinite(cfg.n * max(abs(cfg.a), abs(cfg.b))):  # n is bounded by memory now
+        raise ValueError(f"the mean of n={cfg.n} inputs in [{cfg.a}, {cfg.b}] can overflow")
     schedule = build_schedule(cfg, trial, params)
     # By default 4x the guarantee round, so a run that never converges is
     # told apart from a slow one; the start rounds below make s_max exact.
@@ -210,7 +213,6 @@ def trial_config(cfg: ExperimentConfig, trial: int, checkpoint_rounds: tuple[int
         t_max=t_max,
         seed=cfg.seed,
         trial=trial,
-        checkpoint_rounds=checkpoint_rounds,
     )
 
 

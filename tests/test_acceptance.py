@@ -110,16 +110,12 @@ RBAR_CFG = ExperimentConfig(
 
 
 def _rbar_worker(trial: int) -> dict:
-    bound = 8089 * RBAR_N
-    trace = run_trial(trial_config(RBAR_CFG, trial, checkpoint_rounds=(bound,)))
+    # Every agent holds the same vectors from frozen_at on, and a column that
+    # every agent holds at one value holds its offline minimum; ell*n is a
+    # wrap, so frozen_at <= ell*n says every vector is at the minima by then.
+    trace = run_trial(trial_config(RBAR_CFG, trial))
     rec = evaluate_trial(RBAR_CFG, trace)
-    min_x, min_y = offline_minima(trace)
-    rec["vectors_stationary_at_bound"] = bool(
-        all(
-            np.array_equal(xv, min_x) and np.array_equal(yv, min_y)
-            for xv, yv in trace.checkpoints[bound]
-        )
-    )
+    rec["vectors_stationary_at_bound"] = trace.frozen_at is not None and trace.frozen_at <= 8089 * RBAR_N
     rec["trial"] = trial
     return rec
 

@@ -4,11 +4,14 @@
 state object of ``protocol``, every round every agent emits its outbox
 message, receives the messages of its in-neighbours and applies its
 transition.  ``engine.run_trial`` must produce the same trace bit for bit:
-estimates, decisions, counters, decision rounds and vectors, checkpoints
-and every agent's final vectors, dtypes included, and every other field
-of the machines' final states must follow from that trace.  For rbar, whose
-engine runs blocks of rounds at once, ``scalar_rotation_run`` is a second
-oracle: the same matrices updated one round and one column at a time.
+estimates, decisions, counters, decision rounds and vectors and every
+agent's final vectors, dtypes included, and every other field of the
+machines' final states must follow from that trace.  The vectors at an
+earlier round B are checked as the final vectors of the same config run
+to t_max = B, since schedules are keyed by round and draws by agent.  For
+rbar, whose engine runs blocks of rounds at once, ``scalar_rotation_run``
+is a second oracle: the same matrices updated one round and one column at
+a time.
 Both oracles draw every round, so they also check the engine's skip of the
 rounds after the state has frozen.
 """
@@ -21,6 +24,8 @@ from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcons import engine as eng
 from avgcons import graph as gr
@@ -51,11 +56,13 @@ def _init_states(cfg):
 
 def reference_run(cfg):
     """The trial as per-agent machines exchanging messages, round by round:
-    its trace, and the machines' final states."""
+    its trace, the machines' final states, and every agent's (x_vec, y_vec)
+    at the end of each round (none for min); states are never mutated, so
+    these are the states' own arrays."""
     n, t_max = cfg.n, cfg.t_max
     states = _init_states(cfg)
     outbox, apply = _OUTBOX[cfg.protocol], _APPLY[cfg.protocol]
-    rbard = cfg.protocol == "rbard"
+    rbard, randomized, vectors = cfg.protocol == "rbard", eng.PROTOCOLS[cfg.protocol].randomized, []
     trace = eng.TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
                            estimates=np.full((t_max, n), np.nan))
     if rbard:
@@ -74,11 +81,10 @@ def reference_run(cfg):
                 if s.d is not None and trace.decision_rounds[v] < 0:
                     trace.decision_rounds[v] = t
                     trace.decision_vectors[v] = (s.x_vec.copy(), s.y_vec.copy())
-        if t in cfg.checkpoint_rounds:
-            trace.checkpoints[t] = [(s.x_vec.copy(), s.y_vec.copy()) for s in states]
-    if eng.PROTOCOLS[cfg.protocol].randomized:
+        vectors.append([(s.x_vec, s.y_vec) for s in states] if randomized else [])
+    if randomized:
         trace.final_states = [eng.FinalVectors(s.x_vec, s.y_vec) for s in states]
-    return trace, states
+    return trace, states, vectors
 
 
 def scalar_rotation_run(cfg):
@@ -98,8 +104,6 @@ def scalar_rotation_run(cfg):
             est = [proto.r_estimate(dequantize_array(xs[v], p.beta),
                                     dequantize_array(ys[v], p.beta), p) for v in range(n)]
         trace.estimates[t - 1] = est
-        if t in cfg.checkpoint_rounds:
-            trace.checkpoints[t] = [(xs[v].copy(), ys[v].copy()) for v in range(n)]
     trace.final_states = [eng.FinalVectors(xs[v], ys[v]) for v in range(n)]
     return trace
 
@@ -123,16 +127,11 @@ def assert_same_trace(ref, got):
             assert b is None, name
         else:
             assert_same(a, b, name)
-    for name in ("decision_vectors", "checkpoints"):
-        a, b = getattr(ref, name), getattr(got, name)
-        assert sorted(a) == sorted(b), name
-        for key in a:
-            pairs_a = a[key] if name == "checkpoints" else [a[key]]
-            pairs_b = b[key] if name == "checkpoints" else [b[key]]
-            assert len(pairs_a) == len(pairs_b), (name, key)
-            for (xa, ya), (xb, yb) in zip(pairs_a, pairs_b):
-                assert_same(xa, xb, (name, key, "x"))
-                assert_same(ya, yb, (name, key, "y"))
+    a, b = ref.decision_vectors, got.decision_vectors
+    assert sorted(a) == sorted(b), "decision_vectors"
+    for key in a:
+        assert_same(a[key][0], b[key][0], ("decision_vectors", key, "x"))
+        assert_same(a[key][1], b[key][1], ("decision_vectors", key, "y"))
     assert len(ref.final_states) == len(got.final_states)
     for v, (sa, sb) in enumerate(zip(ref.final_states, got.final_states)):
         assert type(sb) is eng.FinalVectors, v
@@ -187,42 +186,54 @@ def test_every_accepted_pair_is_covered():
     assert len(PAIRS) == 23
 
 
-def pair_config(protocol, kind, n, seed, ell, s_max):
+def pair_config(protocol, kind, n, seed, ell, s_max, beta=0.1, param=2):
     """A small config of the pair: the fields its protocol takes, staggered
-    starts up to s_max for rbard, and 2 for a kind's delay or c."""
+    starts up to s_max for rbard, and param for a kind's delay or c."""
     return hn.ExperimentConfig(
         protocol=protocol, trials=2, n=n, seed=seed, s_max=s_max if protocol == "rbard" else 0,
-        **{k: v for k, v in (("ell", ell), ("beta", 0.1), ("size_bound", n + 1))
+        **{k: v for k, v in (("ell", ell), ("beta", beta), ("size_bound", n + 1))
            if k in eng.PROTOCOLS[protocol].fields},
-        schedule_kind=kind, **{k: 2 for k in ("delay", "c") if k == SCHEDULE_KINDS[kind][0]},
+        schedule_kind=kind, **{k: param for k in ("delay", "c") if k == SCHEDULE_KINDS[kind][0]},
     )
 
 
 @pytest.mark.parametrize("protocol,kind,n", _cases())
 def test_matrix_engine_matches_the_reference_loop(protocol, kind, n):
     tc = hn.trial_config(pair_config(protocol, kind, n, 17 * n + len(kind), 6, 3), 1)
-    if protocol != "min":  # min keeps no vectors to checkpoint
-        tc = replace(tc, checkpoint_rounds=tuple(sorted({1, (tc.t_max + 1) // 2, tc.t_max})))
     if protocol == "rbard" and n > 1:
         assert len(set(tc.start_rounds)) > 1  # staggered starts
-    assert_matches_reference(tc, eng.run_trial(tc))
+    assert_matches_reference(tc, eng.run_trial(tc), (1, (tc.t_max + 1) // 2))
 
 
-def assert_matches_reference(tc, got):
-    ref, states = reference_run(tc)
+def assert_matches_reference(tc, got, horizons=()):
+    """got, the engine's run of tc, bit for bit against the reference loop's
+    run; and the engine's run of tc to each t_max = B in horizons against
+    the same reference run: its estimates and counters are the first B rows,
+    and its final vectors are the vectors after round B.  Returns the
+    reference run."""
+    ref, states, vectors = reference_run(tc)
     assert_same_trace(ref, got)
     assert_states_follow(states, got)
+    for b in horizons:
+        short = eng.run_trial(replace(tc, t_max=b))
+        for name in ("estimates", "counters"):
+            if getattr(ref, name) is not None:
+                assert_same(getattr(ref, name)[:b], getattr(short, name), (b, name))
+        assert len(short.final_states) == len(vectors[b - 1]), b
+        for v, (s, (x, y)) in enumerate(zip(short.final_states, vectors[b - 1])):
+            assert_same(x, s.x_vec, (b, v, "x_vec"))
+            assert_same(y, s.y_vec, (b, v, "y_vec"))
+    return ref, states, vectors
 
 
 def test_matrix_engine_matches_the_reference_loop_on_hand_picked_starts():
     # Passive agents mid-ring: heartbeats reach active agents on both sides.
     cfg = hn.ExperimentConfig(protocol="rbard", trials=1, n=5, seed=4, ell=8, beta=0.05,
                               size_bound=7, schedule_kind="ring")
-    tc = replace(hn.trial_config(cfg, 0), start_rounds=(1, 4, 2, 6, 1), t_max=30,
-                 checkpoint_rounds=(3, 6, 30))
+    tc = replace(hn.trial_config(cfg, 0), start_rounds=(1, 4, 2, 6, 1), t_max=30)
     got = eng.run_trial(tc)
     assert (got.decision_rounds > 0).all()
-    assert_matches_reference(tc, got)
+    assert_matches_reference(tc, got, (3, 6))
 
 
 def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
@@ -234,53 +245,54 @@ def test_matrix_engine_matches_the_reference_loop_on_a_signed_zero():
     assert_matches_reference(tc, eng.run_trial(tc))
 
 
-# rbar segment boundaries: (n, ell, t_max, checkpoints, schedule, edges),
-# edges setting the engine's _SEGMENT_EDGES to a number of rounds times the
-# schedule's edges_per_round: 2n for csc, n*c + n for c_connected with
-# c < n, n(n-1) for blocking.  None keeps the default horizon 4*ell*n and
-# the engine's size.
+# rbar segment boundaries: (n, ell, horizons, schedule, edges), each of the
+# horizons a t_max, many of them mid-rotation, and edges setting the
+# engine's _SEGMENT_EDGES to a number of rounds times the schedule's
+# edges_per_round: 2n for csc, n*c + n for c_connected with c < n, n(n-1)
+# for blocking.  None keeps the default horizon 4*ell*n and the engine's size.
 RBAR_SEGMENT_CASES = {
-    "checkpoint-mid-later-rotation": (5, 6, None, (2 * 6 + 3, 3 * 6 + 1), {}, {}),
-    "t_max-below-ell": (4, 8, 5, (3,), {}, {}),
-    "t_max-not-a-multiple-of-ell": (4, 6, 3 * 6 + 2, (7, 20), {}, {}),
-    "blocks-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_EDGES=5 * 6)),
-    "one-round-blocks": (3, 8, 3 * 8 + 1, (), {}, dict(_SEGMENT_EDGES=1)),
-    "c_connected-split-by-cell-cap": (6, 10, None, (25,), dict(schedule_kind="c_connected", c=2),
+    "t_max-mid-later-rotation": (5, 6, (2 * 6 + 3, 3 * 6 + 1, None), {}, {}),
+    "t_max-below-ell": (4, 8, (3, 5), {}, {}),
+    "t_max-not-a-multiple-of-ell": (4, 6, (7, 3 * 6 + 2), {}, {}),
+    "blocks-split-by-cell-cap": (3, 8, (13, 4 * 8 + 5), {}, dict(_SEGMENT_EDGES=5 * 6)),
+    "one-round-blocks": (3, 8, (3 * 8 + 1,), {}, dict(_SEGMENT_EDGES=1)),
+    "c_connected-split-by-cell-cap": (6, 10, (25, None), dict(schedule_kind="c_connected", c=2),
                                       dict(_SEGMENT_EDGES=7 * 18)),
-    "blocking-split-by-cell-cap": (4, 6, 5 * 6 + 3, (8,), dict(schedule_kind="blocking"),
+    "blocking-split-by-cell-cap": (4, 6, (8, 5 * 6 + 3), dict(schedule_kind="blocking"),
                                    dict(_SEGMENT_EDGES=4 * 12)),
-    "segments-split-by-cell-cap": (3, 8, 4 * 8 + 5, (13,), {}, dict(_SEGMENT_EDGES=2 * 6)),
-    "one-round-segments": (4, 6, None, (9,), dict(schedule_kind="c_connected", c=2),
+    "segments-split-by-cell-cap": (3, 8, (13, 4 * 8 + 5), {}, dict(_SEGMENT_EDGES=2 * 6)),
+    "one-round-segments": (4, 6, (9, None), dict(schedule_kind="c_connected", c=2),
                            dict(_SEGMENT_EDGES=1)),
-    "n1": (1, 6, 2 * 6 + 4, (3, 9), {}, {}),
+    "n1": (1, 6, (3, 9, 2 * 6 + 4), {}, {}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RBAR_SEGMENT_CASES))
 def test_rbar_blocks_match_both_oracles(name, monkeypatch):
-    n, ell, t_max, checkpoints, sched, edges = RBAR_SEGMENT_CASES[name]
+    n, ell, horizons, sched, edges = RBAR_SEGMENT_CASES[name]
     cfg = hn.ExperimentConfig(protocol="rbar", trials=1, n=n, seed=31 + len(name), ell=ell,
                               beta=0.1, **sched)
     tc = hn.trial_config(cfg, 0)
-    tc = replace(tc, t_max=t_max or tc.t_max, checkpoint_rounds=checkpoints)
     for constant, value in edges.items():
         monkeypatch.setattr(eng, constant, value)
-    got = eng.run_trial(tc)
-    assert_matches_reference(tc, got)
-    assert_same_trace(scalar_rotation_run(tc), got)
+    for t_max in horizons:
+        short = replace(tc, t_max=t_max or tc.t_max)
+        got = eng.run_trial(short)
+        assert_matches_reference(short, got)
+        assert_same_trace(scalar_rotation_run(short), got)
 
 
-def freeze_round(tc):
+def freeze_round(tc, ref=None):
     """The first round after which no round can change the state, from the
-    oracles and graph_at alone; None if the horizon ends first.  rbar
-    freezes once every agent holds the same vectors; the others once every
-    agent is active and has heard from every agent, and (rbard) every
-    counter is equal."""
+    oracles (ref is reference_run(tc), run here if not given) and graph_at
+    alone; None if the horizon ends first.  rbar freezes once every agent holds the same
+    vectors; the others once every agent is active and has heard from every
+    agent, and (rbard) every counter is equal."""
+    ref = ref or reference_run(tc)
     if tc.protocol == "rbar":
-        snaps = reference_run(replace(tc, checkpoint_rounds=tuple(range(1, tc.t_max + 1))))[0].checkpoints
-        return next((t for t in range(1, tc.t_max + 1) if all(
-            (x == snaps[t][0][0]).all() and (y == snaps[t][0][1]).all() for x, y in snaps[t])), None)
-    counters = reference_run(tc)[0].counters
+        return next((t for t, pairs in enumerate(ref[2], 1) if all(
+            (x == pairs[0][0]).all() and (y == pairs[0][1]).all() for x, y in pairs)), None)
+    counters = ref[0].counters
     full, reach = (1 << tc.n) - 1, [1 << v for v in range(tc.n)]
     for t in range(1, tc.t_max + 1):
         ins = tc.schedule.graph_at(t).in_neighbor_lists
@@ -293,30 +305,38 @@ def freeze_round(tc):
     return None
 
 
-def assert_shared_after_the_freeze(got, frozen):
-    """After the engine's frozen round every agent's final vectors, every
-    later checkpoint and the vectors of every agent that decides later are
-    one read-only pair (r's are row views); a trial that ends before it
-    keeps a pair per agent."""
+def expected_frozen_at(tc, f):
+    """The engine's frozen_at for a freeze_round f: rbar's shows at the wrap
+    that follows it, and it is None past the horizon."""
+    if f is not None and tc.protocol == "rbar":
+        f = -(-f // tc.params.ell) * tc.params.ell
+    return f if f is not None and f <= tc.t_max else None
+
+
+def assert_shared_after_the_freeze(got):
+    """After frozen_at every agent's final vectors and the vectors of every
+    agent that decides later are one read-only pair (r's are row views); a
+    trial that ends before it keeps a pair per agent."""
     distinct = {(id(s.x_vec), id(s.y_vec)): (s.x_vec, s.y_vec) for s in got.final_states}
-    if frozen is None or frozen > got.t_max:
+    if got.frozen_at is None:
         assert len(distinct) == got.n
         return
     (x, y), = distinct.values()
     assert not x.flags.writeable and not y.flags.writeable
     assert (x.base is not None) == (got.config.protocol == "r")
-    later = [pair for t, ps in got.checkpoints.items() if t > frozen for pair in ps]
+    later = []
     if got.decision_rounds is not None:
-        later += [got.decision_vectors[v] for v in np.flatnonzero(got.decision_rounds > frozen).tolist()]
+        later = [got.decision_vectors[v] for v in np.flatnonzero(got.decision_rounds > got.frozen_at)]
     assert all(a is x and b is y for a, b in later)
 
 
 @pytest.mark.parametrize("protocol,kind", PAIRS, ids=[f"{p}-{k}" for p, k in PAIRS])
 def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
-    # The same trial with the freeze just before a checkpoint, and with a
-    # horizon that ends the round before it, so it never freezes; rbar in
-    # segments of 3 live rounds, stopping at the wrap after the freeze.
-    # rbar never freezes on blocking, whose even columns never mix.
+    # The same trial to its default horizon and to the round before, at and
+    # after the freeze, whose vectors are those of the longer run at that
+    # round; a horizon that ends before the freeze never freezes.  rbar runs
+    # in segments of 3 live rounds and stops at the wrap after the freeze;
+    # it never freezes on blocking, whose even columns never mix.
     n, ell = 5, 6 if kind == "blocking" else 7
     tc = hn.trial_config(pair_config(protocol, kind, n, 0, ell, 4), 0)
     f = freeze_round(tc)
@@ -324,20 +344,40 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
     if (protocol, kind) == ("rbar", "csc"):  # mid-rotation, and mid-segment
         assert f % ell != 0 and f % ell % 3 != 0
     monkeypatch.setattr(eng, "_SEGMENT_EDGES", 3 * tc.schedule.edges_per_round)
-    variants = [tc]
-    if f is not None:  # min keeps no vectors to checkpoint
-        variants = [replace(tc, checkpoint_rounds=() if protocol == "min" else (f + 1, tc.t_max))]
-        variants += [replace(tc, t_max=f - 1)] if f > 1 else []
-    for v in variants:
+    horizons = [b for b in (f - 1, f, f + 1) if 1 <= b <= tc.t_max] if f else []
+    for v in [tc] + [replace(tc, t_max=b) for b in horizons]:
         got = eng.run_trial(v)
-        assert_matches_reference(v, got)
+        assert_matches_reference(v, got, horizons if v is tc else ())
         if protocol == "rbar":
             assert_same_trace(scalar_rotation_run(v), got)
+        assert got.frozen_at == expected_frozen_at(v, f)
         if protocol != "min":
-            assert_shared_after_the_freeze(got, f and -(-f // ell) * ell if protocol == "rbar" else f)
+            assert_shared_after_the_freeze(got)
     if (protocol, kind) == ("rbard", "delayed"):  # agents decide before and after the freeze
         rounds = eng.run_trial(tc).decision_rounds
         assert (rounds <= f).any() and (rounds > f).any()
+
+
+# Drawn configs at 2 <= n <= 8: every accepted (protocol, kind) pair and its
+# parameter, staggered starts for rbard, a small pinned ell and beta, a
+# horizon that may end before, at or after the freeze, and segments of a
+# few edges up to the engine's own size.
+@settings(max_examples=200, deadline=None)
+@given(pair=st.sampled_from(PAIRS), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       s_max=st.integers(0, 4), ell=st.integers(1, 4), beta=st.sampled_from([0.02, 0.1, 0.5]),
+       param=st.integers(1, 3), t_max=st.integers(1, 80),
+       edges=st.one_of(st.integers(1, 64), st.just(eng._SEGMENT_EDGES)))
+def test_the_engine_matches_the_reference_loop_on_drawn_configs(pair, n, seed, s_max, ell, beta,
+                                                                 param, t_max, edges):
+    protocol, kind = pair
+    ell = 2 * ell if kind == "blocking" else ell  # blocking rotates over an even ell
+    cfg = replace(pair_config(protocol, kind, n, seed, ell, s_max, beta, param), t_max=t_max)
+    tc = hn.trial_config(cfg, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "_SEGMENT_EDGES", edges)
+        got = eng.run_trial(tc)
+    ref = assert_matches_reference(tc, got)
+    assert got.frozen_at == expected_frozen_at(tc, freeze_round(tc, ref))
 
 
 def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
@@ -351,7 +391,7 @@ def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
                         lambda sched, rounds: drawn.extend(rounds) or in_edges(sched, rounds))
     monkeypatch.setattr(gr.DynamicSchedule, "graph_at",
                         lambda sched, t: drawn.append(t) or graph_at(sched, t))
-    eng.run_trial(tc)
+    assert eng.run_trial(tc).frozen_at == f
     assert drawn == list(range(1, f + 1)) and f < tc.t_max
     # The criterion-5 shape, rbar at n=6 for ell*(n+1) rounds, with a
     # smaller ell: it skips the rounds of settled columns before its last
@@ -376,17 +416,14 @@ def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
 @pytest.mark.parametrize("beta,width", [(0.1, np.uint8), (1e-3, np.uint16), (1e-5, np.uint32)],
                          ids=["uint8", "uint16", "uint32"])
 def test_every_offset_width_matches_the_reference_loop(protocol, beta, width):
-    cfg = replace(pair_config(protocol, "csc", 5, 7, 6, 3), beta=beta)
-    tc = hn.trial_config(cfg, 0)
-    tc = replace(tc, checkpoint_rounds=(1, tc.t_max // 2, tc.t_max))
+    tc = hn.trial_config(pair_config(protocol, "csc", 5, 7, 6, 3, beta=beta), 0)
     assert tc.params.beta == beta
     if protocol == "rbard":
         assert len(set(tc.start_rounds)) > 1  # staggered starts
     assert eng._offsets(eng._new_trace(tc))[2][0].dtype == width
     got = eng.run_trial(tc)
-    assert_matches_reference(tc, got)
+    assert_matches_reference(tc, got, (1, tc.t_max // 2))  # the machines' vectors are int64
     kept = [a for s in got.final_states for a in (s.x_vec, s.y_vec)]
-    kept += [a for pairs in got.checkpoints.values() for pair in pairs for a in pair]
     kept += [a for pair in got.decision_vectors.values() for a in pair]
     assert kept and all(a.dtype == np.int64 for a in kept)
 
@@ -433,7 +470,7 @@ def test_the_frozen_tail_decides_every_waiting_agent_at_once(monkeypatch):
     eng.run_trial(replace(tc, t_max=f))
     tail -= Counter(calls)
     monkeypatch.undo()
-    assert (got.decision_rounds > f).all()
+    assert (got.decision_rounds > f).all() and got.frozen_at == f
     assert tail["r_estimate"] == 1 and tail["rbard_size_estimate"] <= 1 and sum(tail.values()) <= 2
     assert_matches_reference(tc, got)
-    assert_shared_after_the_freeze(got, f)
+    assert_shared_after_the_freeze(got)

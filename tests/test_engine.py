@@ -20,7 +20,7 @@ def fixed(g):
 
 
 def cfg_for(protocol, schedule, inputs, t_max, seed=1, ell=8, beta=None,
-            start_rounds=None, checkpoint_rounds=(), a=0.0, b=1.0, size_bound=None):
+            start_rounds=None, a=0.0, b=1.0, size_bound=None):
     params = None
     if protocol != "min":
         params = ProtocolParams(
@@ -35,7 +35,6 @@ def cfg_for(protocol, schedule, inputs, t_max, seed=1, ell=8, beta=None,
         start_rounds=tuple(start_rounds) if start_rounds else (1,) * n,
         t_max=t_max,
         seed=seed,
-        checkpoint_rounds=tuple(checkpoint_rounds),
     )
 
 
@@ -120,11 +119,10 @@ def test_config_validation():
         )
     with pytest.raises(ValueError):
         cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=0)
-    for rounds in [(0, 2), (2, 7), (4,)]:  # checkpoints outside [1, t_max]
-        with pytest.raises(ValueError, match="checkpoint rounds"):
-            cfg_for("r", sched, (0.1, 0.2, 0.3), t_max=3, checkpoint_rounds=rounds)
-    with pytest.raises(ValueError, match="no vectors"):
-        cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=3, checkpoint_rounds=(1,))
+    for inputs in [(1.0, math.nan, 3.0), (1.0, -math.inf, 3.0), (1e308, 1e308, -1e308)]:
+        with pytest.raises(ValueError, match="inputs must be finite, as must their mean"):
+            with np.errstate(over="ignore"):  # the last one's sum overflows
+                cfg_for("min", sched, inputs, t_max=3)
     with pytest.raises(ValueError, match="beta"):
         cfg_for("rbar", sched, (0.1, 0.2, 0.3), t_max=3)
     with pytest.raises(ValueError, match="protocol 'min' takes no params"):
@@ -132,18 +130,21 @@ def test_config_validation():
                 params=ProtocolParams(epsilon=0.3, eta=0.2, a=0.0, b=1.0, ell=8))
 
 
-def test_checkpoints_capture_vectors_at_requested_rounds():
+def test_a_shorter_horizon_gives_the_vectors_at_its_round():
+    # Schedules are keyed by round and draws by agent, so the run to round 1
+    # is the first round of the run to round 6, which freezes after round 2.
     sched = gr.DynamicSchedule("csc", 3, seed=5)
-    cfg = cfg_for("r", sched, (0.2, 0.5, 0.8), t_max=6, checkpoint_rounds=(2, 6))
+    cfg = cfg_for("r", sched, (0.2, 0.5, 0.8), t_max=6)
     trace = eng.run_trial(cfg)
-    assert set(trace.checkpoints) == {2, 6}
-    for xv, yv in trace.checkpoints[6]:
-        assert xv.shape == (8,) and yv.shape == (8,)
-    final = trace.final_states
-    assert all(
-        np.array_equal(cp[0], s.x_vec)
-        for cp, s in zip(trace.checkpoints[6], final)
-    )
+    short = eng.run_trial(replace(cfg, t_max=1))
+    assert np.array_equal(short.estimates, trace.estimates[:1])
+    for t in (short, trace):
+        for u, s in enumerate(t.final_states):
+            assert s.x_vec.shape == (8,) and s.y_vec.shape == (8,)
+            assert t.estimates[-1, u] == -1.0 + s.y_vec.sum() / s.x_vec.sum()
+    assert trace.frozen_at == 2 and short.frozen_at is None
+    assert not all(np.array_equal(s.x_vec, f.x_vec)
+                   for s, f in zip(short.final_states, trace.final_states))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +167,13 @@ def test_r_under_csc_is_stationary_from_n_minus_1():
 def test_rbar_under_csc_is_stationary_from_ell_n():
     ell, n = 6, 3
     sched = gr.DynamicSchedule("csc", n, seed=8)
-    cfg = cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=ell * (n + 1), ell=ell,
-                  beta=0.05, checkpoint_rounds=(ell * n,))
+    cfg = cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=ell * (n + 1), ell=ell, beta=0.05)
     trace = eng.run_trial(cfg)
     min_x = trace.init_x_quant.min(axis=0)
     min_y = trace.init_y_quant.min(axis=0)
-    for xv, yv in trace.checkpoints[ell * n]:
-        assert np.array_equal(xv, min_x) and np.array_equal(yv, min_y)
+    for s in eng.run_trial(replace(cfg, t_max=ell * n)).final_states:
+        assert np.array_equal(s.x_vec, min_x) and np.array_equal(s.y_vec, min_y)
+    assert trace.frozen_at <= ell * n
     tail = trace.estimates[ell * n - 1 :]
     assert (tail == tail[0, 0]).all()
 
@@ -198,15 +199,14 @@ def test_rbar_entry_i_is_agreed_by_round_i_plus_n_minus_1_ell():
     ell, n = 4, 3
     sched = gr.DynamicSchedule("csc", n, seed=31)
     rounds = tuple(i + (n - 1) * ell for i in range(1, ell + 1))
-    cfg = cfg_for("rbar", sched, (0.15, 0.5, 0.85), t_max=max(rounds), ell=ell,
-                  beta=0.1, checkpoint_rounds=rounds)
+    cfg = cfg_for("rbar", sched, (0.15, 0.5, 0.85), t_max=max(rounds), ell=ell, beta=0.1)
     trace = eng.run_trial(cfg)
     min_x = trace.init_x_quant.min(axis=0)
     min_y = trace.init_y_quant.min(axis=0)
-    for idx in range(ell):
-        for xv, yv in trace.checkpoints[(idx + 1) + (n - 1) * ell]:
-            assert xv[idx] == min_x[idx]
-            assert yv[idx] == min_y[idx]
+    for idx, t in enumerate(rounds):
+        for s in eng.run_trial(replace(cfg, t_max=t)).final_states:
+            assert s.x_vec[idx] == min_x[idx]
+            assert s.y_vec[idx] == min_y[idx]
 
 
 def test_r_estimate_is_exactly_the_sum_ratio_of_its_own_vectors():

@@ -15,7 +15,7 @@ import time
 from dataclasses import fields
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from avgcons import engine as eng
@@ -82,12 +82,6 @@ argv_mutations = st.lists(st.sampled_from(FLAGS).flatmap(lambda flag: st.tuples(
     min_size=1, max_size=3)
 
 
-def small_fixed_graph(kind, n) -> bool:
-    """ring and complete build their graph before any size rule runs, so the
-    fuzz keeps them small."""
-    return kind not in ("ring", "complete") or type(n) is not int or n <= 64
-
-
 @pytest.fixture(scope="module")
 def front_door(tmp_path_factory):
     """The temporary directory, and call(argv, capsys): cli.cli at 256 MiB of
@@ -125,7 +119,6 @@ def test_fuzz_sweep_config(front_door, capsys, base, mutations):
             cfg.pop(key, None)
         else:
             cfg[key] = value
-    assume(small_fixed_graph(cfg.get("schedule_kind"), cfg.get("n")))
     (root / "cfg.json").write_text(json.dumps(cfg))
     call(["sweep", "--config", str(root / "cfg.json"), "--out", str(root / "out")], capsys)
 
@@ -140,10 +133,5 @@ def test_fuzz_run_argv(front_door, capsys, base, mutations):
             flags.pop(flag, None)
         else:
             flags[flag] = value
-    try:
-        n = int(flags.get("--n", ""))
-    except ValueError:
-        n = None
-    assume(small_fixed_graph(flags.get("--schedule"), n))
     argv = [word for flag, value in flags.items() for word in (flag, value)]
     call(["run", *argv, "--out", str(root / "trace.jsonl")], capsys)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from avgcons import engine as eng
+from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons.cli import cli
 from avgcons.quantization import admissible_interval
@@ -304,6 +305,9 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
         (["--protocol", "r", "--a", "-inf"], "a and b must be finite"),
         (["--protocol", "r", "--n", "3", "--a", "-1e308", "--b", "1e308"],
          "as must b - a + 1, got a=-1e+308, b=1e+308"),
+        # Three inputs near b sum past the largest float: theta was inf.
+        (["--protocol", "min", "--n", "3", "--b", "1.7976931348623157e308", "--t-max", "2"],
+         "the mean of n=3 inputs in [0.0, 1.7976931348623157e+308] can overflow"),
         (["--protocol", "min", "--eta", "5"], "eta must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "5"], "epsilon must be in (0, 1/2), got 5.0"),
         (["--protocol", "min", "--epsilon", "nan"], "epsilon must be in (0, 1/2), got nan"),
@@ -321,7 +325,7 @@ def test_cli_run_c_connected_beyond_the_subset_check_cap(tmp_path):
          "negative-s-max", "non-integer-parameter", "horizon-too-long", "s-max-too-large",
          "r-with-size-bound", "min-with-size-bound", "tiny-epsilon", "huge-b", "infinite-b",
          "nan-a", "min-nan-a", "min-infinite-a", "min-infinite-a-spaced", "r-minus-inf-a",
-         "r-infinite-width",
+         "r-infinite-width", "min-overflowing-mean",
          "min-eta-above-half", "min-epsilon-above-half", "min-epsilon-nan", "min-a-above-b",
          "ell-1e32", "ell-1e20", "negative-seed", "non-integer-seed",
          "blocking-without-parameter"],
@@ -406,8 +410,11 @@ def test_cli_sweep_with_a_beta_off_the_grid_exits_2_before_sampling(beta, tmp_pa
      ({"t_max": 0, "s_max": 3}, "t_max must be >= 1, got 0"),
      # z = eta / (4 (b - a + 2) ell n) underflows; it crashed the evaluation.
      ({"ell": 4, "eta": 5e-324}, "eta=5e-324 is too small for ell=4 and n=4: z = eta / (4 (b - a + 2) "
-                                 "ell n) is not a normal float")],
-    ids=["t-max-0", "t-max-0-staggered", "eta-underflowing-the-admissible-interval"])
+                                 "ell n) is not a normal float"),
+     ({"protocol": "min", "size_bound": None, "b": 1e308},
+      "the mean of n=4 inputs in [0.0, 1e+308] can overflow")],
+    ids=["t-max-0", "t-max-0-staggered", "eta-underflowing-the-admissible-interval",
+         "overflowing-mean"])
 def test_cli_sweep_breaking_a_rule_of_its_size_exits_2_before_drawing(extra, message, tmp_path,
                                                                        monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -416,6 +423,23 @@ def test_cli_sweep_breaking_a_rule_of_its_size_exits_2_before_drawing(extra, mes
     monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew"))
     assert cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,builder,sizes",
+    [(["--n", "1500", "--schedule", "complete", "--t-max", "1000000000"], "complete_graph",
+      "n=1500 over 1000000000 rounds"),
+     (["--n", "1000000000000", "--schedule", "ring"], "ring_graph", "n=1000000000000 over 1 rounds")],
+    ids=["complete-pinned-horizon", "ring-default-horizon"])
+def test_cli_run_larger_than_physical_memory_exits_2_before_building_a_fixed_graph(
+        argv, builder, sizes, monkeypatch, capsys):
+    # ring and complete build their graph with the schedule; complete at
+    # n = 1,500 took 0.5 s and about 240 MB before the size rules ran.  The
+    # default horizon needs the schedule, so one round stands in for it.
+    monkeypatch.setattr(gr, builder, lambda n: pytest.fail("built the graph"))
+    assert cli(["run", "--protocol", "min", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory: a trial with {sizes} needs ") and err.count("\n") == 1
 
 
 def test_cli_run_at_n_1e8_exits_2_before_drawing_its_inputs():
