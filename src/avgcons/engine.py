@@ -18,13 +18,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Callable, Optional
 
 import numpy as np
 
 from . import protocol as proto
 from .graph import DynamicSchedule
-from .quantization import dequantize_array, quantize_array
+from .quantization import count_levels, dequantize_array, quantize_array
 from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_rbard
 
 
@@ -32,13 +33,13 @@ from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_r
 class Protocol:
     """What differs between the protocols: the optional ExperimentConfig
     fields each takes, its sampling.params_* formula (None for min), the
-    round bound(schedule, params, s_max) by which its guarantee is due,
-    the share of eta its claims tolerate, and whether it sends one vector
-    entry per round, rotating through the entries."""
+    round bound(n, sweep, params, s_max) by which its guarantee is due
+    (sweep: graph.flooding_length), the share of eta its claims tolerate,
+    and whether it sends one vector entry per round, rotating through them."""
 
     fields: tuple[str, ...]
     formula: Optional[Callable[..., ProtocolParams]]
-    bound: Callable[[DynamicSchedule, Optional[ProtocolParams], int], int]
+    bound: Callable[[int, int, Optional[ProtocolParams], int], int]
     share: float = 1.0
     rotates: bool = False
 
@@ -52,12 +53,12 @@ class Protocol:
 # min and r are stationary after the schedule's flooding length, rbar after
 # one rotation per hop (ell*n); rbard decides by round s_max + 2n.
 PROTOCOLS = {
-    "min": Protocol((), None, lambda sched, p, s_max: sched.sweep),
-    "r": Protocol(("ell",), params_r, lambda sched, p, s_max: sched.sweep),
-    "rbar": Protocol(("ell", "beta"), params_rbar, lambda sched, p, s_max: p.ell * sched.n, 0.5,
+    "min": Protocol((), None, lambda n, sweep, p, s_max: sweep),
+    "r": Protocol(("ell",), params_r, lambda n, sweep, p, s_max: sweep),
+    "rbar": Protocol(("ell", "beta"), params_rbar, lambda n, sweep, p, s_max: p.ell * n, 0.5,
                      rotates=True),
     "rbard": Protocol(("ell", "beta", "size_bound"), params_rbard,
-                      lambda sched, p, s_max: s_max + 2 * sched.n),
+                      lambda n, sweep, p, s_max: s_max + 2 * n),
 }
 
 
@@ -94,7 +95,7 @@ class TrialConfig:
                              f"{'requires' if protocol.randomized else 'takes no'} params")
         if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
-        check_trial_size(protocol, n, self.t_max, self.params.ell if protocol.randomized else 0)
+        check_trial_size(protocol, n, self.t_max, self.params)
         if not math.isfinite(np.mean(self.inputs)):  # false too when their sum overflows
             raise ValueError(f"inputs must be finite, as must their mean, got {self.inputs}")
         if any(s < 1 for s in self.start_rounds):
@@ -207,14 +208,27 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_trial_size(protocol: Protocol, n: int, t_max: int, ell: int, exponents: int = 0) -> None:
-    """The trial-size rules: t_max >= 1, and physical memory holds the per-round
-    estimates (and counters), each replica's draws and working copies (quantized:
-    exponents, final ones, 4 offsets of <= 4 B) and, once drawn, 3 x 8 B per
-    exponent of their span (_offsets' or message_bits').  Checked before any
-    allocation: numpy's succeed under overcommit and fail only when touched."""
+@lru_cache(maxsize=64)
+def exponent_bound(params: ProtocolParams) -> int:
+    """A bound on the span of any trial's initial exponents: a positive draw
+    -ln(U)/rate has U in [2**-53, 1 - 2**-53] and rate in [1, b - a + 1] (and
+    is normal, as quantize_array needs), plus one exponent each side for the
+    rounding of the logarithm and the division."""
+    lo = max(float(-np.log(1.0 - 2.0**-53) / (params.b - params.a + 1.0)), np.finfo(np.float64).tiny)
+    return count_levels(lo, float(-np.log(2.0**-53)), params.beta) + 2
+
+
+def check_trial_size(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> None:
+    """The trial-size rules, from the config alone: t_max >= 1, and physical
+    memory holds the per-round estimates (and counters), each replica's draws
+    and working copies (quantized: exponents, final ones, 4 offsets of <= 4 B)
+    and 3 x 8 B per exponent of the span exponent_bound allows (_offsets' or
+    message_bits').  Checked before anything is built or drawn: numpy's
+    allocations succeed under overcommit and fail only when touched."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    ell = params.ell if protocol.randomized else 0
+    exponents = exponent_bound(params) if protocol.quantized else 0
     per_agent = t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4)
     if (need := 8 * n * per_agent + 24 * exponents) > (memory := _physical_memory()):
         sizes = (f"ell={ell}, n={n} and {exponents} exponents" if exponents
@@ -226,7 +240,7 @@ def check_trial_size(protocol: Protocol, n: int, t_max: int, ell: int, exponents
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
     per-round arrays, allocated in full; TrialConfig has checked that they
-    fit, and the exponent grid (1/beta wide) is checked before it is built."""
+    fit, with the exponent grid."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
@@ -244,8 +258,6 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         # quantize_array is elementwise, so this quantizes each row.
         trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
         trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
-        lo, hi = _exponent_span(trace)
-        check_trial_size(protocol, n, t_max, p.ell, hi - lo + 1)
     return trace
 
 

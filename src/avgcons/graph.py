@@ -235,6 +235,17 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     return _from_in_sets(ins)
 
 
+def flooding_length(n: int, delay: Optional[int] = None, c: Optional[int] = None) -> int:
+    """A schedule's flooding length, from n and its delay or c alone: rounds
+    after which a value has reached every agent, n-1 for per-round strong
+    connectivity, delay times that when only delay-round windows are, and
+    ceil(n/c) for c-in-connectivity.  An n, delay or c below 1 is a ValueError."""
+    for name, value in (("node count", n), ("delay", delay), ("c", c)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return -(-n // c) if c is not None else (delay or 1) * max(1, n - 1)
+
+
 # The field holding each schedule kind's one parameter, None if it takes none.
 _KIND_PARAM = {"fixed": "graph", "csc": None, "delayed": "delay", "c_connected": "c", "blocking": "ell"}
 
@@ -263,16 +274,13 @@ class DynamicSchedule:
     def __post_init__(self) -> None:
         if self.kind not in _KIND_PARAM:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
+        flooding_length(self.n, self.delay, self.c)  # n, delay and c must be >= 1
         if self.kind == "fixed" and (self.graph is None or self.graph.n != self.n):
             raise ValueError(f"fixed schedule on n={self.n} given graph {self.graph and self.graph.n}")
         takes = _KIND_PARAM[self.kind]
         for name in ("graph", "delay", "c", "ell"):
             if (getattr(self, name) is None) == (name == takes):
                 raise ValueError(f"{self.kind} schedule {'requires' if name == takes else 'takes no'} {name}")
-        if self.kind in ("delayed", "c_connected") and getattr(self, takes) < 1:
-            raise ValueError(f"{takes} must be >= 1, got {getattr(self, takes)}")
         if self.kind == "blocking" and (self.ell < 2 or self.ell % 2 != 0 or self.n < 2):
             raise ValueError(f"blocking needs an even ell >= 2 and n >= 2, got ell={self.ell}, n={self.n}")
 
@@ -283,14 +291,8 @@ class DynamicSchedule:
 
     @property
     def sweep(self) -> int:
-        """Flooding length: rounds after which a value has reached every
-        agent, n-1 for per-round strong connectivity, delay times that when
-        only delay-round windows are, and ceil(n/c) for c-in-connectivity."""
-        if self.kind == "delayed":
-            return self.delay * max(1, self.n - 1)
-        if self.kind == "c_connected":
-            return -(-self.n // self.c)
-        return max(1, self.n - 1)
+        """This schedule's flooding_length."""
+        return flooding_length(self.n, self.delay, self.c)
 
     def round_key(self, t: int) -> int:
         """stable_seed(kind, n, seed, t), the seed of round t's graph."""

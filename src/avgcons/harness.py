@@ -58,7 +58,7 @@ class ExperimentConfig:
     ell: Optional[int] = None
     beta: Optional[float] = None
     slack_sigmas: float = 3.0
-    schema: int = 1
+    schema: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta", "a", "b", "beta", "slack_sigmas"):
@@ -116,8 +116,9 @@ def experiment_from_json(obj: dict) -> ExperimentConfig:
 
 
 def _fields_from_json(cls, obj, what: str, required: tuple[str, ...]) -> dict:
-    """Keyword arguments of the schema-1 dataclass cls from parsed JSON; a
-    non-object, or a missing, unknown or wrongly typed key, is a ValueError."""
+    """Keyword arguments of the schema-1 dataclass cls from parsed JSON, less
+    the schema, which is no argument; a non-object, or a missing, unknown or
+    wrongly typed key, is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if obj.get("schema", 1) != 1:
@@ -131,6 +132,7 @@ def _fields_from_json(cls, obj, what: str, required: tuple[str, ...]) -> dict:
     for key in required:
         if key not in kwargs:
             raise ValueError(f"{what} key {key!r} is required")
+    kwargs.pop("schema", None)
     return kwargs
 
 
@@ -177,14 +179,14 @@ def build_schedule(cfg: ExperimentConfig, trial: int,
 
 def trial_config(cfg: ExperimentConfig, trial: int) -> TrialConfig:
     params, protocol = build_params(cfg), PROTOCOLS[cfg.protocol]
-    check_trial_size(protocol, cfg.n, 1 if cfg.t_max is None else cfg.t_max, 0)  # before complete's n^2 edges
+    # By default 4x the guarantee round, so a run that never converges is
+    # told apart from a slow one; the start rounds below make s_max exact.
+    sweep = gr.flooding_length(cfg.n, cfg.delay, cfg.c)
+    t_max = cfg.t_max if cfg.t_max is not None else 4 * protocol.bound(cfg.n, sweep, params, cfg.s_max)
+    check_trial_size(protocol, cfg.n, t_max, params)  # before complete's n^2 edges or any draw
     if not math.isfinite(cfg.n * max(abs(cfg.a), abs(cfg.b))):  # n is bounded by memory now
         raise ValueError(f"the mean of n={cfg.n} inputs in [{cfg.a}, {cfg.b}] can overflow")
     schedule = build_schedule(cfg, trial, params)
-    # By default 4x the guarantee round, so a run that never converges is
-    # told apart from a slow one; the start rounds below make s_max exact.
-    t_max = cfg.t_max if cfg.t_max is not None else 4 * protocol.bound(schedule, params, cfg.s_max)
-    check_trial_size(protocol, cfg.n, t_max, params.ell if params else 0)  # before anything is drawn
     if protocol.quantized:
         admissible_interval(params, cfg.n)  # evaluate_trial's level budget needs a normal z
 
@@ -204,16 +206,8 @@ def trial_config(cfg: ExperimentConfig, trial: int) -> TrialConfig:
     else:
         start_rounds = (1,) * cfg.n
 
-    return TrialConfig(
-        protocol=cfg.protocol,
-        params=params,
-        inputs=inputs,
-        schedule=schedule,
-        start_rounds=start_rounds,
-        t_max=t_max,
-        seed=cfg.seed,
-        trial=trial,
-    )
+    return TrialConfig(protocol=cfg.protocol, params=params, inputs=inputs, schedule=schedule,
+                       start_rounds=start_rounds, t_max=t_max, seed=cfg.seed, trial=trial)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,7 @@ def stationary_bound(tc: TrialConfig) -> Optional[int]:
     kind, protocol = tc.schedule.kind, PROTOCOLS[tc.protocol]
     if kind == "blocking" or protocol.decides or (protocol.rotates and kind == "delayed"):
         return None
-    return protocol.bound(tc.schedule, tc.params, tc.s_max)
+    return protocol.bound(tc.n, tc.schedule.sweep, tc.params, tc.s_max)
 
 
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +283,7 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
     if protocol.decides:
         dr = check_decision_spec(trace, cfg.epsilon)
         rounds, finals = trace.decision_rounds, trace.decisions[-1]
-        rec["decision_bound"] = protocol.bound(tc.schedule, params, tc.s_max)
+        rec["decision_bound"] = protocol.bound(tc.n, tc.schedule.sweep, params, tc.s_max)
         rec["irrevocable"] = dr.irrevocability
         rec["all_decided_by_bound"] = bool((rounds > 0).all()
                                            and (rounds <= rec["decision_bound"]).all())
@@ -329,7 +323,7 @@ class Summary:
     decision_rounds: Optional[dict] = None
     claims: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    schema: int = 1
+    schema: int = field(default=1, init=False)
 
     @property
     def all_passed(self) -> bool:
@@ -469,13 +463,8 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
         for _ in range(n - 2):
             g = gr.product(g, gr.random_c_in_connected(n, 1, rng))
         bad += not gr.is_complete(g)
-    results.append(
-        ClaimResult(
-            "product_of_n_minus_1_complete",
-            bad == 0,
-            f"{product_cases - bad}/{product_cases} complete (n in 2..5)",
-        )
-    )
+    results.append(ClaimResult("product_of_n_minus_1_complete", bad == 0,
+                               f"{product_cases - bad}/{product_cases} complete (n in 2..5)"))
 
     # Product of ceil(n/c) c-in-connected graphs is complete.
     bad = 0
@@ -488,13 +477,8 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
                 for _ in range(math.ceil(n / c) - 1):
                     g = gr.product(g, gr.random_c_in_connected(n, c, rng))
                 bad += not gr.is_complete(g)
-    results.append(
-        ClaimResult(
-            "c_in_connected_speedup",
-            bad == 0,
-            f"{total - bad}/{total} complete (n in 2..6, c in 1..3)",
-        )
-    )
+    results.append(ClaimResult("c_in_connected_speedup", bad == 0,
+                               f"{total - bad}/{total} complete (n in 2..6, c in 1..3)"))
 
     # Associativity of the product on random triples.
     bad = 0
@@ -530,13 +514,8 @@ def verify_bound_claims(seed: int = 0, reps: int = 10_000, sigmas: float = 3.0) 
     surv_ok = all(
         abs(f - math.exp(-total * x)) <= 0.01 for f, x in zip(surv, [0.02, 0.05, 0.1])
     )
-    results.append(
-        ClaimResult(
-            "min_of_exponentials",
-            mean_ok and surv_ok,
-            f"mean={mean:.6f} (expect {1 / total:.6f}), survival gaps within 0.01",
-        )
-    )
+    results.append(ClaimResult("min_of_exponentials", mean_ok and surv_ok,
+                               f"mean={mean:.6f} (expect {1 / total:.6f}), survival gaps within 0.01"))
 
     # Mean deviation bound, plain and rounded.
     for ell, alpha in ((50, 0.1), (100, 0.2), (300, 0.1)):

@@ -12,7 +12,8 @@ from avgcons import engine as eng
 from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons.protocol import NULL_MESSAGE
-from avgcons.sampling import ProtocolParams
+from avgcons.quantization import quantize_array
+from avgcons.sampling import ProtocolParams, sample_exponentials
 
 
 def fixed(g):
@@ -512,7 +513,7 @@ def test_default_horizon_scales_with_bounds(protocol, kind, horizon, stationary)
         **{k: v for k, v in (("delay", 3), ("c", 2)) if k == gr.SCHEDULE_KINDS[kind][0]},
     )
     tc = hn.trial_config(cfg, 0)
-    assert 4 * eng.PROTOCOLS[tc.protocol].bound(tc.schedule, tc.params, tc.s_max) == horizon
+    assert 4 * eng.PROTOCOLS[tc.protocol].bound(tc.n, tc.schedule.sweep, tc.params, tc.s_max) == horizon
     assert tc.t_max == horizon
     assert hn.stationary_bound(tc) == stationary
 
@@ -548,3 +549,30 @@ def test_trace_jsonl_dump_roundtrips():
     assert rows[0]["t"] == 1 and len(rows[0]["agents"]) == 3
     assert rows[0]["msg_bits"] == 64 * 3
     assert rows[4]["agents"][0] == {"x": 1.0, "d": None, "C": None}
+
+
+class _SameUniform:
+    """A stream whose every uniform is u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def uniforms(self, k: int) -> np.ndarray:
+        return np.full(k, self.u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(1e-6, 1.0), width=st.floats(1.0, 1e6),
+       us=st.lists(st.integers(1, 2**53 - 1), max_size=3),
+       shares=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_exponent_bound_holds_the_extreme_draws(beta, width, us, shares):
+    # The size rule counts exponent_bound(params) exponents before anything
+    # is drawn, so every draw's exponent must lie in a span that wide: the
+    # extremes U = 2**-53 and 1 - 2**-53 at rates 1 and b - a + 1, and some
+    # uniforms and inputs between them, drawn as init_samples draws.
+    p = ProtocolParams(0.3, 0.2, 0.0, width - 1.0, ell=1, beta=beta)
+    thetas = [p.a, p.b] + [min(p.b, p.a + f * (p.b - p.a)) for f in shares]
+    draws = [sample_exponentials(theta - p.a + 1.0, 1, _SameUniform(u))[0]
+             for u in [2.0**-53, 1.0 - 2.0**-53] + [k * 2.0**-53 for k in us] for theta in thetas]
+    ks = quantize_array(np.array(draws), beta)
+    assert int(ks.max() - ks.min()) + 1 <= eng.exponent_bound(p)

@@ -145,6 +145,25 @@ def test_experiment_config_json_roundtrip():
     assert restored == cfg
 
 
+def test_schema_is_no_argument_and_only_the_int_1_is_read():
+    # A settable schema let a config or summary be written that its own
+    # reader rejected ("unsupported config schema 2").
+    with pytest.raises(TypeError):
+        hn.ExperimentConfig(protocol="min", trials=1, n=3, schema=2)
+    with pytest.raises(TypeError):
+        hn.Summary(protocol="min", trials=1, schema=7)
+    cfg = hn.ExperimentConfig(protocol="min", trials=1, n=3)
+    summary = hn.Summary(protocol="min", trials=1)
+    assert cfg.to_json()["schema"] == summary.to_json()["schema"] == 1
+    assert hn.experiment_from_json(cfg.to_json()) == cfg
+    assert hn.summary_from_json(summary.to_json()) == summary
+    for bad in (True, 1.0, 2, None):
+        with pytest.raises(ValueError, match="schema"):
+            hn.experiment_from_json({**cfg.to_json(), "schema": bad})
+        with pytest.raises(ValueError, match="schema"):
+            hn.summary_from_json({**summary.to_json(), "schema": bad})
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         tiny_r_config(trials=0)
@@ -351,7 +370,7 @@ def test_cli_run_reads_a_negative_number_with_an_exponent_as_a_value(value, tmp_
     "argv,sizes",
     [(["--protocol", "r", "--n", "3", "--epsilon", "0.1"], "ell=32354 and n=3 over 8 rounds"),
      (["--protocol", "rbard", "--n", "3", "--bigN", "3", "--epsilon", "0.3"],
-      "ell=22980 and n=3 over 24 rounds"),
+      "ell=22980, n=3 and 2211 exponents over 24 rounds"),
      (["--protocol", "min", "--n", "3", "--t-max", "100000"], "n=3 over 100000 rounds")],
     ids=["r", "rbard", "min"],
 )
@@ -429,13 +448,16 @@ def test_cli_sweep_breaking_a_rule_of_its_size_exits_2_before_drawing(extra, mes
     "argv,builder,sizes",
     [(["--n", "1500", "--schedule", "complete", "--t-max", "1000000000"], "complete_graph",
       "n=1500 over 1000000000 rounds"),
-     (["--n", "1000000000000", "--schedule", "ring"], "ring_graph", "n=1000000000000 over 1 rounds")],
-    ids=["complete-pinned-horizon", "ring-default-horizon"])
+     (["--n", "400", "--schedule", "complete"], "complete_graph", "n=400 over 1596 rounds"),
+     (["--n", "1000000000000", "--schedule", "ring"], "ring_graph",
+      "n=1000000000000 over 3999999999996 rounds")],
+    ids=["complete-pinned-horizon", "complete-default-horizon", "ring-default-horizon"])
 def test_cli_run_larger_than_physical_memory_exits_2_before_building_a_fixed_graph(
         argv, builder, sizes, monkeypatch, capsys):
     # ring and complete build their graph with the schedule; complete at
     # n = 1,500 took 0.5 s and about 240 MB before the size rules ran.  The
-    # default horizon needs the schedule, so one round stands in for it.
+    # default horizon is 4 (n - 1) rounds for both, known before the graph.
+    monkeypatch.setattr(eng, "_physical_memory", lambda: 1 << 20)
     monkeypatch.setattr(gr, builder, lambda n: pytest.fail("built the graph"))
     assert cli(["run", "--protocol", "min", *argv]) == 2
     err = capsys.readouterr().err
@@ -458,9 +480,14 @@ def test_cli_run_at_n_1e8_exits_2_before_drawing_its_inputs():
 
 def test_cli_sweep_whose_exponent_grid_outgrows_memory_exits_2_before_building_it(
         tmp_path, monkeypatch, capsys):
-    # At beta=1e-7 the 24 draws span some 10^7 exponents, 3 x 8 B each.
+    # At beta=1e-7 any draws may span some 4 x 10^8 exponents, 3 x 8 B each,
+    # which the config alone bounds, so nothing is drawn.
+    from avgcons import protocol as proto
+
     monkeypatch.setattr(eng, "_physical_memory", lambda: 256 << 20)
     monkeypatch.setattr(eng, "_offsets", lambda *args: pytest.fail("built the grid"))
+    monkeypatch.setattr(proto, "init_samples", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew the inputs"))
     assert cli(pinned_beta_sweep(tmp_path, 1e-7)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: a trial with ell=4, n=3 and ") and err.count("\n") == 1
