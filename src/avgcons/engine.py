@@ -266,28 +266,45 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     _final_pairs (none for min).  Agent v's reach set, an n-bit
     int, holds the agents whose initial rows reached it; a round ORs in its
     in-neighbours' previous-round sets (for rbard only active senders count,
-    only active receivers update, and a heartbeat resets the counter).  Only
-    newly reached rows are folded in, and the min or r estimate is recomputed
-    only when the set grew or on the agent's first active round.  rbard's
-    rows are _offsets, and its n_est only rises as the set grows, so growth
-    marks it stale, a lower bound, recomputed only when the decision test
-    passes on it.  Once every agent is active, every set is full and every
-    counter equal, no round can change a vector, and rbard's counters all go
-    up by one a round, so the rest is filled in with no graph drawn, and the
-    undecided agents, sharing one size estimate, decide together."""
+    only active receivers update, and a heartbeat resets the counter).  A
+    row folds in the reached initial rows it lacks (held[i][v], for row v of
+    matrix i) only when it is read: by the min or r estimate, recomputed
+    when the set grew or on the agent's first active round, by rbard's
+    n_est (y alone) and decision, and at the end.  rbard's rows are
+    _offsets, and its n_est only rises as the set grows, so growth marks it
+    stale, a lower bound, recomputed only when the decision test passes on
+    it.  Once every agent is active, every set is full and every counter
+    equal, no round can change a vector, and rbard's counters all go up by
+    one a round, so the rest is filled in with no graph drawn: the agents
+    share one row, the column minima, and the undecided ones, sharing one
+    size estimate, decide together."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
-        derive = lambda v: float(xs[v, 0])
+        derive = lambda v: float(read(0, v)[0])
     elif protocol.quantized:
         grid, keep, inits = _offsets(trace)
-        derive = lambda v: proto.rbard_size_estimate(grid[ys[v]], p)
+        derive = lambda v: proto.rbard_size_estimate(grid[read(-1, v)], p)
     else:
         inits = (trace.init_x_raw, trace.init_y_raw)
-        derive = lambda v: proto.r_estimate(xs[v], ys[v], p)
+        derive = lambda v: proto.r_estimate(read(0, v), read(-1, v), p)
     final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
+    held = [[1 << v for v in range(n)] for _ in rows]
+
+    def read(i: int, v: int) -> np.ndarray:
+        """Row v of matrix i, with every initial row that reached v folded in."""
+        new = reach[v] & ~held[i][v]
+        if new:
+            held[i][v] = reach[v]
+            idx = []
+            while new:  # the set bits of new, lowest first
+                idx.append((new & -new).bit_length() - 1)
+                new &= new - 1
+            np.minimum(rows[i][v], inits[i][idx].min(axis=0), out=rows[i][v])
+        return rows[i][v]
+
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
     reach, counter, stale = [1 << v for v in range(n)], [0] * n, [False] * n
@@ -308,15 +325,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 got = prev[v]
                 for u in src:
                     got |= prev[u]
-                new = got & ~prev[v]
-                if new:
-                    reach[v] = got
-                    idx = []
-                    while new:  # the set bits of new, lowest first
-                        idx.append((new & -new).bit_length() - 1)
-                        new &= new - 1
-                    for m, m0 in zip(rows, inits):
-                        np.minimum(m[v], m0[idx].min(axis=0), out=m[v])
+                reach[v] = got
             if reach[v] != prev[v] or t == starts[v]:
                 stale[v] = decides and t != starts[v]
                 if not stale[v]:
@@ -326,22 +335,30 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
                     value[v], stale[v] = derive(v) if stale[v] else value[v], False
                     if proto.rbard_decides(counter[v], value[v]):
-                        decision[v] = proto.r_estimate(grid[xs[v]], grid[ys[v]], p)
+                        x, y = read(0, v), read(-1, v)
+                        decision[v] = proto.r_estimate(grid[x], grid[y], p)
                         trace.decision_rounds[v] = t
-                        trace.decision_vectors[v] = (keep(xs[v]), keep(ys[v]))
+                        trace.decision_vectors[v] = (keep(x), keep(y))
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
         if frozen := t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
+    if frozen:  # every row holds every initial row: row 0 takes them once
+        for m, m0 in zip(rows, inits):
+            m0.min(axis=0, out=m[0])
+    else:
+        for i in range(len(rows)):
+            for v in range(n):
+                read(i, v)
     finals = _final_pairs(xs, ys, final, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
         waiting = [v for v in range(n) if math.isnan(decision[v])]
         if waiting and t < cfg.t_max:
-            n_est = derive(waiting[0]) if stale[waiting[0]] else value[waiting[0]]
+            n_est = proto.rbard_size_estimate(grid[ys[0]], p)
             r = next((r for r in range(t + 1, cfg.t_max + 1)
                       if proto.rbard_decides(counter[0] + r - t, n_est)), None)
             if r is not None:

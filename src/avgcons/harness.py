@@ -162,8 +162,9 @@ def build_params(cfg: ExperimentConfig) -> Optional[ProtocolParams]:
     if cfg.ell is None:
         size_bound = (cfg.size_bound,) if proto.decides else ()  # rbard's N
         params = proto.formula(cfg.epsilon, cfg.eta, cfg.a, cfg.b, *size_bound)
-    else:
-        beta = rounding_ratio(cfg.epsilon, cfg.a, cfg.b) if proto.quantized else None
+    else:  # the formula's beta only when none is pinned: at a wide [a, b] it underflows
+        beta = (cfg.beta if cfg.beta is not None
+                else rounding_ratio(cfg.epsilon, cfg.a, cfg.b) if proto.quantized else None)
         params = ProtocolParams(cfg.epsilon, cfg.eta, cfg.a, cfg.b, ell=cfg.ell, beta=beta,
                                 size_bound=cfg.size_bound)
     return params if cfg.beta is None else replace(params, beta=cfg.beta)

@@ -29,9 +29,11 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     powers of (1+beta); the correction loops restore the defining
     bracketing, which is what every property of the rounding relies on.
     The powers are np.power's, as in dequantize_array.  Every step is
-    elementwise, so the input goes in cache-sized pieces, each with a table
-    of the powers over its estimated span and two steps above, unless that
-    would outsize the piece (spans are unbounded) or a loop leaves it.
+    elementwise, so the input goes in cache-sized pieces, each with one
+    table of the powers over its estimated exponents lo..hi, widened to
+    lo - 1 .. hi + 2 for the loop steps, unless that would outsize the piece
+    (spans are unbounded).  The loops track bounds on k, so both read the
+    table with no scan of k, and call np.power only once a step leaves it.
     """
     xs, base = np.asarray(xs, dtype=np.float64), _base(beta)
     if not np.all(xs >= np.finfo(np.float64).tiny) or not np.all(np.isfinite(xs)):
@@ -40,15 +42,18 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     for at in range(0, xs.size, _PIECE):
         x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
         k[:] = np.floor(np.log(x) / np.log(base))
-        lo, span = int(k.min()), int(np.ptp(k)) + 3
-        table = None if span > len(x) else np.power(base, np.arange(lo, lo + span, dtype=float))
-        power = lambda es: (table[es - lo] if table is not None and lo <= es.min()
-                            and es.max() < lo + span else np.power(base, es.astype(np.float64)))
+        least, most = int(k.min()), int(k.max())  # bounds on k, kept through the loops
+        lo, hi = least - 1, most + 2
+        table = np.power(base, np.arange(lo, hi + 1, dtype=float)) if hi - lo < len(x) else None
+        power = lambda es, a, b: (table[es - lo] if table is not None and lo <= a and b <= hi
+                                  else np.power(base, es.astype(np.float64)))
         # Converges in one step apart from pathological float noise, hence the loops.
-        while (low := power(k + 1) <= x).any():
+        while (low := power(k + 1, least + 1, most + 1) <= x).any():
             k[low] += 1
-        while (high := power(k) > x).any():
+            most += 1
+        while (high := power(k, least, most) > x).any():
             k[high] -= 1
+            least -= 1
     return ks.reshape(xs.shape)
 
 

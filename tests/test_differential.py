@@ -474,3 +474,47 @@ def test_the_frozen_tail_decides_every_waiting_agent_at_once(monkeypatch):
     assert tail["r_estimate"] == 1 and tail["rbard_size_estimate"] <= 1 and sum(tail.values()) <= 2
     assert_matches_reference(tc, got)
     assert_shared_after_the_freeze(got)
+
+
+# The engine folds an agent's initial rows into its vectors only when it
+# reads them: at every growth for min and r, and for rbard at a size
+# estimate (y alone), a decision (both) and the end of the horizon.  These
+# cases run past the drawn configs' n <= 8, with rbard's staggered starts.
+def read_path_config(protocol, kind, n, seed, t_max=None):
+    tc = hn.trial_config(pair_config(protocol, kind, n, seed, 8, 6), 0)
+    return replace(tc, t_max=t_max or tc.t_max)
+
+
+def assert_matches_reference_with_frozen_at(tc, horizons=()):
+    """assert_matches_reference, with frozen_at of tc and of each horizon
+    against the reference loop's freeze round, which the function returns."""
+    got = eng.run_trial(tc)
+    f = freeze_round(tc, assert_matches_reference(tc, got, horizons))
+    assert got.frozen_at == expected_frozen_at(tc, f)
+    for b in horizons:
+        short = replace(tc, t_max=b)
+        assert eng.run_trial(short).frozen_at == expected_frozen_at(short, f)
+    return got, f
+
+
+@pytest.mark.parametrize("kind,n,seed", [("delayed", 12, 0), ("ring", 20, 0), ("delayed", 24, 1),
+                                         ("ring", 32, 3), ("delayed", 32, 0)])
+def test_rbard_agents_deciding_before_the_freeze_match_the_reference_loop(kind, n, seed):
+    # An agent that decides before the freeze reads its x row mid-run, after
+    # rows reached it that no read had folded in; the others decide after.
+    tc = read_path_config("rbard", kind, n, seed, t_max=6 * n)
+    assert len(set(tc.start_rounds)) > 1
+    got, f = assert_matches_reference_with_frozen_at(tc)
+    rounds = got.decision_rounds
+    assert f is not None and ((rounds > 0) & (rounds <= f)).any() and (rounds > f).any()
+
+
+@pytest.mark.parametrize("protocol", ["min", "r", "rbard"])
+@pytest.mark.parametrize("kind,n", [("csc", 16), ("c_connected", 24)])
+def test_horizons_ending_before_the_freeze_match_the_reference_loop(protocol, kind, n):
+    # Every horizon up to the round before the freeze ends with a read of
+    # every agent's final rows, which for rbard lag behind its reach set.
+    tc = read_path_config(protocol, kind, n, 3 + n, t_max=4 * n)
+    f = freeze_round(tc)
+    assert f is not None and f > 3
+    assert_matches_reference_with_frozen_at(tc, range(1, f))

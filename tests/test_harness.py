@@ -423,6 +423,20 @@ def test_cli_sweep_with_a_beta_off_the_grid_exits_2_before_sampling(beta, tmp_pa
     assert err.count("\n") == 1
 
 
+def test_cli_sweep_with_ell_and_beta_pinned_runs_on_the_pinned_beta(tmp_path, capsys):
+    # At b - a + 1 = 1e15 the formula's beta, eps / (8 (b - a + 1)), is
+    # 3.75e-17, off the grid; it used to be checked even with beta pinned.
+    obj = {"protocol": "rbar", "trials": 3, "n": 1, "ell": 4, "beta": 0.5, "b": 1e15, "t_max": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    assert cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["beta"] == 0.5
+    records = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+    assert len(records) == 3
+    assert hn.trial_config(hn.experiment_from_json(obj), 0).params.beta == 0.5
+
+
 @pytest.mark.parametrize(
     "extra,message",
     [({"t_max": 0}, "t_max must be >= 1, got 0"),

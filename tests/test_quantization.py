@@ -161,6 +161,51 @@ def test_quantize_array_builds_no_table_over_an_unbounded_span():
         assert below <= x < above
 
 
+class _LogOff:
+    """numpy as quantize_array uses it, with ln x moved by offs[i] ln(1+beta)
+    at position i of each piece, so that the estimate of that exponent lands
+    offs[i] away and the loops take that many steps; it records the length
+    of each array np.power evaluates."""
+
+    def __init__(self, beta, offs):
+        self.beta, self.offs, self.powers = beta, offs, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        shift = self.offs[: np.size(x)] * np.log1p(self.beta) if np.ndim(x) else 0.0
+        return np.log(x) + shift
+
+    def power(self, base, es):
+        self.powers.append(len(es))
+        return np.power(base, es)
+
+
+@pytest.mark.parametrize("beta", (0.1, 1e-3))
+@pytest.mark.parametrize("off", (-3, -2, -1, 0, 1, 2, 3, "mixed"))
+@pytest.mark.parametrize("spans", ("narrow", "wide", "both"))
+def test_quantize_array_matches_the_two_loop_oracle_off_its_tables(beta, off, spans, monkeypatch):
+    # Pieces of 16 values: narrow ones, whose exponents 0..4 (plus off)
+    # get a table of at most 14 powers, and wide ones, whose span is wider
+    # than the piece and gets none.  The values sit between grid points, so
+    # an estimate off by one step is corrected within the table, and one off
+    # by two or more steps leaves it and evaluates its piece with np.power.
+    rng = np.random.default_rng(5)
+    narrow = qz.dequantize_array(rng.integers(0, 5, 64) + 0.5, beta)
+    wide = 10.0 ** rng.uniform(-300, 300, 64)
+    xs = {"narrow": narrow, "wide": wide, "both": np.concatenate([wide, narrow])}[spans]
+    want = two_loop_quantize(xs, beta)
+    offs = rng.integers(-3, 4, 16) if off == "mixed" else np.full(16, off)
+    monkeypatch.setattr(qz, "_PIECE", 16)
+    monkeypatch.setattr(qz, "np", logged := _LogOff(beta, offs))
+    got = qz.quantize_array(xs, beta)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    fell_back = 16 in logged.powers  # a table never holds more than 14 powers
+    assert fell_back == (spans != "narrow" or off not in (-1, 0, 1))
+
+
 # The engine reads represented values from one table over a trial's exponent
 # span; the workloads' beta is 0.025.  The spans cross 0 or not, and have odd
 # and even lengths down to one point.
