@@ -281,29 +281,32 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
-        derive = lambda v: float(read(0, v)[0])
+        derive = lambda v: float(read(v, 0)[0][0])
     elif protocol.quantized:
         grid, keep, inits = _offsets(trace)
-        derive = lambda v: proto.rbard_size_estimate(grid[read(-1, v)], p)
+        derive = lambda v: proto.rbard_size_estimate(grid[read(v, -1)[0]], p)
     else:
         inits = (trace.init_x_raw, trace.init_y_raw)
-        derive = lambda v: proto.r_estimate(read(0, v), read(-1, v), p)
+        derive = lambda v: proto.r_estimate(*read(v, 0, -1), p)
     final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
     held = [[1 << v for v in range(n)] for _ in rows]
 
-    def read(i: int, v: int) -> np.ndarray:
-        """Row v of matrix i, with every initial row that reached v folded in."""
-        new = reach[v] & ~held[i][v]
-        if new:
-            held[i][v] = reach[v]
-            idx = []
-            while new:  # the set bits of new, lowest first
-                idx.append((new & -new).bit_length() - 1)
-                new &= new - 1
-            np.minimum(rows[i][v], inits[i][idx].min(axis=0), out=rows[i][v])
-        return rows[i][v]
+    def read(v: int, *ms: int) -> list:
+        """Row v of each matrix in ms, with every initial row that reached v
+        folded in; matrices that lack the same rows share one walk of them."""
+        walked = idx = 0
+        for i in ms:
+            if new := reach[v] & ~held[i][v]:
+                held[i][v] = reach[v]
+                if new != walked:
+                    walked, idx = new, []
+                    while new:  # the set bits of new, lowest first
+                        idx.append((new & -new).bit_length() - 1)
+                        new &= new - 1
+                np.minimum(rows[i][v], inits[i][idx].min(axis=0), out=rows[i][v])
+        return [rows[i][v] for i in ms]
 
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
@@ -335,7 +338,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
                     value[v], stale[v] = derive(v) if stale[v] else value[v], False
                     if proto.rbard_decides(counter[v], value[v]):
-                        x, y = read(0, v), read(-1, v)
+                        x, y = read(v, 0, -1)
                         decision[v] = proto.r_estimate(grid[x], grid[y], p)
                         trace.decision_rounds[v] = t
                         trace.decision_vectors[v] = (keep(x), keep(y))
@@ -349,9 +352,8 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         for m, m0 in zip(rows, inits):
             m0.min(axis=0, out=m[0])
     else:
-        for i in range(len(rows)):
-            for v in range(n):
-                read(i, v)
+        for v in range(n):
+            read(v, *range(len(rows)))
     finals = _final_pairs(xs, ys, final, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
@@ -377,11 +379,14 @@ def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
 def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:
     """dequantize_array over the initial exponents' span lo..hi, the map back
     to int64 exponents, and the initial matrices as offsets k - lo in the
-    narrowest dtype that holds hi - lo: the minimum commutes with the shift."""
+    narrowest dtype that holds hi - lo, cast as they are subtracted, with no
+    int64 temporary: the minimum commutes with the shift."""
     lo, hi = _exponent_span(trace)
     grid = dequantize_array(np.arange(lo, hi + 1), trace.config.params.beta)
+    narrow = np.min_scalar_type(hi - lo)
     return grid, lambda m: np.add(m, lo, dtype=np.int64), tuple(
-        (m - lo).astype(np.min_scalar_type(hi - lo)) for m in (trace.init_x_quant, trace.init_y_quant))
+        np.subtract(m, lo, out=np.empty(m.shape, narrow), casting="unsafe")
+        for m in (trace.init_x_quant, trace.init_y_quant))
 
 
 # Edges in one segment of _rotation_rounds, drawn in one in_edges call: the

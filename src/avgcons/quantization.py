@@ -25,21 +25,57 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise, for
     normal floats x (a subnormal power of 1+beta repeats over long runs of k).
 
-    The float estimate floor(ln x / ln(1+beta)) can land one off at exact
-    powers of (1+beta); the correction loops restore the defining
-    bracketing, which is what every property of the rounding relies on.
-    The powers are np.power's, as in dequantize_array.  Every step is
-    elementwise, so the input goes in cache-sized pieces, each with one
-    table of the powers over its estimated exponents lo..hi, widened to
-    lo - 1 .. hi + 2 for the loop steps, unless that would outsize the piece
-    (spans are unbounded).  The loops track bounds on k, so both read the
-    table with no scan of k, and call np.power only once a step leaves it.
+    By lookup in buckets of the floats that share their top 12 + m bits,
+    m = ceil(-log2 log2(1+beta)) + 1, each under 3/4 of a grid step wide:
+    x takes k0 + (thr <= x), k0 = _log_quantize of its bucket's lower edge
+    and thr = np.power(1+beta, k0 + 1), np.power's grid as in
+    dequantize_array.  The grid increases with k, so exactly one k brackets
+    x, and a bucket holds at most one grid point, so that k is k0 or k0 + 1.
+    A table with more entries than values, or buckets of under 2^8 floats
+    (beta < ~8e-14, where np.power's error would eat the margin), takes the
+    log path.
     """
     xs, base = np.asarray(xs, dtype=np.float64), _base(beta)
-    if not np.all(xs >= np.finfo(np.float64).tiny) or not np.all(np.isfinite(xs)):
+    flat = xs.reshape(-1)
+    if not xs.size:
+        return np.empty(xs.shape, dtype=np.int64)
+    least, most, tiny = flat.min(), flat.max(), np.finfo(np.float64).tiny
+    if not tiny <= least <= most < math.inf:  # NaN fails each comparison
         raise ValueError("all values must be finite normal positive floats")
-    flat, ks = xs.reshape(-1), np.empty(xs.size, dtype=np.int64)
+    shift = 51 - math.ceil(-math.log2(math.log2(base)))  # 52 - m
+    j0, j1 = (int(v.view(np.int64)) >> max(shift, 0) for v in (least, most))
+    if shift < 8 or j1 - j0 >= xs.size:
+        return _log_quantize(flat, base).reshape(xs.shape)
+    # Where buckets merge binades (beta >= 3) the lowest edge can be 0.
+    edges = np.maximum((np.arange(j0, j1 + 1) << shift).view(np.float64), tiny)
+    k0 = _log_quantize(edges, base)
+    thr = np.power(base, (k0 + 1).astype(np.float64))
+    size, ks = min(_PIECE, xs.size), np.empty(xs.size, dtype=np.int64)
+    js, above, powers = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool), np.empty(size)
     for at in range(0, xs.size, _PIECE):
+        x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
+        j, up, t = js[: len(x)], above[: len(x)], powers[: len(x)]
+        np.subtract(np.right_shift(x.view(np.int64), shift, out=j), j0, out=j)
+        np.less_equal(np.take(thr, j, out=t, mode="clip"), x, out=up)
+        np.add(np.take(k0, j, out=k, mode="clip"), up, out=k)
+    return ks.reshape(xs.shape)
+
+
+def _log_quantize(flat: np.ndarray, base: float) -> np.ndarray:
+    """quantize_array of a 1-d array of normal floats by logarithm and
+    correction, exact at any base.
+
+    The float estimate floor(ln x / ln base) can land one off at exact
+    powers of base; the correction loops restore the defining bracketing.
+    Every step is elementwise, so the input goes in cache-sized pieces, each
+    with one table of the powers over its estimated exponents lo..hi,
+    widened to lo - 1 .. hi + 2 for the loop steps, unless that would
+    outsize the piece (spans are unbounded).  The loops track bounds on k,
+    so both read the table with no scan of k, and call np.power only once a
+    step leaves it.
+    """
+    ks = np.empty(flat.size, dtype=np.int64)
+    for at in range(0, flat.size, _PIECE):
         x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
         k[:] = np.floor(np.log(x) / np.log(base))
         least, most = int(k.min()), int(k.max())  # bounds on k, kept through the loops
@@ -54,7 +90,7 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
         while (high := power(k, least, most) > x).any():
             k[high] -= 1
             least -= 1
-    return ks.reshape(xs.shape)
+    return ks
 
 
 def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:

@@ -162,7 +162,7 @@ def test_quantize_array_builds_no_table_over_an_unbounded_span():
 
 
 class _LogOff:
-    """numpy as quantize_array uses it, with ln x moved by offs[i] ln(1+beta)
+    """numpy as _log_quantize uses it, with ln x moved by offs[i] ln(1+beta)
     at position i of each piece, so that the estimate of that exponent lands
     offs[i] away and the loops take that many steps; it records the length
     of each array np.power evaluates."""
@@ -186,9 +186,10 @@ class _LogOff:
 @pytest.mark.parametrize("off", (-3, -2, -1, 0, 1, 2, 3, "mixed"))
 @pytest.mark.parametrize("spans", ("narrow", "wide", "both"))
 def test_quantize_array_matches_the_two_loop_oracle_off_its_tables(beta, off, spans, monkeypatch):
-    # Pieces of 16 values: narrow ones, whose exponents 0..4 (plus off)
-    # get a table of at most 14 powers, and wide ones, whose span is wider
-    # than the piece and gets none.  The values sit between grid points, so
+    # The log path, which quantize_array takes for its bucket edges and for
+    # inputs whose bucket table would outsize them.  Pieces of 16 values:
+    # narrow ones, whose exponents 0..4 (plus off) get a table of at most 14
+    # powers, and wide ones, whose span is wider than the piece and gets none.  The values sit between grid points, so
     # an estimate off by one step is corrected within the table, and one off
     # by two or more steps leaves it and evaluates its piece with np.power.
     rng = np.random.default_rng(5)
@@ -199,11 +200,113 @@ def test_quantize_array_matches_the_two_loop_oracle_off_its_tables(beta, off, sp
     offs = rng.integers(-3, 4, 16) if off == "mixed" else np.full(16, off)
     monkeypatch.setattr(qz, "_PIECE", 16)
     monkeypatch.setattr(qz, "np", logged := _LogOff(beta, offs))
-    got = qz.quantize_array(xs, beta)
+    got = qz._log_quantize(xs, 1.0 + beta)
     monkeypatch.undo()
     assert got.tobytes() == want.tobytes()
     fell_back = 16 in logged.powers  # a table never holds more than 14 powers
     assert fell_back == (spans != "narrow" or off not in (-1, 0, 1))
+
+
+TINY, MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+LOOKUP_BETAS = (1e-4, 0.025, 0.1, 1.0, 1e3, 1e100)
+# Near the largest float, and at the larger betas, the grid's next powers
+# overflow to inf, as np.power's grid does past the largest float.
+overflow_ok = pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+
+
+def bucket_shift(beta):
+    """52 - m: the low bits that quantize_array's buckets ignore, with
+    m = ceil(-log2 log2(1+beta)) + 1 (negative m merges binades)."""
+    return 51 - math.ceil(-math.log2(math.log2(1.0 + beta)))
+
+
+def quantize_spied(xs, beta, monkeypatch):
+    """quantize_array(xs, beta), and whether it took the log path on xs
+    itself rather than on its bucket edges."""
+    seen, log_quantize = [], qz._log_quantize
+    monkeypatch.setattr(qz, "_log_quantize", lambda flat, base: seen.append(flat) or log_quantize(flat, base))
+    got = qz.quantize_array(xs, beta)
+    monkeypatch.undo()
+    return got, any(np.shares_memory(flat, xs) for flat in seen)
+
+
+def assert_looked_up(xs, beta, monkeypatch):
+    """xs, repeated until its bucket table has no more entries than it has
+    values, rounds by lookup exactly as the two-loop oracle does."""
+    js = np.asarray(xs, dtype=np.float64).view(np.int64) >> bucket_shift(beta)
+    xs = np.tile(xs, int(js.max() - js.min()) // len(xs) + 1)
+    got, fell_back = quantize_spied(xs, beta, monkeypatch)
+    assert not fell_back
+    assert got.tobytes() == two_loop_quantize(xs, beta).tobytes()
+
+
+@overflow_ok
+@pytest.mark.parametrize("beta", LOOKUP_BETAS)
+def test_lookup_matches_the_two_loop_oracle_at_and_beside_exact_powers(beta, monkeypatch):
+    # Every normal power within 2,000 exponents of 1 (from 1e-304 to 1e304
+    # at the larger betas).
+    span = min(2000, int(700 / math.log1p(beta)))
+    grid = qz.dequantize_array(np.arange(-span, span + 1), beta)
+    assert_looked_up(np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)]),
+                     beta, monkeypatch)
+
+
+@overflow_ok
+@pytest.mark.parametrize("beta", LOOKUP_BETAS)
+def test_lookup_matches_the_two_loop_oracle_at_and_beside_bucket_edges(beta, monkeypatch):
+    # The lower edges of up to 4,001 buckets around 1.  A bucket that holds
+    # the least normal float has edge 0 when buckets merge binades (beta >= 3),
+    # so the edges start one bucket above it.
+    shift = bucket_shift(beta)
+    one, lowest, highest = (int(np.float64(x).view(np.int64)) >> shift for x in (1.0, TINY, MAX))
+    edges = (np.arange(max(one - 2000, lowest + 1), min(one + 2000, highest) + 1) << shift).view(np.float64)
+    assert_looked_up(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]),
+                     beta, monkeypatch)
+
+
+@overflow_ok
+@pytest.mark.parametrize("beta", LOOKUP_BETAS)
+@pytest.mark.parametrize("end", (TINY, MAX), ids=("least-normal", "largest-finite"))
+def test_lookup_matches_the_two_loop_oracle_at_the_ends_of_the_normal_floats(beta, end, monkeypatch):
+    # The end, its inner neighbour and the 20 powers nearest it with their
+    # neighbours.  The bucket of the largest finite float has +inf as its
+    # upper edge, and at beta >= 3 the least normal float's has 0 below it.
+    k = int(two_loop_quantize([end], beta)[0])
+    grid = qz.dequantize_array(k + np.arange(20) * (1 if end == TINY else -1), beta)
+    xs = np.concatenate([[end, np.nextafter(end, 1.0)], grid, np.nextafter(grid, 0.0),
+                         np.nextafter(grid, np.inf)])
+    assert_looked_up(xs[(TINY <= xs) & (xs <= MAX)], beta, monkeypatch)
+
+
+@pytest.mark.parametrize("beta, looked_up", [(2.0**-43, True), (2.0**-44, False), (2.0**-50, False),
+                                             (3 * 2.0**-52, False), (2.0**-52, False)])
+def test_quantize_array_at_a_beta_of_a_few_ulps_matches_the_two_loop_oracle(beta, looked_up, monkeypatch):
+    # Buckets of 2^8 floats or more (beta >= 2^-43 or so) are looked up;
+    # below that np.power's error could move a grid point across a bucket,
+    # so the log path rounds, here on inputs repeated until their table is
+    # small enough for a lookup.  The betas are exact in floats, so the
+    # oracle's log1p(beta) is close to ln(1 + beta) and its loops take few steps.
+    k = int(two_loop_quantize([2.0], beta)[0])
+    grid = qz.dequantize_array(k + np.arange(-100, 100), beta)
+    xs = np.tile(np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, np.inf)]), 4)
+    got, fell_back = quantize_spied(xs, beta, monkeypatch)
+    assert fell_back != looked_up
+    assert got.tobytes() == two_loop_quantize(xs, beta).tobytes()
+
+
+@pytest.mark.parametrize("xs, beta, looked_up", [
+    # At beta = 1 a bucket is half a binade: 1, 1.5, 2, 3 and 4 begin the
+    # five buckets from 1 to 4.
+    ([1.0, 1.0, 1.0, 1.0, 4.0], 1.0, True),
+    ([1.0, 1.0, 1.0, 4.0], 1.0, False),
+    (np.linspace(1.0, 2.0, 1000), 0.1, True),
+    (np.tile([1e-300, 1e300], 1000), 0.1, False),
+], ids=("as-many-entries-as-values", "one-entry-more", "one-binade", "all-binades"))
+def test_a_bucket_table_with_more_entries_than_values_takes_the_log_path(xs, beta, looked_up, monkeypatch):
+    xs = np.asarray(xs)
+    got, fell_back = quantize_spied(xs, beta, monkeypatch)
+    assert fell_back != looked_up
+    assert got.tobytes() == two_loop_quantize(xs, beta).tobytes()
 
 
 # The engine reads represented values from one table over a trial's exponent
