@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import harness
 from .engine import PROTOCOLS, dump_trace_jsonl, run_trial
@@ -80,27 +81,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="avgcons")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # A flag left out stays out of args, so ExperimentConfig's default applies.
+    # A flag reads its ExperimentConfig field's type and, left out, leaves its default.
+    hints = get_type_hints(harness.ExperimentConfig)
+    kind = lambda name: harness.field_type(hints[name])
     run_p = sub.add_parser("run", help="run one trial and dump its trace",
                            argument_default=argparse.SUPPRESS)
     run_p.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    run_p.add_argument("--n", type=int, required=True)
-    run_p.add_argument("--epsilon", type=float)
-    run_p.add_argument("--eta", type=float)
-    run_p.add_argument("--a", type=float)
-    run_p.add_argument("--b", type=float)
-    run_p.add_argument("--bigN", dest="size_bound", type=int, help="network size bound (rbard)")
+    run_p.add_argument("--n", type=kind("n"), required=True)
+    for name in ("epsilon", "eta", "a", "b"):
+        run_p.add_argument(f"--{name}", type=kind(name))
+    run_p.add_argument("--bigN", dest="size_bound", type=kind("size_bound"), help="network size bound (rbard)")
     run_p.add_argument("--schedule", help=f"kind or kind:P, kinds: {', '.join(SCHEDULE_KINDS)}")
-    run_p.add_argument("--t-max", type=int)
+    run_p.add_argument("--t-max", type=kind("t_max"))
     run_p.add_argument("--seed")
-    run_p.add_argument("--s-max", type=int)
+    run_p.add_argument("--s-max", type=kind("s_max"))
     run_p.add_argument("--out", type=Path, default=None, help="trace path (default: stdout)")
 
     sweep_p = sub.add_parser("sweep", help="Monte Carlo batch from a JSON config")
     sweep_p.add_argument("--config", type=Path, required=True)
     sweep_p.add_argument("--out", type=Path, required=True, help="output directory")
     sweep_p.add_argument("--seed", default=None, help="override config seed")
-    sweep_p.add_argument("--trials", type=int, default=None, help="override trial count")
+    sweep_p.add_argument("--trials", type=kind("trials"), default=None, help="override trial count")
 
     vg = sub.add_parser("verify-graph", help="graph-lemma property suites",
                         argument_default=argparse.SUPPRESS)

@@ -26,7 +26,7 @@ import numpy as np
 from . import protocol as proto
 from .graph import DynamicSchedule
 from .quantization import count_levels, dequantize_array, quantize_array
-from .sampling import ProtocolParams, RngStream, params_r, params_rbar, params_rbard
+from .sampling import ProtocolParams, RngStream, check_ranges, params_r, params_rbar, params_rbard
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,10 @@ class TrialConfig:
                              f"{'requires' if protocol.randomized else 'takes no'} params")
         if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
+        check_ranges(seed=self.seed, start_rounds=self.start_rounds)
         check_trial_size(protocol, n, self.t_max, self.params)
         if not math.isfinite(np.mean(self.inputs)):  # false too when their sum overflows
             raise ValueError(f"inputs must be finite, as must their mean, got {self.inputs}")
-        if any(s < 1 for s in self.start_rounds):
-            raise ValueError("start rounds must be >= 1")
         if not protocol.decides and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
         # -0.0 ties 0.0 in a minimum; one sign keeps every engine's result equal.
@@ -219,14 +218,16 @@ def exponent_bound(params: ProtocolParams) -> int:
 
 
 def check_trial_size(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> None:
-    """The trial-size rules, from the config alone: t_max >= 1, and physical
-    memory holds the per-round estimates (and counters), each replica's draws
-    and working copies (quantized: exponents, final ones, 4 offsets of <= 4 B)
-    and 3 x 8 B per exponent of the span exponent_bound allows (_offsets' or
+    """The trial-size rules, from the config alone: t_max >= 1, N >= n for a
+    deciding protocol, as the paper assumes, and physical memory holds the
+    per-round estimates (and counters), each replica's draws and working
+    copies (quantized: exponents, final ones, 4 offsets of <= 4 B) and 3 x 8 B
+    per exponent of the span exponent_bound allows (_offsets' or
     message_bits').  Checked before anything is built or drawn: numpy's
     allocations succeed under overcommit and fail only when touched."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_ranges(t_max=t_max)
+    if protocol.decides and (params.size_bound is None or params.size_bound < n):
+        raise ValueError(f"rbard needs size_bound >= n, got {params.size_bound} < {n}")
     ell = params.ell if protocol.randomized else 0
     exponents = exponent_bound(params) if protocol.quantized else 0
     per_agent = t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4)

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .sampling import check_ranges
 from .seeds import MAX_MT_WORDS, key_hash, mt_words, seed_of
 
 
@@ -112,8 +113,7 @@ def is_c_in_connected(g: DirectedGraph, c: int) -> bool:
     So it takes two reachability walks per X, and raises ValueError before
     any walk when there are more than 2**20 sets X.
     """
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+    check_ranges(c=c)
     n, ins = g.n, g.in_neighbor_lists
     sizes = range(min(c, n))
     if (count := sum(math.comb(n, k) for k in sizes)) > 1 << 20:
@@ -141,8 +141,6 @@ def _reaches_all(adj, removed: tuple[int, ...]) -> bool:
 def _c_in_connected_draws(n: int, c: int, rng: random.Random) -> tuple[list[int], list[int], list[int]]:
     """The random draws of random_c_in_connected, in their one order: the
     relabelling perm, then the extra edges as parallel lists (us[j], vs[j])."""
-    if n < 1 or c < 1:
-        raise ValueError(f"need n >= 1 and c >= 1, got n={n}, c={c}")
     perm = list(range(n))
     rng.shuffle(perm)
     ends = [rng.randrange(n) for _ in range(2 * rng.randint(0, n))]  # u0, v0, u1, v1, ...
@@ -222,6 +220,7 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     it cannot exist: removing them would cut S off from the survivors
     outside it.  Extra edges never remove an in-neighbor.  With c = 1
     this is a random Hamiltonian cycle plus extra edges, the csc graph.
+    n, c >= 1 are the caller's to check, as DynamicSchedule does once, not every round.
     """
     perm, us, vs = _c_in_connected_draws(n, c, rng)
     # perm[i] hears perm[i-m..i], its loop included: window[i : i+m+1].
@@ -240,9 +239,9 @@ def flooding_length(n: int, delay: Optional[int] = None, c: Optional[int] = None
     after which a value has reached every agent, n-1 for per-round strong
     connectivity, delay times that when only delay-round windows are, and
     ceil(n/c) for c-in-connectivity.  An n, delay or c below 1 is a ValueError."""
-    for name, value in (("node count", n), ("delay", delay), ("c", c)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    check_ranges(delay=delay, c=c)
     return -(-n // c) if c is not None else (delay or 1) * max(1, n - 1)
 
 

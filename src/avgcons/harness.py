@@ -26,8 +26,8 @@ from . import graph as gr
 from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
     check_trial_size, message_bits, run_trial
 from .quantization import admissible_interval, count_levels
-from .sampling import ConcentrationParams, ProtocolParams, RngStream, _check_input, \
-    _check_ranges, chernoff_bound, empirical_tail, min_exponential_stats, rounding_ratio
+from .sampling import RANGES, ConcentrationParams, ProtocolParams, RngStream, _check_interval, \
+    check_ranges, chernoff_bound, empirical_tail, min_exponential_stats, rounding_ratio
 from .seeds import stable_seed
 
 
@@ -74,26 +74,15 @@ class ExperimentConfig:
                 raise ValueError(f"protocol {self.protocol!r} takes no {name}")
         if protocol.decides and self.size_bound is None:
             raise ValueError(f"{self.protocol} requires size_bound")
-        # ProtocolParams checks them too, but min builds none and its summary needs eta.
-        _check_ranges(self.epsilon, self.eta, self.a, self.b)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.s_max < 0:
-            raise ValueError(f"s_max must be >= 0, got {self.s_max}")
-        if not (math.isfinite(self.slack_sigmas) and self.slack_sigmas >= 0):
-            raise ValueError(f"slack_sigmas must be finite and >= 0, got {self.slack_sigmas}")
+        check_ranges(**{name: getattr(self, name) for name in RANGES if name in self.__dataclass_fields__})
+        gr.flooding_length(self.n, self.delay, self.c)  # n >= 1, as every schedule needs
         if not protocol.decides and self.s_max != 0:
             raise ValueError("staggered starts are only supported by rbard")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise ValueError("fixed inputs must have length n")
         if self.inputs is not None and not all(math.isfinite(x) for x in self.inputs):
             raise ValueError(f"fixed inputs must be finite, got {list(self.inputs)}")
-        for x in self.inputs or ():
-            _check_input(x, self.a, self.b)
-        if self.size_bound is not None and self.size_bound < self.n:
-            raise ValueError(f"rbard needs size_bound >= n, got {self.size_bound} < {self.n}")
+        _check_interval(self.a, self.b, *(self.inputs or ()))
         if self.schedule_kind not in gr.SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
         takes = gr.SCHEDULE_KINDS[self.schedule_kind][0]  # blocking's ell is the protocol's
@@ -136,20 +125,24 @@ def _fields_from_json(cls, obj, what: str, required: tuple[str, ...]) -> dict:
     return kwargs
 
 
+def field_type(hint) -> type:
+    """X of the field type hint X or Optional[X], as JSON and `run` read it."""
+    return get_args(hint)[0] if get_origin(hint) is Union else hint
+
+
 def _json_value(name: str, value, hint):
     """value checked against the field type hint; an int in a float field
     becomes a float, and inputs become a tuple."""
-    optional = get_origin(hint) is Union  # Optional[X]
-    hint = get_args(hint)[0] if optional else hint
+    kind = field_type(hint)
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    if value is None and optional or type(value) is hint:
+    if value is None and kind is not hint or type(value) is kind:
         return value
-    if hint is float and type(value) is int:
+    if kind is float and type(value) is int:
         return float(value)
-    if get_origin(hint) is tuple and isinstance(value, list) and all(
+    if get_origin(kind) is tuple and isinstance(value, list) and all(
             type(v) in (int, float) for v in value):
         return tuple(float(v) for v in value)
-    raise ValueError(f"{name} must be {hint.__name__}, got {value!r}")
+    raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 @lru_cache(maxsize=64)
@@ -451,8 +444,7 @@ class ClaimResult:
 
 def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 200) -> list[ClaimResult]:
     """Empirical checks of the graph-product facts the protocols rest on."""
-    if product_cases < 1 or c_cases < 1:
-        raise ValueError(f"need product_cases, c_cases >= 1, got {product_cases}, {c_cases}")
+    check_ranges(product_cases=product_cases, c_cases=c_cases)
     results = []
     rng = random.Random(stable_seed("verify-graph", seed))
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .quantization import dequantize_array, quantize_array
-from .sampling import ProtocolParams, _check_input, sample_exponentials
+from .sampling import ProtocolParams, _check_interval, sample_exponentials
 
 # ---------------------------------------------------------------------------
 # messages
@@ -109,7 +109,7 @@ def init_samples(theta: float, params: ProtocolParams, stream) -> tuple[np.ndarr
 
     Shifting by -a+1 keeps every rate >= 1 for inputs in [a, b].
     """
-    _check_input(theta, params.a, params.b)
+    _check_interval(params.a, params.b, theta)
     x_raw = sample_exponentials(theta - params.a + 1.0, params.ell, stream)
     y_raw = sample_exponentials(1.0, params.ell, stream)
     return x_raw, y_raw

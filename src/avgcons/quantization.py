@@ -21,6 +21,7 @@ def quantize(x: float, beta: float) -> int:
     return int(quantize_array([x], beta)[0])
 
 
+@np.errstate(over="ignore")  # here and in _log_quantize, powers past the largest float are inf
 def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise, for
     normal floats x (a subnormal power of 1+beta repeats over long runs of k).

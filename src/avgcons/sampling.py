@@ -51,9 +51,8 @@ class ProtocolParams:
     size_bound: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_ranges(self.epsilon, self.eta, self.a, self.b, self.size_bound)
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
+        check_ranges(epsilon=self.epsilon, eta=self.eta, ell=self.ell, size_bound=self.size_bound)
+        _check_interval(self.a, self.b)
         if self.ell > np.iinfo(np.intp).max // 8:  # bytes of one float64 vector
             raise ValueError(f"replica count ell, about 10^{len(str(self.ell)) - 1}, is too large "
                              f"for any array: raise epsilon or narrow [a, b]")
@@ -82,25 +81,37 @@ def _stable_ceil(make_expr) -> int:
     return values[0]
 
 
-def _check_ranges(epsilon: float, eta: float, a: float, b: float,
-                  size_bound: Optional[int] = None) -> None:
-    """The range check of ProtocolParams and ExperimentConfig, run before the
-    replica formulas see the values."""
-    if not 0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    if not 0 < eta < 0.5:
-        raise ValueError(f"eta must be in (0, 1/2), got {eta}")
+# Every single-field range rule, name -> (test, phrase), stated once: each
+# config, formula and function that takes one of these values checks it here.
+RANGES = {
+    **dict.fromkeys(("epsilon", "eta", "alpha"), (lambda v: 0 < v < 0.5, "in (0, 1/2)")),
+    "rate": (lambda v: v > 0, "> 0"),
+    "slack_sigmas": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    **dict.fromkeys(("seed", "s_max"), (lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
+                     "product_cases", "c_cases"), (lambda v: v >= 1, ">= 1")),
+    "start_rounds": (lambda v: all(s >= 1 for s in v), "all >= 1"),
+}
+
+
+def check_ranges(**values) -> None:
+    """Each value against the rule RANGES holds for its name, None (an unset
+    optional field) passing; one out of range is a ValueError."""
+    for name, value in values.items():
+        test, phrase = RANGES[name]
+        if value is not None and not test(value):
+            raise ValueError(f"{name} must be {phrase}, got {value}")
+
+
+def _check_interval(a: float, b: float, *inputs: float) -> None:
+    """The rules on a and b, checked before the formulas see them, then on each input."""
     if not math.isfinite(b - a + 1.0):  # also false when a or b is not finite
         raise ValueError(f"a and b must be finite, as must b - a + 1, got a={a}, b={b}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if size_bound is not None and size_bound < 1:
-        raise ValueError(f"size_bound must be >= 1, got {size_bound}")
-
-
-def _check_input(theta: float, a: float, b: float) -> None:
-    if not a <= theta <= b:
-        raise ValueError(f"input {theta} outside [{a}, {b}]")
+    for theta in inputs:
+        if not a <= theta <= b:
+            raise ValueError(f"input {theta} outside [{a}, {b}]")
 
 
 def rounding_ratio(epsilon: float, a: float, b: float) -> float:
@@ -110,8 +121,9 @@ def rounding_ratio(epsilon: float, a: float, b: float) -> float:
 
 def _replicas(k: int, c: int, epsilon: float, eta: float, a: float, b: float) -> int:
     """ceil(k ln(c/eta) w^2 / eps^2), w = b - a + 1: the replica count of
-    the params_* formulas, after the range check."""
-    _check_ranges(epsilon, eta, a, b)
+    the params_* formulas, after the range checks."""
+    check_ranges(epsilon=epsilon, eta=eta)
+    _check_interval(a, b)
     w = b - a + 1.0
     return _stable_ceil(lambda: k * (c / Decimal(eta)).ln() * Decimal(w) ** 2 / Decimal(epsilon) ** 2)
 
@@ -129,7 +141,7 @@ def params_rbar(epsilon: float, eta: float, a: float, b: float) -> ProtocolParam
 
 def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int) -> ProtocolParams:
     """Deciding variant: ell = max(ceil(108 ln(24/eta) w^2/eps^2), ceil(243 ln(6 N^2/eta)))."""
-    _check_ranges(epsilon, eta, a, b, size_bound)
+    check_ranges(size_bound=size_bound)  # before it reaches a logarithm
     ell = max(_replicas(108, 24, epsilon, eta, a, b),
               _stable_ceil(lambda: 243 * (6 * Decimal(size_bound) ** 2 / Decimal(eta)).ln()))
     return ProtocolParams(epsilon, eta, a, b, ell=ell, beta=rounding_ratio(epsilon, a, b),
@@ -168,8 +180,7 @@ class RngStream:
 
 def sample_exponentials(rate: float, size: int, stream) -> np.ndarray:
     """Batch of Exp(rate) samples via inverse CDF: -ln(U)/rate."""
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_ranges(rate=rate)
     return -np.log(stream.uniforms(size)) / rate
 
 
@@ -188,12 +199,7 @@ class ConcentrationParams:
     beta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        if not 0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 1/2), got {self.alpha}")
+        check_ranges(ell=self.ell, rate=self.rate, alpha=self.alpha)
         if self.beta is not None:
             _base(self.beta)  # the grid's rule, 1 < 1 + beta < inf
 
@@ -206,8 +212,7 @@ def chernoff_bound(ell: int, alpha: float) -> float:
 
 def empirical_tail(cp: ConcentrationParams, reps: int, stream) -> float:
     """Frequency of the deviation event over `reps` repetitions."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    check_ranges(reps=reps)
     xs = sample_exponentials(cp.rate, reps * cp.ell, stream).reshape(reps, cp.ell)
     threshold = cp.alpha / cp.rate
     if cp.beta is not None:

@@ -13,7 +13,7 @@ from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons.protocol import NULL_MESSAGE
 from avgcons.quantization import quantize_array
-from avgcons.sampling import ProtocolParams, sample_exponentials
+from avgcons.sampling import ProtocolParams, params_rbard, sample_exponentials
 
 
 def fixed(g):
@@ -129,6 +129,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="protocol 'min' takes no params"):
         replace(cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=3),
                 params=ProtocolParams(epsilon=0.3, eta=0.2, a=0.0, b=1.0, ell=8))
+
+
+@pytest.mark.parametrize("size_bound", [2, None])
+def test_a_deciding_trial_whose_size_bound_is_below_n_is_refused(size_bound):
+    # rbard at n=5 with N=2 ran, every agent deciding at round 8; the paper
+    # assumes N >= n.
+    params = replace(params_rbard(0.4, 0.3, 0.0, 1.0, 2), size_bound=size_bound)
+    with pytest.raises(ValueError, match=f"^rbard needs size_bound >= n, got {size_bound} < 5$"):
+        eng.TrialConfig("rbard", params, (0.5,) * 5, gr.DynamicSchedule("csc", 5), (1,) * 5,
+                        t_max=40, seed=0)
 
 
 def test_a_shorter_horizon_gives_the_vectors_at_its_round():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -173,6 +174,20 @@ def test_experiment_config_validation():
         tiny_r_config(inputs=(0.1,))
     with pytest.raises(ValueError, match="seed must be >= 0"):
         tiny_r_config(seed=-1)
+
+
+@pytest.mark.parametrize("field,message", [("n", "node count must be >= 1, got 0"),
+                                           ("t_max", "t_max must be >= 1, got 0"),
+                                           ("ell", "ell must be >= 1, got 0"),
+                                           ("delay", "delay must be >= 1, got 0"),
+                                           ("c", "c must be >= 1, got 0")])
+def test_a_zero_size_field_is_refused_when_the_config_is_built(field, message):
+    # Each of these configs was built, and refused only when a trial was set up.
+    kind = {"delay": "delayed", "c": "c_connected"}.get(field, "csc")
+    obj = {"protocol": "r", "trials": 1, "n": 3, "schedule_kind": kind, field: 0}
+    for build in (lambda obj: hn.ExperimentConfig(**obj), hn.experiment_from_json):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(obj)
 
 
 @pytest.mark.parametrize("protocol", ["min", "r", "rbar", "rbard"])

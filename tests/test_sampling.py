@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from avgcons import engine as eng
+from avgcons import graph as gr
+from avgcons import harness as hn
 from avgcons import sampling as sp
 
 
@@ -161,6 +165,90 @@ def test_params_reject_a_beta_off_the_grid(beta):
         sp.ProtocolParams(0.3, 0.2, 0.0, 1.0, ell=4, beta=beta)
     with pytest.raises(ValueError, match="beta must be > 0 with 1 \\+ beta > 1 in floats, and finite"):
         sp.ConcentrationParams(ell=4, rate=1.0, alpha=0.2, beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# the range table
+
+HALF_BELOW = math.nextafter(0.5, 0.0)
+# Each field's in-range edge and the first value past it.
+EDGES = {**dict.fromkeys(("epsilon", "eta", "alpha"), (HALF_BELOW, 0.5)), "rate": (5e-324, 0.0),
+         "slack_sigmas": (0.0, -5e-324), **dict.fromkeys(("seed", "s_max"), (0, -1)),
+         **dict.fromkeys(("trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
+                          "product_cases", "c_cases"), (1, 0)),
+         "start_rounds": ((1, 1, 1), (0, 1, 1))}
+
+
+def experiment(name, value, build=lambda obj: hn.ExperimentConfig(**obj)):
+    """An rbard ExperimentConfig, or what build makes of its JSON, with name set to value."""
+    kind = {"delay": "delayed", "c": "c_connected"}.get(name, "csc")
+    return build({"protocol": "rbard", "trials": 1, "n": 3, "size_bound": 3, "schedule_kind": kind,
+                  name: value})
+
+
+def trial(name, value):
+    """A min TrialConfig on a 3-ring, with name set to value."""
+    fields = {"start_rounds": (1, 1, 1), "t_max": 3, "seed": 0, name: value}
+    return eng.TrialConfig("min", None, (0.1, 0.2, 0.3),
+                           gr.DynamicSchedule("fixed", 3, graph=gr.ring_graph(3)), **fields)
+
+
+def sites():
+    """(field, site, call(value)) for every field of RANGES and every type or
+    function that takes it."""
+    out = []
+    for name in ("epsilon", "eta", "slack_sigmas", "seed", "s_max", "trials", "ell", "size_bound",
+                 "t_max", "delay", "c"):
+        out.append((name, "ExperimentConfig", lambda v, name=name: experiment(name, v)))
+        out.append((name, "experiment_from_json",
+                    lambda v, name=name: experiment(name, v, hn.experiment_from_json)))
+    protocol = dict(epsilon=0.3, eta=0.2, a=0.0, b=1.0)
+    for name in ("epsilon", "eta", "ell", "size_bound"):
+        out.append((name, "ProtocolParams",
+                    lambda v, name=name: sp.ProtocolParams(**{**protocol, "ell": 4, name: v})))
+    for name in ("epsilon", "eta"):
+        for formula in (sp.params_r, sp.params_rbar):
+            out.append((name, formula.__name__,
+                        lambda v, name=name, f=formula: f(**{**protocol, name: v})))
+    for name in ("epsilon", "eta", "size_bound"):
+        out.append((name, "params_rbard",
+                    lambda v, name=name: sp.params_rbard(**{**protocol, "size_bound": 3, name: v})))
+    for name in ("ell", "rate", "alpha"):
+        out.append((name, "ConcentrationParams", lambda v, name=name: sp.ConcentrationParams(
+            **{"ell": 10, "rate": 1.0, "alpha": 0.1, name: v})))
+    # No draws, so a rate at the edge does not overflow -ln(U)/rate.
+    out.append(("rate", "sample_exponentials", lambda v: sp.sample_exponentials(v, 0, sp.RngStream(0))))
+    out.append(("reps", "empirical_tail", lambda v: sp.empirical_tail(
+        sp.ConcentrationParams(ell=10, rate=1.0, alpha=0.1), v, sp.RngStream(0))))
+    for name in ("seed", "t_max", "start_rounds"):
+        out.append((name, "TrialConfig", lambda v, name=name: trial(name, v)))
+    out.append(("t_max", "check_trial_size",
+                lambda v: eng.check_trial_size(eng.PROTOCOLS["min"], 3, v, None)))
+    for name, kind in (("delay", "delayed"), ("c", "c_connected")):
+        out.append((name, "flooding_length", lambda v, name=name: gr.flooding_length(3, **{name: v})))
+        out.append((name, "DynamicSchedule",
+                    lambda v, name=name, kind=kind: gr.DynamicSchedule(kind, 3, **{name: v})))
+    out.append(("c", "is_c_in_connected", lambda v: gr.is_c_in_connected(gr.complete_graph(3), v)))
+    for name in ("product_cases", "c_cases"):
+        out.append((name, "verify_graph_claims", lambda v, name=name: hn.verify_graph_claims(
+            **{"product_cases": 1, "c_cases": 1, name: v})))
+    return out
+
+
+SITES = sites()
+
+
+def test_every_field_of_the_range_table_is_checked_somewhere():
+    assert {name for name, _, _ in SITES} == set(sp.RANGES) == set(EDGES)
+
+
+@pytest.mark.parametrize("name,site,call", SITES, ids=[f"{site}-{name}" for name, site, _ in SITES])
+def test_each_site_takes_the_edge_of_a_range_and_refuses_the_first_value_past_it(name, site, call):
+    inside, outside = EDGES[name]
+    call(inside)
+    message = f"{name} must be {sp.RANGES[name][1]}, got {outside}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(outside)
 
 
 # ---------------------------------------------------------------------------
