@@ -26,7 +26,7 @@ import numpy as np
 from . import protocol as proto
 from .graph import DynamicSchedule
 from .quantization import count_levels, dequantize_array, quantize_array
-from .sampling import ProtocolParams, RngStream, check_ranges, params_r, params_rbar, params_rbard
+from .sampling import ProtocolParams, RngStream, check_ranges, inverse_cdf, params_r, params_rbar, params_rbard
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def exponent_bound(params: ProtocolParams) -> int:
     -ln(U)/rate has U in [2**-53, 1 - 2**-53] and rate in [1, b - a + 1] (and
     is normal, as quantize_array needs), plus one exponent each side for the
     rounding of the logarithm and the division."""
-    lo = max(float(-np.log(1.0 - 2.0**-53) / (params.b - params.a + 1.0)), np.finfo(np.float64).tiny)
-    return count_levels(lo, float(-np.log(2.0**-53)), params.beta) + 2
+    lo = max(float(inverse_cdf(1.0 - 2.0**-53, params.b - params.a + 1.0)), np.finfo(np.float64).tiny)
+    return count_levels(lo, float(inverse_cdf(2.0**-53, 1.0)), params.beta) + 2
 
 
 def check_trial_size(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> None:

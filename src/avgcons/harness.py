@@ -494,8 +494,10 @@ def verify_graph_claims(seed: int = 0, product_cases: int = 500, c_cases: int = 
     return results
 
 
-def verify_bound_claims(seed: int = 0, reps: int = 10_000, sigmas: float = 3.0) -> list[ClaimResult]:
-    """Empirical checks of the concentration facts behind the parameters."""
+def verify_bound_claims(seed: int = 0, reps: int = 10_000) -> list[ClaimResult]:
+    """Empirical checks of the concentration facts behind the parameters,
+    each tail within three binomial sigmas of its bound."""
+    check_ranges(reps=reps)  # before any draw
     results = []
 
     # Minimum of independent exponentials: rate adds up.
@@ -519,7 +521,7 @@ def verify_bound_claims(seed: int = 0, reps: int = 10_000, sigmas: float = 3.0) 
                 freq = empirical_tail(cp, reps, stream)
                 bound = chernoff_bound(ell, alpha)
                 capped = min(bound, 1.0)
-                limit = bound + sigmas * math.sqrt(capped * (1.0 - capped) / reps)
+                limit = bound + _slack(capped, reps, 3.0)
                 tag = "rounded" if beta else "plain"
                 results.append(
                     ClaimResult(

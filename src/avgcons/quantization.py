@@ -21,7 +21,6 @@ def quantize(x: float, beta: float) -> int:
     return int(quantize_array([x], beta)[0])
 
 
-@np.errstate(over="ignore")  # here and in _log_quantize, powers past the largest float are inf
 def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise, for
     normal floats x (a subnormal power of 1+beta repeats over long runs of k).
@@ -29,12 +28,11 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     By lookup in buckets of the floats that share their top 12 + m bits,
     m = ceil(-log2 log2(1+beta)) + 1, each under 3/4 of a grid step wide:
     x takes k0 + (thr <= x), k0 = _log_quantize of its bucket's lower edge
-    and thr = np.power(1+beta, k0 + 1), np.power's grid as in
-    dequantize_array.  The grid increases with k, so exactly one k brackets
-    x, and a bucket holds at most one grid point, so that k is k0 or k0 + 1.
-    A table with more entries than values, or buckets of under 2^8 floats
-    (beta < ~8e-14, where np.power's error would eat the margin), takes the
-    log path.
+    and thr = _grid(1+beta, k0 + 1).  The grid increases with k, so exactly
+    one k brackets x, and a bucket holds at most one grid point, so that k
+    is k0 or k0 + 1.  A table with more entries than values, or buckets of
+    under 2^8 floats (beta < ~8e-14, where np.power's error would eat the
+    margin), takes the log path.
     """
     xs, base = np.asarray(xs, dtype=np.float64), _base(beta)
     flat = xs.reshape(-1)
@@ -50,7 +48,7 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     # Where buckets merge binades (beta >= 3) the lowest edge can be 0.
     edges = np.maximum((np.arange(j0, j1 + 1) << shift).view(np.float64), tiny)
     k0 = _log_quantize(edges, base)
-    thr = np.power(base, (k0 + 1).astype(np.float64))
+    thr = _grid(base, k0 + 1)
     size, ks = min(_PIECE, xs.size), np.empty(xs.size, dtype=np.int64)
     js, above, powers = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool), np.empty(size)
     for at in range(0, xs.size, _PIECE):
@@ -64,39 +62,29 @@ def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
 
 def _log_quantize(flat: np.ndarray, base: float) -> np.ndarray:
     """quantize_array of a 1-d array of normal floats by logarithm and
-    correction, exact at any base.
-
-    The float estimate floor(ln x / ln base) can land one off at exact
-    powers of base; the correction loops restore the defining bracketing.
-    Every step is elementwise, so the input goes in cache-sized pieces, each
-    with one table of the powers over its estimated exponents lo..hi,
-    widened to lo - 1 .. hi + 2 for the loop steps, unless that would
-    outsize the piece (spans are unbounded).  The loops track bounds on k,
-    so both read the table with no scan of k, and call np.power only once a
-    step leaves it.
-    """
-    ks = np.empty(flat.size, dtype=np.int64)
-    for at in range(0, flat.size, _PIECE):
-        x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
-        k[:] = np.floor(np.log(x) / np.log(base))
-        least, most = int(k.min()), int(k.max())  # bounds on k, kept through the loops
-        lo, hi = least - 1, most + 2
-        table = np.power(base, np.arange(lo, hi + 1, dtype=float)) if hi - lo < len(x) else None
-        power = lambda es, a, b: (table[es - lo] if table is not None and lo <= a and b <= hi
-                                  else np.power(base, es.astype(np.float64)))
-        # Converges in one step apart from pathological float noise, hence the loops.
-        while (low := power(k + 1, least + 1, most + 1) <= x).any():
-            k[low] += 1
-            most += 1
-        while (high := power(k, least, most) > x).any():
-            k[high] -= 1
-            least -= 1
+    correction, exact at any base: the float estimate floor(ln x / ln base)
+    can land one off at exact powers of base, and the correction loops
+    restore the defining bracketing on the grid."""
+    ks = np.floor(np.log(flat) / np.log(base)).astype(np.int64)
+    # Converges in one step apart from pathological float noise, hence the loops.
+    while (low := _grid(base, ks + 1) <= flat).any():
+        ks[low] += 1
+    while (high := _grid(base, ks) > flat).any():
+        ks[high] -= 1
     return ks
 
 
 def dequantize_array(ks: np.ndarray, beta: float) -> np.ndarray:
-    """The represented values (1+beta)**k, elementwise, by np.power: the one grid."""
-    return np.power(_base(beta), np.asarray(ks, dtype=np.float64))
+    """The represented values (1+beta)**k, elementwise, on the one grid."""
+    return _grid(_base(beta), ks)
+
+
+def _grid(base: float, ks) -> np.ndarray:
+    """The grid, base**k elementwise by np.power, for every rounding and
+    represented value; a power past the largest float is inf, as the grid
+    defines it, not an overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.power(base, np.asarray(ks, dtype=np.float64))
 
 
 def _base(beta: float) -> float:

@@ -1,9 +1,9 @@
 """Exponential sampling, protocol parameter formulas, and tail checks.
 
-Sampling is inverse-CDF: -ln(U)/rate with U uniform on (0, 1].  This is
-exact, branch-free, and reproducible across platforms up to float
-rounding, which matters because consensus checks elsewhere compare
-values bit for bit.
+Sampling is inverse-CDF: -ln(U)/rate with U uniform on [2**-53, 1 - 2**-53].
+This is exact, branch-free, and reproducible across platforms up to float
+rounding, which matters because consensus checks elsewhere compare values
+bit for bit.
 
 Randomness is organized as keyed streams: a stream is addressed by
 (master seed, trial, agent, purpose) and two streams with the same key
@@ -150,11 +150,11 @@ def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int
 
 @dataclass
 class RngStream:
-    """Keyed, positioned stream of uniforms on (0, 1].
+    """Keyed, positioned stream of uniforms on [2**-53, 1 - 2**-53].
 
     Identical (seed, trial, agent, purpose) keys reproduce identical
     sequences bit for bit; the generator's occasional exact 0 is mapped
-    to 1 so downstream -ln(U) stays finite.
+    to its least nonzero output, 2**-53, so -ln(U) is finite and positive.
     """
 
     seed: int
@@ -168,9 +168,9 @@ class RngStream:
         self._gen = np.random.default_rng(np.random.SeedSequence(entropy=key))
 
     def uniforms(self, k: int) -> np.ndarray:
-        """k uniforms on (0, 1], advancing the stream by k."""
+        """k uniforms on [2**-53, 1 - 2**-53], advancing the stream by k."""
         us = self._gen.random(k)
-        us[us == 0.0] = 1.0
+        us[us == 0.0] = 2.0**-53
         self.position += k
         return us
 
@@ -178,10 +178,15 @@ class RngStream:
         return float(self.uniforms(1)[0])
 
 
+def inverse_cdf(us, rate) -> np.ndarray:
+    """The Exp(rate) draws -ln(U)/rate of uniforms U, elementwise."""
+    return -np.log(us) / rate
+
+
 def sample_exponentials(rate: float, size: int, stream) -> np.ndarray:
     """Batch of Exp(rate) samples via inverse CDF: -ln(U)/rate."""
     check_ranges(rate=rate)
-    return -np.log(stream.uniforms(size)) / rate
+    return inverse_cdf(stream.uniforms(size), rate)
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,6 @@ def min_exponential_stats(
     sum(rates): mean 1/sum(rates), survival P(min > x) = exp(-sum(rates) x).
     Returns (mean, [frequency of min > x for each x]).
     """
-    # Exp(r) is Exp(1)/r, and x/1.0 == x, so these are -ln(U)/r bit for bit.
-    units = sample_exponentials(1.0, reps * len(rates), stream).reshape(reps, len(rates))
-    mins = (units / np.asarray(rates, dtype=np.float64)).min(axis=1)
+    us = stream.uniforms(reps * len(rates)).reshape(reps, len(rates))
+    mins = inverse_cdf(us, np.asarray(rates, dtype=np.float64)).min(axis=1)
     return float(mins.mean()), [float(np.mean(mins > x)) for x in xs]

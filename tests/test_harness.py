@@ -281,6 +281,16 @@ def test_verify_bound_claims_pass():
     assert sum(r.name.startswith("tail_") for r in results) == 12
 
 
+
+def test_verify_bound_claims_refuses_a_bad_reps_before_any_draw(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("min_exponential_stats ran")
+
+    monkeypatch.setattr(hn, "min_exponential_stats", drawn)
+    with pytest.raises(ValueError, match=r"^reps must be >= 1, got 0$"):
+        hn.verify_bound_claims(reps=0)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -164,24 +164,19 @@ def test_quantize_array_builds_no_table_over_an_unbounded_span():
 
 
 class _LogOff:
-    """numpy as _log_quantize uses it, with ln x moved by offs[i] ln(1+beta)
-    at position i of each piece, so that the estimate of that exponent lands
-    offs[i] away and the loops take that many steps; it records the length
-    of each array np.power evaluates."""
+    """numpy as _log_quantize uses it, with ln x moved by offs[i % len(offs)]
+    ln(1+beta) at position i, so that the estimate of that exponent lands
+    that far off and the loops take that many steps."""
 
     def __init__(self, beta, offs):
-        self.beta, self.offs, self.powers = beta, offs, []
+        self.beta, self.offs = beta, offs
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def log(self, x):
-        shift = self.offs[: np.size(x)] * np.log1p(self.beta) if np.ndim(x) else 0.0
+        shift = np.resize(self.offs, np.size(x)) * np.log1p(self.beta) if np.ndim(x) else 0.0
         return np.log(x) + shift
-
-    def power(self, base, es):
-        self.powers.append(len(es))
-        return np.power(base, es)
 
 
 @pytest.mark.parametrize("beta", (0.1, 1e-3))
@@ -189,24 +184,20 @@ class _LogOff:
 @pytest.mark.parametrize("spans", ("narrow", "wide", "both"))
 def test_quantize_array_matches_the_two_loop_oracle_off_its_tables(beta, off, spans, monkeypatch):
     # The log path, which quantize_array takes for its bucket edges and for
-    # inputs whose bucket table would outsize them.  Pieces of 16 values:
-    # narrow ones, whose exponents 0..4 (plus off) get a table of at most 14
-    # powers, and wide ones, whose span is wider than the piece and gets none.  The values sit between grid points, so
-    # an estimate off by one step is corrected within the table, and one off
-    # by two or more steps leaves it and evaluates its piece with np.power.
+    # inputs whose bucket table would outsize them, on narrow spans (exponents
+    # 0..4), wide ones (1e-300..1e300) and both.  The values sit between grid
+    # points, and each estimate is moved off by up to three steps, which the
+    # correction loops must take back.
     rng = np.random.default_rng(5)
     narrow = qz.dequantize_array(rng.integers(0, 5, 64) + 0.5, beta)
     wide = 10.0 ** rng.uniform(-300, 300, 64)
     xs = {"narrow": narrow, "wide": wide, "both": np.concatenate([wide, narrow])}[spans]
     want = two_loop_quantize(xs, beta)
     offs = rng.integers(-3, 4, 16) if off == "mixed" else np.full(16, off)
-    monkeypatch.setattr(qz, "_PIECE", 16)
-    monkeypatch.setattr(qz, "np", logged := _LogOff(beta, offs))
+    monkeypatch.setattr(qz, "np", _LogOff(beta, offs))
     got = qz._log_quantize(xs, 1.0 + beta)
     monkeypatch.undo()
     assert got.tobytes() == want.tobytes()
-    fell_back = 16 in logged.powers  # a table never holds more than 14 powers
-    assert fell_back == (spans != "narrow" or off not in (-1, 0, 1))
 
 
 TINY, MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
@@ -305,6 +296,34 @@ def test_a_bucket_table_with_more_entries_than_values_takes_the_log_path(xs, bet
     assert fell_back != looked_up
     assert got.tobytes() == two_loop_quantize(xs, beta).tobytes()
 
+
+
+@pytest.mark.parametrize("beta", LOOKUP_BETAS)
+@pytest.mark.parametrize("toward", (np.inf, 0.0), ids=("ulp-above", "ulp-below"))
+def test_every_rounding_and_represented_value_reads_the_one_grid(beta, toward, monkeypatch):
+    # A grid one ulp off np.power's: a value at or beside an unperturbed
+    # grid point then rounds one exponent away from np.power's, which a site
+    # that computed its own powers would miss.  The lookup runs on the values
+    # tiled until their table is small enough, the log path on a sample too
+    # sparse for one.
+    grid, log_quantize, seen = qz._grid, qz._log_quantize, []
+    monkeypatch.setattr(qz, "_grid", lambda base, ks: np.nextafter(grid(base, ks), toward))
+    monkeypatch.setattr(qz, "_log_quantize", lambda flat, base: seen.append(flat) or log_quantize(flat, base))
+    span = min(2000, int(700 / math.log1p(beta)))
+    points = grid(1.0 + beta, np.arange(-span, span + 1))
+    xs = np.sort(np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)]))
+    buckets = int(np.ptp(xs.view(np.int64) >> bucket_shift(beta)))
+    for xs, looked_up in ((np.tile(xs, buckets // len(xs) + 1), True), (xs[:: 2 * (len(xs) // buckets + 1)], False)):
+        ks = qz.quantize_array(xs, beta)
+        assert any(np.shares_memory(flat, xs) for flat in seen) != looked_up
+        assert (qz.dequantize_array(ks, beta) <= xs).all() and (xs < qz.dequantize_array(ks + 1, beta)).all()
+
+
+def test_the_grid_past_the_largest_float_is_inf_with_no_warning():
+    # The suite turns numpy's overflow RuntimeWarning into a failure.
+    assert qz.quantize_array([MAX], 0.1).tolist() == [7447]
+    below, above = qz.dequantize_array([7447, 7448], 0.1)
+    assert math.isfinite(below) and above == math.inf
 
 # The engine reads represented values from one table over a trial's exponent
 # span; the workloads' beta is 0.025.  The spans cross 0 or not, and have odd

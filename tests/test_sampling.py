@@ -8,6 +8,7 @@ from avgcons import engine as eng
 from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import sampling as sp
+from avgcons.quantization import quantize_array
 
 
 class ScriptedStream:
@@ -81,6 +82,29 @@ def test_position_counts_draws():
 def test_uniforms_live_in_half_open_unit_interval():
     us = sp.RngStream(77).uniforms(10_000)
     assert (us > 0).all() and (us <= 1).all()
+
+
+class _ZeroGenerator:
+    """A generator whose every draw is its exact 0."""
+
+    def random(self, k):
+        return np.zeros(k)
+
+
+def test_an_exact_zero_uniform_draws_as_the_least_nonzero_one():
+    # The generator gives 0 with probability 2**-53 a value.  Its draw must
+    # be that of the least nonzero output, 2**-53: positive, normal for
+    # quantize_array, and inside the span exponent_bound allows.
+    p = sp.params_rbar(0.4, 0.4, 0.0, 1.0)
+    width = p.b - p.a + 1.0
+    stream = sp.RngStream(3)
+    stream._gen = _ZeroGenerator()
+    least = quantize_array(sp.sample_exponentials(width, 1, ScriptedStream(1.0 - 2.0**-53)), p.beta)[0]
+    for rate in (1.0, width):
+        xs = sp.sample_exponentials(rate, 4, stream)
+        assert (xs > 0).all()
+        assert xs.tobytes() == sp.sample_exponentials(rate, 4, ScriptedStream(*[2.0**-53] * 4)).tobytes()
+        assert quantize_array(xs, p.beta).max() - least + 1 <= eng.exponent_bound(p)
 
 
 def test_agent_streams_are_empirically_uncorrelated():
