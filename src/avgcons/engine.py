@@ -25,7 +25,7 @@ import numpy as np
 
 from . import protocol as proto
 from .graph import DynamicSchedule
-from .quantization import count_levels, dequantize_array, quantize_array
+from .quantization import count_levels, dequantize_array, quantize_offsets
 from .sampling import ProtocolParams, RngStream, check_ranges, inverse_cdf, params_r, params_rbar, params_rbard
 
 
@@ -145,9 +145,13 @@ class TrialTrace:
     estimates[t-1, u] is agent u's estimate at the end of round t (NaN
     while unset); counters likewise, for the deciding protocol only.  That
     protocol's estimate is its decision, so its decisions array is the
-    estimates array itself.  init_* arrays hold every agent's generated
-    samples (raw, and quantized where applicable), which pin down the
-    offline entrywise minima that a stationary run must reach.
+    estimates array itself.  init_raw holds every agent's draws, x then y,
+    in one (2, n, ell) block, and init_x_raw and init_y_raw are its halves;
+    a quantized protocol's init_offsets holds their exponents as offsets
+    k - lo in the narrowest dtype that holds hi - lo, with init_span the
+    (lo, hi) of the trial's initial exponents, and init_x_quant and
+    init_y_quant are its halves as int64 exponents, built when read.  They
+    pin down the offline entrywise minima that a stationary run must reach.
     final_states[u] holds agent u's vectors after round t_max (min keeps
     none); the rest of its final state is in the last rows of the arrays.
     Past round frozen_at (a wrap for rbar; None if the horizon ends first)
@@ -160,10 +164,9 @@ class TrialTrace:
     estimates: np.ndarray
     decisions: Optional[np.ndarray] = None
     counters: Optional[np.ndarray] = None
-    init_x_raw: Optional[np.ndarray] = None
-    init_y_raw: Optional[np.ndarray] = None
-    init_x_quant: Optional[np.ndarray] = None
-    init_y_quant: Optional[np.ndarray] = None
+    init_raw: Optional[np.ndarray] = None
+    init_offsets: Optional[np.ndarray] = None
+    init_span: Optional[tuple[int, int]] = None
     final_states: list = field(default_factory=list)
     decision_rounds: Optional[np.ndarray] = None
     decision_vectors: dict = field(default_factory=dict)
@@ -176,6 +179,15 @@ class TrialTrace:
     @property
     def n(self) -> int:
         return self.estimates.shape[1]
+
+    init_x_raw = property(lambda self: None if self.init_raw is None else self.init_raw[0])
+    init_y_raw = property(lambda self: None if self.init_raw is None else self.init_raw[1])
+    init_x_quant = property(lambda self: self._exponents(0))
+    init_y_quant = property(lambda self: self._exponents(1))
+
+    def _exponents(self, i: int) -> Optional[np.ndarray]:
+        if self.init_offsets is not None:
+            return np.add(self.init_offsets[i], self.init_span[0], dtype=np.int64)
 
 
 def run_trial(cfg: TrialConfig) -> TrialTrace:
@@ -217,21 +229,37 @@ def exponent_bound(params: ProtocolParams) -> int:
     return count_levels(lo, float(inverse_cdf(2.0**-53, 1.0)), params.beta) + 2
 
 
+def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> int:
+    """An upper bound, from the config alone, on the bytes a trial holds at
+    once, past buffers of fixed size (quantize_offsets' pieces, the segments
+    of _rotation_rounds): 8 B per round and agent for the estimates (and
+    counters); per agent and entry, the draws (2 x 8 B), then for r a working
+    copy of each (2 x 8 B) and one gather of rows (8 B), and for a quantized
+    protocol 5 offsets (the initial and working pairs and one gather) in the
+    dtype that holds the span exponent_bound allows, int64 final vectors
+    (2 x 8 B), and int64 decision vectors (2 x 8 B) for a deciding one; 8
+    vectors of ell floats for one agent's draws and formulas; and per
+    exponent of the span, 4 buckets of quantize_offsets' table (a bucket is
+    over a quarter of a grid step wide) at 48 B each, more than _offsets'
+    grid or message_bits' counts take later."""
+    ell = params.ell if protocol.randomized else 0
+    exponents = exponent_bound(params) if protocol.quantized else 0
+    width = np.min_scalar_type(exponents).itemsize
+    entry = 32 + 5 * width + 16 * protocol.decides if protocol.quantized else 40
+    return 8 * n * t_max * (2 if protocol.decides else 1) + (n * entry + 64) * ell + 192 * exponents
+
+
 def check_trial_size(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> None:
     """The trial-size rules, from the config alone: t_max >= 1, N >= n for a
     deciding protocol, as the paper assumes, and physical memory holds the
-    per-round estimates (and counters), each replica's draws and working
-    copies (quantized: exponents, final ones, 4 offsets of <= 4 B) and 3 x 8 B
-    per exponent of the span exponent_bound allows (_offsets' or
-    message_bits').  Checked before anything is built or drawn: numpy's
-    allocations succeed under overcommit and fail only when touched."""
+    trial_bytes of the trial.  Checked before anything is built or drawn:
+    numpy's allocations succeed under overcommit and fail only when touched."""
     check_ranges(t_max=t_max)
     if protocol.decides and (params.size_bound is None or params.size_bound < n):
         raise ValueError(f"rbard needs size_bound >= n, got {params.size_bound} < {n}")
     ell = params.ell if protocol.randomized else 0
     exponents = exponent_bound(params) if protocol.quantized else 0
-    per_agent = t_max * (2 if protocol.decides else 1) + ell * (8 if protocol.quantized else 4)
-    if (need := 8 * n * per_agent + 24 * exponents) > (memory := _physical_memory()):
+    if (need := trial_bytes(protocol, n, t_max, params)) > (memory := _physical_memory()):
         sizes = (f"ell={ell}, n={n} and {exponents} exponents" if exponents
                  else f"ell={ell} and n={n}" if ell else f"n={n}")
         raise MemoryError(f"a trial with {sizes} over {t_max} rounds needs {need / 2**30:.1f} GiB, "
@@ -251,14 +279,14 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
     if protocol.randomized:
-        trace.init_x_raw, trace.init_y_raw = np.empty((n, p.ell)), np.empty((n, p.ell))
+        trace.init_raw = draws = np.empty((2, n, p.ell))
         for u, theta in enumerate(cfg.inputs):
             stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
-            trace.init_x_raw[u], trace.init_y_raw[u] = proto.init_samples(theta, p, stream)
+            draws[0, u], draws[1, u] = proto.init_samples(theta, p, stream)
     if protocol.quantized:
-        # quantize_array is elementwise, so this quantizes each row.
-        trace.init_x_quant = quantize_array(trace.init_x_raw, p.beta)
-        trace.init_y_quant = quantize_array(trace.init_y_raw, p.beta)
+        # Rounding is elementwise, so this quantizes each row.
+        trace.init_offsets, lo, hi = quantize_offsets(draws, p.beta)
+        trace.init_span = lo, hi
     return trace
 
 
@@ -287,7 +315,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         grid, keep, inits = _offsets(trace)
         derive = lambda v: proto.rbard_size_estimate(grid[read(v, -1)[0]], p)
     else:
-        inits = (trace.init_x_raw, trace.init_y_raw)
+        inits = tuple(trace.init_raw)
         derive = lambda v: proto.r_estimate(*read(v, 0, -1), p)
     final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
@@ -371,23 +399,13 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     return t if frozen else None, finals
 
 
-def _exponent_span(trace: TrialTrace) -> tuple[int, int]:
-    """The least and greatest of the trial's initial exponents."""
-    ms = (trace.init_x_quant, trace.init_y_quant)
-    return min(int(m.min()) for m in ms), max(int(m.max()) for m in ms)
-
-
 def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:
     """dequantize_array over the initial exponents' span lo..hi, the map back
-    to int64 exponents, and the initial matrices as offsets k - lo in the
-    narrowest dtype that holds hi - lo, cast as they are subtracted, with no
-    int64 temporary: the minimum commutes with the shift."""
-    lo, hi = _exponent_span(trace)
+    to int64 exponents, and the trace's two initial offset matrices k - lo:
+    the minimum commutes with the shift."""
+    lo, hi = trace.init_span
     grid = dequantize_array(np.arange(lo, hi + 1), trace.config.params.beta)
-    narrow = np.min_scalar_type(hi - lo)
-    return grid, lambda m: np.add(m, lo, dtype=np.int64), tuple(
-        np.subtract(m, lo, out=np.empty(m.shape, narrow), casting="unsafe")
-        for m in (trace.init_x_quant, trace.init_y_quant))
+    return grid, lambda m: np.add(m, lo, dtype=np.int64), tuple(trace.init_offsets)
 
 
 # Edges in one segment of _rotation_rounds, drawn in one in_edges call: the
@@ -396,7 +414,7 @@ _SEGMENT_EDGES = 1 << 17
 
 
 def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of rbar, on _offsets; returns frozen_at and _final_pairs.
+    """The rounds of rbar, on a copy of _offsets; returns frozen_at and _final_pairs.
     Round t exchanges entry (t-1) mod ell of every agent, so only that
     column changes, and no two columns interact.  A segment of
     rounds inside one rotation touches each of its columns once, so it is
@@ -410,7 +428,8 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     its live rounds are drawn in one call, as batched schedule generation
     needs."""
     n, p, t_max = cfg.n, cfg.params, cfg.t_max
-    grid, keep, (xs, ys) = _offsets(trace)
+    grid, keep, inits = _offsets(trace)
+    xs, ys = (m.copy() for m in inits)
     live = lambda cols: (xs[:, cols] != xs[:1, cols]).any(0) | (ys[:, cols] != ys[:1, cols]).any(0)
     est = [math.nan] * n
     segment = max(1, _SEGMENT_EDGES // cfg.schedule.edges_per_round)
@@ -424,7 +443,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             last = int(c[-1]) - i + t
         k, u, v = cfg.schedule.in_edges((c - i + t).tolist())
         at = lambda e: np.multiply(e, p.ell, dtype=np.intp) + c[k]  # entry [e, c[k]], flat
-        for flat in (xs.reshape(-1), ys.reshape(-1)):  # views: _offsets' matrices are C-ordered
+        for flat in (xs.reshape(-1), ys.reshape(-1)):  # views: the copies are C-ordered
             np.minimum.at(flat, at(v), flat[at(u)])  # every old entry is read before any is lowered
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
@@ -499,12 +518,13 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
         per_msg = 64 * (2 * params.ell if protocol.randomized else 1)
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None)
 
-    lo, hi = _exponent_span(trace)
+    lo, hi = trace.init_span
     entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
     # Row by row, so that no temporary is the size of a matrix.
-    distinct = int(np.count_nonzero(sum(np.bincount(row - lo, minlength=hi - lo + 1)
-                                        for m in (trace.init_x_quant, trace.init_y_quant)
-                                        for row in m)))
+    counts = np.zeros(hi - lo + 1, dtype=np.intp)
+    for row in trace.init_offsets.reshape(-1, params.ell):
+        counts += np.bincount(row, minlength=hi - lo + 1)
+    distinct = int(np.count_nonzero(counts))
 
     if protocol.rotates:  # a cursor and one entry of each vector
         cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0

@@ -221,9 +221,9 @@ def stationary_bound(tc: TrialConfig) -> Optional[int]:
 def offline_minima(trace: TrialTrace) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise minima over all agents' initial vectors: the values every
     stationary run must hold."""
-    if trace.init_x_quant is not None:
-        return trace.init_x_quant.min(axis=0), trace.init_y_quant.min(axis=0)
-    return trace.init_x_raw.min(axis=0), trace.init_y_raw.min(axis=0)
+    if trace.init_offsets is not None:
+        return tuple(np.add(trace.init_offsets.min(axis=1), trace.init_span[0], dtype=np.int64))
+    return tuple(trace.init_raw.min(axis=1))
 
 
 def _at_offline_minima(trace: TrialTrace, vector_pairs) -> bool:
@@ -265,8 +265,8 @@ def evaluate_trial(cfg: ExperimentConfig, trace: TrialTrace) -> dict:
 
     if protocol.quantized:
         z, upper = admissible_interval(params, trace.n)
-        rec["samples_in_interval"] = all(bool(m.min() >= z and m.max() <= upper)  # NaN fails
-                                         for m in (trace.init_x_raw, trace.init_y_raw))
+        draws = trace.init_raw
+        rec["samples_in_interval"] = bool(draws.min() >= z and draws.max() <= upper)  # NaN fails
         report = message_bits(trace)
         rec["distinct_exponents"] = report.distinct_exponents
         rec["level_budget"] = count_levels(z, upper, params.beta)

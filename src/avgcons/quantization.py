@@ -23,41 +23,61 @@ def quantize(x: float, beta: float) -> int:
 
 def quantize_array(xs: np.ndarray, beta: float) -> np.ndarray:
     """Exponents k with (1+beta)**k <= x < (1+beta)**(k+1), elementwise, for
-    normal floats x (a subnormal power of 1+beta repeats over long runs of k).
+    normal floats x (a subnormal power of 1+beta repeats over long runs of k):
+    quantize_offsets' offsets plus lo, as int64."""
+    offsets, lo, _ = quantize_offsets(xs, beta)
+    return np.add(offsets, lo, dtype=np.int64)
+
+
+def quantize_offsets(xs: np.ndarray, beta: float) -> tuple[np.ndarray, int, int]:
+    """The exponents of quantize_array as offsets k - lo, elementwise, in
+    np.min_scalar_type(hi - lo), with lo and hi, the exponents of the least
+    and greatest x (rounding is monotone); an empty xs has lo = hi = 0.  The
+    offsets are written piece by piece, with no int64 array of xs's size.
 
     By lookup in buckets of the floats that share their top 12 + m bits,
     m = ceil(-log2 log2(1+beta)) + 1, each under 3/4 of a grid step wide:
-    x takes k0 + (thr <= x), k0 = _log_quantize of its bucket's lower edge
-    and thr = _grid(1+beta, k0 + 1).  The grid increases with k, so exactly
+    x takes the offset (k0 - lo) + (thr <= x), k0 = _log_quantize of its
+    bucket's lower edge and thr = _grid(1+beta, k0 + 1).  The grid increases with k, so exactly
     one k brackets x, and a bucket holds at most one grid point, so that k
     is k0 or k0 + 1.  A table with more entries than values, or buckets of
     under 2^8 floats (beta < ~8e-14, where np.power's error would eat the
-    margin), takes the log path.
+    margin), takes the log path, piece by piece too.
     """
     xs, base = np.asarray(xs, dtype=np.float64), _base(beta)
     flat = xs.reshape(-1)
     if not xs.size:
-        return np.empty(xs.shape, dtype=np.int64)
+        return np.empty(xs.shape, dtype=np.uint8), 0, 0
     least, most, tiny = flat.min(), flat.max(), np.finfo(np.float64).tiny
     if not tiny <= least <= most < math.inf:  # NaN fails each comparison
         raise ValueError("all values must be finite normal positive floats")
     shift = 51 - math.ceil(-math.log2(math.log2(base)))  # 52 - m
     j0, j1 = (int(v.view(np.int64)) >> max(shift, 0) for v in (least, most))
     if shift < 8 or j1 - j0 >= xs.size:
-        return _log_quantize(flat, base).reshape(xs.shape)
-    # Where buckets merge binades (beta >= 3) the lowest edge can be 0.
-    edges = np.maximum((np.arange(j0, j1 + 1) << shift).view(np.float64), tiny)
-    k0 = _log_quantize(edges, base)
-    thr = _grid(base, k0 + 1)
-    size, ks = min(_PIECE, xs.size), np.empty(xs.size, dtype=np.int64)
-    js, above, powers = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool), np.empty(size)
+        lo, hi = _log_quantize(np.array([least, most]), base).tolist()
+        piece = lambda x, k: np.subtract(_log_quantize(x, base), lo, out=k, casting="unsafe")
+    else:
+        # Where buckets merge binades (beta >= 3) the lowest edge can be 0.
+        edges = np.maximum((np.arange(j0, j1 + 1) << shift).view(np.float64), tiny)
+        k0 = _log_quantize(edges, base)
+        thr = _grid(base, k0 + 1)
+        lo, hi = (int(k0[j]) + bool(thr[j] <= v) for j, v in ((0, least), (-1, most)))
+        # k0[0] is lo - 1 when least is at or above thr[0]; as every value in
+        # the first bucket then is, its offset wraps below 0 and back again.
+        table = np.subtract(k0, lo, out=np.empty(len(k0), np.min_scalar_type(hi - lo)), casting="unsafe")
+        size = min(_PIECE, xs.size)
+        js, above, powers = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool), np.empty(size)
+
+        def piece(x: np.ndarray, k: np.ndarray) -> None:
+            j, up, t = js[: len(x)], above[: len(x)], powers[: len(x)]
+            np.subtract(np.right_shift(x.view(np.int64), shift, out=j), j0, out=j)
+            np.less_equal(np.take(thr, j, out=t, mode="clip"), x, out=up)
+            np.add(np.take(table, j, out=k, mode="clip"), up, out=k)
+
+    offsets = np.empty(xs.size, dtype=np.min_scalar_type(hi - lo))
     for at in range(0, xs.size, _PIECE):
-        x, k = flat[at : at + _PIECE], ks[at : at + _PIECE]
-        j, up, t = js[: len(x)], above[: len(x)], powers[: len(x)]
-        np.subtract(np.right_shift(x.view(np.int64), shift, out=j), j0, out=j)
-        np.less_equal(np.take(thr, j, out=t, mode="clip"), x, out=up)
-        np.add(np.take(k0, j, out=k, mode="clip"), up, out=k)
-    return ks.reshape(xs.shape)
+        piece(flat[at : at + _PIECE], offsets[at : at + _PIECE])
+    return offsets.reshape(xs.shape), lo, hi
 
 
 def _log_quantize(flat: np.ndarray, base: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -466,9 +467,8 @@ def test_message_bits_of_one_shared_exponent(protocol):
     n, ell, t_max = 3, 4, 5
     cfg = cfg_for(protocol, fixed(gr.complete_graph(n)), (0.2, 0.5, 0.8), t_max=t_max, ell=ell,
                   beta=0.5, size_bound=n if protocol == "rbard" else None)
-    same = np.full((n, ell), -3, dtype=np.int64)
     trace = eng.TrialTrace(config=cfg, theta=0.5, estimates=np.full((t_max, n), np.nan),
-                           init_x_quant=same, init_y_quant=same.copy())
+                           init_offsets=np.zeros((2, n, ell), dtype=np.uint8), init_span=(-3, -3))
     if protocol == "rbard":
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
     report = eng.message_bits(trace)
@@ -586,3 +586,45 @@ def test_exponent_bound_holds_the_extreme_draws(beta, width, us, shares):
              for u in [2.0**-53, 1.0 - 2.0**-53] + [k * 2.0**-53 for k in us] for theta in thetas]
     ks = quantize_array(np.array(draws), beta)
     assert int(ks.max() - ks.min()) + 1 <= eng.exponent_bound(p)
+
+
+# A trial draws every agent's x and y into one (2, n, ell) block and keeps a
+# quantized protocol's exponents as narrow offsets; the int64 exponents are
+# built when read, and are those of quantize_array.
+@pytest.mark.parametrize("protocol", ["rbar", "rbard"])
+@pytest.mark.parametrize("beta,width", [(0.5, np.uint8), (1e-3, np.uint16)], ids=["uint8", "uint16"])
+def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(protocol, beta, width):
+    n, ell = 4, 50
+    cfg = cfg_for(protocol, gr.DynamicSchedule("csc", n, seed=3), (0.1, 0.4, 0.6, 0.9), t_max=6,
+                  ell=ell, beta=beta, size_bound=n if protocol == "rbard" else None)
+    trace = eng.run_trial(cfg)
+    x, y = trace.init_x_raw, trace.init_y_raw
+    block = x.base
+    assert block is y.base and block.shape == (2, n, ell) and block.flags.c_contiguous
+    assert np.shares_memory(x, block[0]) and np.shares_memory(y, block[1])
+    assert x.flags.c_contiguous and y.ctypes.data - x.ctypes.data == x.nbytes
+    assert trace.init_offsets.dtype == width
+    for quant, raw in ((trace.init_x_quant, x), (trace.init_y_quant, y)):
+        assert (quant.dtype, quant.shape) == (np.int64, (n, ell))
+        assert quant.tobytes() == quantize_array(raw, beta).tobytes()
+
+
+# The size rule bounds what a trial holds at once.  With ell = 20,000 the
+# vectors outweigh everything else, and tracemalloc's peak stays within the
+# rule's count plus 1 MiB for buffers of fixed size (quantize_offsets'
+# pieces).  Three rounds end before any freeze, so every agent keeps its own
+# final vectors; forty reach it for r and rbard.
+@pytest.mark.parametrize("protocol", ["r", "rbar", "rbard"])
+@pytest.mark.parametrize("t_max", [3, 40])
+def test_a_trial_holds_no_more_than_the_size_rule_counts(protocol, t_max):
+    cfg = hn.ExperimentConfig(protocol=protocol, trials=1, n=12, seed=3, epsilon=0.3, eta=0.3,
+                              ell=20_000, size_bound=12 if protocol == "rbard" else None)
+    tc = replace(hn.trial_config(cfg, 0), t_max=t_max)
+    tracemalloc.start()
+    try:
+        eng.run_trial(tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > 16 * tc.n * tc.params.ell > 1 << 20  # the draws alone
+    assert peak <= eng.trial_bytes(eng.PROTOCOLS[protocol], tc.n, tc.t_max, tc.params) + (1 << 20)

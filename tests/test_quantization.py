@@ -325,6 +325,53 @@ def test_the_grid_past_the_largest_float_is_inf_with_no_warning():
     below, above = qz.dequantize_array([7447, 7448], 0.1)
     assert math.isfinite(below) and above == math.inf
 
+def grid_and_neighbours(k0, k1, beta):
+    """Every power of 1+beta from exponent k0 to k1, each with its two
+    neighbouring floats, but for the one below the least power."""
+    grid = qz.dequantize_array(np.arange(k0, k1 + 1), beta)
+    return np.concatenate([grid, np.nextafter(grid[1:], 0.0), np.nextafter(grid, np.inf)])
+
+
+# (xs, beta, whether it is looked up, the offsets' dtype).  The least of each
+# dense input is an exact power, so the lower edge of its bucket rounds to
+# one exponent below lo.
+OFFSET_CASES = {
+    "lookup-uint8": (lambda: np.tile(grid_and_neighbours(-100, 100, 0.1), 2), 0.1, True, np.uint8),
+    "lookup-uint16": (lambda: np.tile(grid_and_neighbours(-3000, 3000, 1e-3), 2), 1e-3, True, np.uint16),
+    "lookup-uint32": (lambda: np.tile(grid_and_neighbours(0, 70_000, 1e-6), 2), 1e-6, True, np.uint32),
+    "lookup-one-exponent": (lambda: np.full(64, 1.5), 0.1, True, np.uint8),
+    "log-uint8": (lambda: np.array([3.0, 1.0, 1e5]), 0.1, False, np.uint8),
+    "log-uint16": (lambda: np.array([[1.0, 10.0], [1e3, 7.0]]), 1e-3, False, np.uint16),
+    "log-uint32": (lambda: np.array([1.0, 1e3, 1e30]), 1e-6, False, np.uint32),
+    "log-one-exponent": (lambda: np.array([2.0, 2.0]), 2.0**-50, False, np.uint8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFFSET_CASES))
+def test_quantize_offsets_matches_the_two_loop_oracle(case, monkeypatch):
+    # quantize_offsets is quantize_array's rounding as offsets k - lo, with lo
+    # and hi the least and greatest exponent, in the narrowest dtype that
+    # holds hi - lo; quantize_array is those offsets plus lo.
+    make, beta, looked_up, dtype = OFFSET_CASES[case]
+    xs = make()
+    want = two_loop_quantize(xs, beta)
+    seen, log_quantize = [], qz._log_quantize
+    monkeypatch.setattr(qz, "_log_quantize", lambda flat, base: seen.append(flat) or log_quantize(flat, base))
+    offsets, lo, hi = qz.quantize_offsets(xs, beta)
+    monkeypatch.undo()
+    assert any(np.shares_memory(flat, xs) for flat in seen) != looked_up
+    assert (lo, hi) == (int(want.min()), int(want.max()))
+    assert offsets.dtype == np.min_scalar_type(hi - lo) == dtype and offsets.shape == xs.shape
+    assert (offsets.astype(np.int64) + lo).tobytes() == want.tobytes()
+    assert qz.quantize_array(xs, beta).tobytes() == want.tobytes()
+
+
+def test_quantize_offsets_of_empty_input_is_empty():
+    for xs in ([], np.empty((0, 3)), np.empty((2, 0))):
+        offsets, lo, hi = qz.quantize_offsets(xs, 0.1)
+        assert (offsets.shape, offsets.dtype, lo, hi) == (np.shape(xs), np.uint8, 0, 0)
+
+
 # The engine reads represented values from one table over a trial's exponent
 # span; the workloads' beta is 0.025.  The spans cross 0 or not, and have odd
 # and even lengths down to one point.
