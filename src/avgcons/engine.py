@@ -146,12 +146,11 @@ class TrialTrace:
     while unset); counters likewise, for the deciding protocol only.  That
     protocol's estimate is its decision, so its decisions array is the
     estimates array itself.  init_raw holds every agent's draws, x then y,
-    in one (2, n, ell) block, and init_x_raw and init_y_raw are its halves;
-    a quantized protocol's init_offsets holds their exponents as offsets
-    k - lo in the narrowest dtype that holds hi - lo, with init_span the
-    (lo, hi) of the trial's initial exponents, and init_x_quant and
-    init_y_quant are its halves as int64 exponents, built when read.  They
-    pin down the offline entrywise minima that a stationary run must reach.
+    in one (2, n, ell) block; a quantized protocol's init_offsets holds
+    their exponents as offsets k - lo in the narrowest dtype that holds
+    hi - lo, with init_span the (lo, hi) of the trial's initial exponents.
+    They pin down the offline entrywise minima that a stationary run must
+    reach.
     final_states[u] holds agent u's vectors after round t_max (min keeps
     none); the rest of its final state is in the last rows of the arrays.
     Past round frozen_at (a wrap for rbar; None if the horizon ends first)
@@ -179,15 +178,6 @@ class TrialTrace:
     @property
     def n(self) -> int:
         return self.estimates.shape[1]
-
-    init_x_raw = property(lambda self: None if self.init_raw is None else self.init_raw[0])
-    init_y_raw = property(lambda self: None if self.init_raw is None else self.init_raw[1])
-    init_x_quant = property(lambda self: self._exponents(0))
-    init_y_quant = property(lambda self: self._exponents(1))
-
-    def _exponents(self, i: int) -> Optional[np.ndarray]:
-        if self.init_offsets is not None:
-            return np.add(self.init_offsets[i], self.init_span[0], dtype=np.int64)
 
 
 def run_trial(cfg: TrialConfig) -> TrialTrace:
@@ -500,9 +490,10 @@ class MessageBitsReport:
 
     The rule is post hoc and global: a quantized entry costs the width in
     bits of the closed integer range covering every exponent observed in
-    the trial, a counter costs ceil(log2(C_max + 1)), a real costs 64,
-    and a heartbeat costs 1.  per_round[t-1] totals all n messages of
-    round t.
+    the trial, a counter that of 0..C_max and rbar's cursor that of
+    0..ell-1 (the width of 0..m is m.bit_length(), the least b with
+    2**b > m), a real costs 64, and a heartbeat costs 1.  per_round[t-1]
+    totals all n messages of round t.
     """
 
     per_round: np.ndarray
@@ -519,7 +510,7 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, None)
 
     lo, hi = trace.init_span
-    entry_bits = math.ceil(math.log2(hi - lo + 1)) if hi > lo else 0
+    entry_bits = (hi - lo).bit_length()
     # Row by row, so that no temporary is the size of a matrix.
     counts = np.zeros(hi - lo + 1, dtype=np.intp)
     for row in trace.init_offsets.reshape(-1, params.ell):
@@ -527,14 +518,14 @@ def message_bits(trace: TrialTrace) -> MessageBitsReport:
     distinct = int(np.count_nonzero(counts))
 
     if protocol.rotates:  # a cursor and one entry of each vector
-        cursor_bits = math.ceil(math.log2(params.ell)) if params.ell > 1 else 0
+        cursor_bits = (params.ell - 1).bit_length()
         per_msg = cursor_bits + 2 * entry_bits
         return MessageBitsReport(np.full(t_max, per_msg * n, dtype=np.int64), per_msg, distinct)
 
     # rbard: heartbeats cost 1 bit; active messages carry the counter and
     # both full vectors.
     c_max = int(trace.counters.max()) if trace.counters.size else 0
-    counter_bits = math.ceil(math.log2(c_max + 1)) if c_max > 0 else 0
+    counter_bits = c_max.bit_length()
     full_bits = counter_bits + 2 * params.ell * entry_bits
     rounds = np.arange(1, t_max + 1)[:, None]
     n_active = (rounds >= np.asarray(trace.config.start_rounds)[None, :]).sum(axis=1)

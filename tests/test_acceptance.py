@@ -228,9 +228,10 @@ def test_criterion_10_blocking_adversary_freezes_odd_entries():
         odd = [0, 2]  # entries exchanged on loops-only (odd) rounds
         even = [1, 3]
         min_x, min_y = offline_minima(trace)
+        init_x, init_y = (qz.quantize_array(half, trace.config.params.beta) for half in trace.init_raw)
         frozen = all(
-            np.array_equal(s.x_vec[odd], trace.init_x_quant[u][odd])
-            and np.array_equal(s.y_vec[odd], trace.init_y_quant[u][odd])
+            np.array_equal(s.x_vec[odd], init_x[u][odd])
+            and np.array_equal(s.y_vec[odd], init_y[u][odd])
             for u, s in enumerate(trace.final_states)
         )
         # the complete even rounds do mix the other entries, so the run

@@ -32,7 +32,7 @@ from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import protocol as proto
 from avgcons.graph import SCHEDULE_KINDS
-from avgcons.quantization import dequantize_array
+from avgcons.quantization import dequantize_array, quantize_array
 from avgcons.sampling import RngStream
 
 _OUTBOX = {tag: getattr(proto, f"{tag}_outbox") for tag in eng.PROTOCOLS}
@@ -92,7 +92,7 @@ def scalar_rotation_run(cfg):
     matrices updated by scalar minima over graph_at's in-lists."""
     trace = eng._new_trace(cfg)
     n, p = cfg.n, cfg.params
-    xs, ys = trace.init_x_quant.copy(), trace.init_y_quant.copy()
+    xs, ys = quantize_array(trace.init_raw, p.beta)
     est = [math.nan] * n
     for t in range(1, cfg.t_max + 1):
         ins = cfg.schedule.graph_at(t).in_neighbor_lists

@@ -169,8 +169,8 @@ def test_r_under_csc_is_stationary_from_n_minus_1():
     trace = eng.run_trial(cfg_for("r", sched, inputs, t_max=16, ell=32))
     settled = trace.estimates[4:]
     assert (settled == settled[0, 0]).all()
-    min_x = trace.init_x_raw.min(axis=0)
-    min_y = trace.init_y_raw.min(axis=0)
+    min_x = trace.init_raw[0].min(axis=0)
+    min_y = trace.init_raw[1].min(axis=0)
     for s in trace.final_states:
         assert np.array_equal(s.x_vec, min_x) and np.array_equal(s.y_vec, min_y)
     assert settled[0, 0] == -1.0 + min_y.sum() / min_x.sum()
@@ -181,8 +181,7 @@ def test_rbar_under_csc_is_stationary_from_ell_n():
     sched = gr.DynamicSchedule("csc", n, seed=8)
     cfg = cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=ell * (n + 1), ell=ell, beta=0.05)
     trace = eng.run_trial(cfg)
-    min_x = trace.init_x_quant.min(axis=0)
-    min_y = trace.init_y_quant.min(axis=0)
+    min_x, min_y = quantize_array(trace.init_raw, cfg.params.beta).min(axis=1)
     for s in eng.run_trial(replace(cfg, t_max=ell * n)).final_states:
         assert np.array_equal(s.x_vec, min_x) and np.array_equal(s.y_vec, min_y)
     assert trace.frozen_at <= ell * n
@@ -200,7 +199,7 @@ def test_r_under_c_connected_schedule_settles_within_ceil_n_over_c():
     bound = math.ceil(n / c)
     tail = trace.estimates[bound - 1 :]
     assert (tail == tail[0, 0]).all()
-    min_x = trace.init_x_raw.min(axis=0)
+    min_x = trace.init_raw[0].min(axis=0)
     for s in trace.final_states:
         assert np.array_equal(s.x_vec, min_x)
 
@@ -213,8 +212,7 @@ def test_rbar_entry_i_is_agreed_by_round_i_plus_n_minus_1_ell():
     rounds = tuple(i + (n - 1) * ell for i in range(1, ell + 1))
     cfg = cfg_for("rbar", sched, (0.15, 0.5, 0.85), t_max=max(rounds), ell=ell, beta=0.1)
     trace = eng.run_trial(cfg)
-    min_x = trace.init_x_quant.min(axis=0)
-    min_y = trace.init_y_quant.min(axis=0)
+    min_x, min_y = quantize_array(trace.init_raw, cfg.params.beta).min(axis=1)
     for idx, t in enumerate(rounds):
         for s in eng.run_trial(replace(cfg, t_max=t)).final_states:
             assert s.x_vec[idx] == min_x[idx]
@@ -250,7 +248,7 @@ def test_r_under_delay_3_schedule_is_stationary_from_3_n_minus_1(n):
     trace = eng.run_trial(cfg_for("r", sched, inputs, t_max=2 * bound, ell=16))
     tail = trace.estimates[bound - 1 :]
     assert (tail == tail[0, 0]).all()
-    min_x = trace.init_x_raw.min(axis=0)
+    min_x = trace.init_raw[0].min(axis=0)
     for s in trace.final_states:
         assert np.array_equal(s.x_vec, min_x)
 
@@ -434,7 +432,7 @@ def test_message_bits_rbar_uses_exponent_range_and_cursor_width():
     sched = gr.DynamicSchedule("csc", 3, seed=2)
     trace = eng.run_trial(cfg_for("rbar", sched, (0.2, 0.5, 0.8), t_max=8, ell=4, beta=0.5))
     report = eng.message_bits(trace)
-    exps = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
+    exps = quantize_array(trace.init_raw, trace.config.params.beta)
     lo, hi = int(exps.min()), int(exps.max())
     entry_bits = math.ceil(math.log2(hi - lo + 1))
     assert report.per_message_max == 2 + 2 * entry_bits  # ceil(log2 ell=4) = 2
@@ -450,7 +448,7 @@ def test_message_bits_rbard_charges_heartbeats_one_bit():
     report = eng.message_bits(trace)
     c_max = int(trace.counters.max())
     counter_bits = math.ceil(math.log2(c_max + 1))
-    exps = np.concatenate([trace.init_x_quant.ravel(), trace.init_y_quant.ravel()])
+    exps = quantize_array(trace.init_raw, trace.config.params.beta)
     entry_bits = math.ceil(math.log2(int(exps.max()) - int(exps.min()) + 1))
     full = counter_bits + 2 * 32 * entry_bits
     # rounds 1-2: one passive agent -> 2 full messages + 1 heartbeat bit
@@ -476,6 +474,56 @@ def test_message_bits_of_one_shared_exponent(protocol):
     # rbar sends its cursor (2 bits for ell=4); rbard a 0-bit counter.
     assert report.per_message_max == (2 if protocol == "rbar" else 0)
     assert (report.per_round == n * report.per_message_max).all()
+
+
+def _width(m):
+    """The integer oracle of a width: the least b with 2**b > m."""
+    b = 0
+    while 2**b <= m:
+        b += 1
+    return b
+
+
+def _around_powers(ks):
+    return sorted({m for k in ks for m in (2**k - 1, 2**k, 2**k + 1)})
+
+
+def _bits_trace(protocol, ell, span, c_max=0):
+    """A hand-built trace of one agent whose exponents span lo..lo+span and
+    whose counters (rbard only) peak at c_max."""
+    t_max = 2
+    cfg = cfg_for(protocol, fixed(gr.complete_graph(1)), (0.5,), t_max=t_max, ell=ell, beta=0.5,
+                  size_bound=1 if protocol == "rbard" else None)
+    trace = eng.TrialTrace(config=cfg, theta=0.5, estimates=np.full((t_max, 1), np.nan),
+                           init_offsets=np.zeros((2, 1, ell), dtype=np.uint8), init_span=(-7, span - 7))
+    if protocol == "rbard":
+        trace.counters = np.array([[0], [c_max]], dtype=np.int64)
+    return trace
+
+
+# Each width is that of 0..m for the largest value m it must hold: the
+# exponent span hi - lo, rbar's cursor ell - 1 and rbard's counter C_max.
+# Around each power of two, one more value costs one more bit; at m = 2**k
+# with k >= 49 the float formula ceil(log2(m + 1)) gives k.
+@pytest.mark.parametrize("span", _around_powers([0, 1, 2, 3, 7, 8, 15, 16]))
+def test_message_bits_widths_of_a_span_at_powers_of_two(span):
+    report = eng.message_bits(_bits_trace("rbar", 3, span))
+    assert report.per_message_max == _width(2) + 2 * _width(span)
+    report = eng.message_bits(_bits_trace("rbard", 3, span, c_max=5))
+    assert report.per_message_max == _width(5) + 2 * 3 * _width(span)
+
+
+@pytest.mark.parametrize("ell", _around_powers([1, 2, 3, 7, 8, 15, 16]))
+def test_message_bits_cursor_width_at_powers_of_two(ell):
+    report = eng.message_bits(_bits_trace("rbar", ell, 6))
+    assert report.per_message_max == _width(ell - 1) + 2 * _width(6)
+    assert (report.per_round == report.per_message_max).all()
+
+
+@pytest.mark.parametrize("c_max", [0] + _around_powers([1, 2, 8, 31, 32, 48, 49, 52, 53, 62]))
+def test_message_bits_counter_width_at_powers_of_two(c_max):
+    report = eng.message_bits(_bits_trace("rbard", 2, 1, c_max=c_max))
+    assert report.per_message_max == _width(c_max) + 2 * 2 * _width(1)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +637,9 @@ def test_exponent_bound_holds_the_extreme_draws(beta, width, us, shares):
 
 
 # A trial draws every agent's x and y into one (2, n, ell) block and keeps a
-# quantized protocol's exponents as narrow offsets; the int64 exponents are
-# built when read, and are those of quantize_array.
+# quantized protocol's exponents as narrow offsets k - lo: each half's offsets
+# plus lo are quantize_array's exponents of that half, and (lo, hi) is their
+# range.
 @pytest.mark.parametrize("protocol", ["rbar", "rbard"])
 @pytest.mark.parametrize("beta,width", [(0.5, np.uint8), (1e-3, np.uint16)], ids=["uint8", "uint16"])
 def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(protocol, beta, width):
@@ -598,15 +647,13 @@ def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(
     cfg = cfg_for(protocol, gr.DynamicSchedule("csc", n, seed=3), (0.1, 0.4, 0.6, 0.9), t_max=6,
                   ell=ell, beta=beta, size_bound=n if protocol == "rbard" else None)
     trace = eng.run_trial(cfg)
-    x, y = trace.init_x_raw, trace.init_y_raw
-    block = x.base
-    assert block is y.base and block.shape == (2, n, ell) and block.flags.c_contiguous
-    assert np.shares_memory(x, block[0]) and np.shares_memory(y, block[1])
-    assert x.flags.c_contiguous and y.ctypes.data - x.ctypes.data == x.nbytes
-    assert trace.init_offsets.dtype == width
-    for quant, raw in ((trace.init_x_quant, x), (trace.init_y_quant, y)):
-        assert (quant.dtype, quant.shape) == (np.int64, (n, ell))
-        assert quant.tobytes() == quantize_array(raw, beta).tobytes()
+    block, offsets, (lo, hi) = trace.init_raw, trace.init_offsets, trace.init_span
+    assert (block.dtype, block.shape) == (np.float64, (2, n, ell)) and block.flags.c_contiguous
+    assert (offsets.dtype, offsets.shape) == (width, (2, n, ell))
+    exponents = [quantize_array(half, beta) for half in block]
+    for ks, half in zip(exponents, offsets):
+        assert np.add(half, lo, dtype=np.int64).tobytes() == ks.tobytes()
+    assert (lo, hi) == (min(int(ks.min()) for ks in exponents), max(int(ks.max()) for ks in exponents))
 
 
 # The size rule bounds what a trial holds at once.  With ell = 20,000 the

@@ -24,6 +24,7 @@ import pytest
 from avgcons import engine as eng
 from avgcons import graph as gr
 from avgcons import harness as hn
+from avgcons.quantization import quantize_array
 
 CASES = {
     "min-csc": dict(protocol="min", n=5, seed=3),
@@ -107,8 +108,12 @@ def reference_dump(trace) -> str:
 def _run(cfg, trial):
     tc = hn.trial_config(cfg, trial)
     trace = eng.run_trial(tc)
-    arrays = [trace.estimates, trace.decisions, trace.counters, trace.decision_rounds,
-              trace.init_x_raw, trace.init_y_raw, trace.init_x_quant, trace.init_y_quant]
+    # Each initial matrix, x then y: the draws, then their exponents (None
+    # where the protocol keeps none).
+    raw = [None, None] if trace.init_raw is None else list(trace.init_raw)
+    quant = ([None, None] if trace.init_offsets is None
+             else [quantize_array(half, tc.params.beta) for half in trace.init_raw])
+    arrays = [trace.estimates, trace.decisions, trace.counters, trace.decision_rounds, *raw, *quant]
     for s in trace.final_states or [None] * trace.n:  # min keeps no vectors
         arrays += [getattr(s, "x_vec", None), getattr(s, "y_vec", None)]
     buf = io.StringIO()

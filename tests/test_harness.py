@@ -128,12 +128,12 @@ def test_samples_in_interval_fails_on_a_draw_outside_the_interval_or_nan():
     z, upper = admissible_interval(p, trace.n)
     # The check over both matrices at once is the oracle.
     inside = lambda: all(((m >= z) & (m <= upper)).all()
-                         for m in (trace.init_x_raw, trace.init_y_raw))
+                         for m in trace.init_raw)
     assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside()
-    for m in (trace.init_x_raw, trace.init_y_raw):
+    for m in trace.init_raw:
         np.clip(m, z, upper, out=m)
     assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside() is True
-    for m in (trace.init_x_raw, trace.init_y_raw):
+    for m in trace.init_raw:
         for bad in (np.nan, z / 2, upper * 2):
             good, m[1, 5] = m[1, 5], bad
             assert hn.evaluate_trial(cfg, trace)["samples_in_interval"] is inside() is False
