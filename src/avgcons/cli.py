@@ -151,11 +151,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = harness.monte_carlo(
         cfg, records_path=outdir / "records.jsonl", summary_path=outdir / "summary.json"
     )
-    for name, claim in summary.claims.items():
-        state = "PASS" if claim["passed"] else "FAIL"
-        print(f"[{state}] {name}: observed {claim['observed']:.4f} {claim['op']} {claim['bound']:.4f}")
+    code = _print_claims(harness.ClaimResult(name, c["passed"], f"observed {c['observed']:.4f} "
+                                             f"{c['op']} {c['bound']:.4f}")
+                         for name, c in summary.claims.items())
     print(f"records: {outdir / 'records.jsonl'}\nsummary: {outdir / 'summary.json'}")
-    return 0 if summary.all_passed else 1
+    return code
 
 
 def _print_claims(results) -> int:

@@ -539,7 +539,8 @@ def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:
     cfg = trace.config
     shifted = None if cfg.params is None else float(sum(x - cfg.params.a + 1.0 for x in cfg.inputs))
     fp.write(json.dumps({"config": cfg.digest(), "protocol": cfg.protocol, "n": trace.n,
-                         "t_max": trace.t_max, "theta": trace.theta, "shifted_sum": shifted}) + "\n")
+                         "t_max": trace.t_max, "theta": trace.theta, "shifted_sum": shifted},
+                        allow_nan=False) + "\n")
     bits = message_bits(trace).per_round
     # A run starts where msg_bits or the agents row (as bytes) differs from the round
     # before, an rbar row only on a wrap; its lines differ only in t, and are joined
@@ -554,7 +555,8 @@ def dump_trace_jsonl(trace: TrialTrace, fp: IO[str]) -> None:
     for lo, hi in zip(starts, starts[1:]):  # row lo of each per-round array, NaN and no array null
         x, d, c = ([None if math.isnan(v) else v for v in a[lo].tolist()] if a is not None
                    else [None] * trace.n for a in (trace.estimates, trace.decisions, trace.counters))
-        agents = json.dumps([{"x": x[u], "d": d[u], "C": c[u]} for u in range(trace.n)])
+        agents = json.dumps([{"x": x[u], "d": d[u], "C": c[u]} for u in range(trace.n)],
+                            allow_nan=False)
         tail = f', "agents": {agents}, "msg_bits": {int(bits[lo])}}}\n'
         sep = tail + '{"t": '
         step = max(1, min(1024, (1 << 16) // len(sep)))

@@ -1,13 +1,11 @@
 """Monte Carlo experiment driver.
 
 An experiment is a batch of independent trials of one protocol, each
-seeded as (master seed, trial index), reduced to a Summary whose claims
-mirror the protocols' guarantees: stationarity by the round bound,
-accuracy failure rate at most the tolerated probability (plus binomial
-slack so a statistically valid run never flakes), quantization levels
-within the admissible budget, and decision behavior for the deciding
-protocol.  Aggregation is a deterministic fold over trial index, so
-serial and parallel execution produce identical summaries.
+seeded as (master seed, trial index), reduced to a Summary whose claims,
+one per row of CLAIMS, mirror the protocols' guarantees, with binomial
+slack so a statistically valid run never flakes.  Aggregation is a
+deterministic fold over trial index, so serial and parallel execution
+produce identical summaries.
 """
 from __future__ import annotations
 
@@ -18,16 +16,16 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import graph as gr
 from .engine import PROTOCOLS, TrialConfig, TrialTrace, convergence_time, check_decision_spec, \
     check_trial_size, message_bits, run_trial
-from .quantization import admissible_interval, count_levels
+from .quantization import _base, admissible_interval, count_levels
 from .sampling import RANGES, ConcentrationParams, ProtocolParams, RngStream, _check_interval, \
-    check_ranges, chernoff_bound, empirical_tail, min_exponential_stats, rounding_ratio
+    check_ranges, chernoff_bound, empirical_tail, inverse_cdf, min_exponential_stats, rounding_ratio
 from .seeds import stable_seed
 
 
@@ -75,6 +73,8 @@ class ExperimentConfig:
         if protocol.decides and self.size_bound is None:
             raise ValueError(f"{self.protocol} requires size_bound")
         check_ranges(**{name: getattr(self, name) for name in RANGES if name in self.__dataclass_fields__})
+        if self.beta is not None:
+            _base(self.beta)  # the grid's one rule
         gr.flooding_length(self.n, self.delay, self.c)  # n >= 1, as every schedule needs
         if not protocol.decides and self.s_max != 0:
             raise ValueError("staggered starts are only supported by rbard")
@@ -178,8 +178,20 @@ def trial_config(cfg: ExperimentConfig, trial: int) -> TrialConfig:
     sweep = gr.flooding_length(cfg.n, cfg.delay, cfg.c)
     t_max = cfg.t_max if cfg.t_max is not None else 4 * protocol.bound(cfg.n, sweep, params, cfg.s_max)
     check_trial_size(protocol, cfg.n, t_max, params)  # before complete's n^2 edges or any draw
-    if not math.isfinite(cfg.n * max(abs(cfg.a), abs(cfg.b))):  # n is bounded by memory now
-        raise ValueError(f"the mean of n={cfg.n} inputs in [{cfg.a}, {cfg.b}] can overflow")
+    # The inputs' mean, and for a randomized protocol the shifted sum n (b - a + 1)
+    # and the estimate a - 1 + Y/X, where Y/X is at most the largest draw over the
+    # least (rates 1 and b - a + 1), 1 + beta more on the grid; the sum and the
+    # ratio are doubled for rounding.  n is bounded by memory now.
+    sizes, w = {"mean": cfg.n * max(abs(cfg.a), abs(cfg.b))}, cfg.b - cfg.a + 1.0
+    if protocol.randomized:
+        most, least = (float(inverse_cdf(u, 1.0)) for u in (2.0**-53, 1.0 - 2.0**-53))
+        beta = params.beta or 0.0
+        sizes["shifted sum"] = 2.0 * cfg.n * w
+        sizes[f"estimated mean at beta={beta}" if beta else "estimated mean"] = (
+            abs(cfg.a - 1.0) + 2.0 * most / least * w * (1.0 + beta))
+    for what, size in sizes.items():
+        if not math.isfinite(size):
+            raise ValueError(f"the {what} of n={cfg.n} inputs in [{cfg.a}, {cfg.b}] can overflow")
     schedule = build_schedule(cfg, trial, params)
     if protocol.quantized:
         admissible_interval(params, cfg.n)  # evaluate_trial's level budget needs a normal z
@@ -303,6 +315,21 @@ def run_one(cfg: ExperimentConfig, trial: int) -> dict:
 # summary fold
 
 
+# A row of CLAIMS: a claim on the fraction of trials whose record key holds
+# (op ">=") or fails ("<="), against 1 (or 0), less (plus) eta * share and its
+# binomial slack when tolerant.  It is made when a record sets the key and,
+# unless deciding is None, the protocol decides exactly when deciding is True.
+Claim = NamedTuple("Claim", [("name", str), ("key", str), ("op", str),
+                             ("deciding", Optional[bool]), ("tolerant", bool)])
+CLAIMS = (  # the paper's guarantees, in summary order
+    Claim("stationary_by_bound", "stationary_ok", ">=", deciding=None, tolerant=False),
+    Claim("accuracy_failure_rate", "accurate", "<=", deciding=False, tolerant=True),
+    Claim("quantization_levels", "levels_ok", ">=", deciding=False, tolerant=True),
+    Claim("irrevocability", "irrevocable", ">=", deciding=True, tolerant=False),
+    Claim("decision_good_rate", "decision_good", ">=", deciding=True, tolerant=True),
+)
+
+
 @dataclass
 class Summary:
     """Aggregated verdicts of a batch; reproducible from the trial records."""
@@ -319,10 +346,6 @@ class Summary:
     config: dict = field(default_factory=dict)
     schema: int = field(default=1, init=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.claims.values())
-
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -338,17 +361,12 @@ def summary_from_json(obj: dict) -> Summary:
     return Summary(**kwargs)
 
 
-def _claim(observed: float, bound: float, op: str) -> dict:
-    passed = observed <= bound if op == "<=" else observed >= bound
-    return {"observed": observed, "bound": bound, "op": op, "passed": bool(passed)}
-
-
 def _slack(p: float, trials: int, sigmas: float) -> float:
     return sigmas * math.sqrt(p * (1.0 - p) / trials)
 
 
 def summary_from_records(cfg: ExperimentConfig, records: list[dict]) -> Summary:
-    trials = len(records)
+    trials, protocol = len(records), PROTOCOLS[cfg.protocol]
     s = Summary(protocol=cfg.protocol, trials=trials, config=cfg.to_json())
 
     conv = [r["converged_at"] for r in records if r.get("converged_at") is not None]
@@ -356,30 +374,23 @@ def summary_from_records(cfg: ExperimentConfig, records: list[dict]) -> Summary:
         s.mean_convergence_round = float(np.mean(conv))
         s.max_convergence_round = int(max(conv))
 
-    if any(r.get("stationary_ok") is not None for r in records):
-        frac = np.mean([bool(r["stationary_ok"]) for r in records])
-        s.claims["stationary_by_bound"] = _claim(float(frac), 1.0, ">=")
-
-    # The failure probability each claim below tolerates, and its binomial slack.
-    protocol = PROTOCOLS[cfg.protocol]
+    # The failure probability a tolerant claim allows, and its binomial slack.
     p = cfg.eta * protocol.share
     slack = _slack(p, trials, cfg.slack_sigmas)
+    for c in CLAIMS:
+        if c.deciding in (None, protocol.decides) and any(r.get(c.key) is not None for r in records):
+            holds = c.op == ">="
+            tp, ts = (p, slack) if c.tolerant else (0.0, 0.0)
+            observed = float(np.mean([bool(r[c.key]) is holds for r in records]))
+            bound = 1.0 - tp - ts if holds else tp + ts
+            s.claims[c.name] = {"observed": observed, "bound": bound, "op": c.op,
+                                "passed": observed >= bound if holds else observed <= bound}
+    s.failure_fraction = s.claims.get("accuracy_failure_rate", {}).get("observed")
+
     if protocol.quantized:
         s.max_distinct_exponents = max(r["distinct_exponents"] for r in records)
         s.max_message_bits = max(r["max_message_bits"] for r in records)
-
-    if protocol.randomized and not protocol.decides:  # the estimate converges
-        s.failure_fraction = float(np.mean([not r["accurate"] for r in records]))
-        s.claims["accuracy_failure_rate"] = _claim(s.failure_fraction, p + slack, "<=")
-        if protocol.quantized:
-            ok = np.mean([r["levels_ok"] for r in records])
-            s.claims["quantization_levels"] = _claim(float(ok), 1.0 - p - slack, ">=")
-
     if protocol.decides:
-        irrev = np.mean([r["irrevocable"] for r in records])
-        s.claims["irrevocability"] = _claim(float(irrev), 1.0, ">=")
-        good = np.mean([r["decision_good"] for r in records])
-        s.claims["decision_good_rate"] = _claim(float(good), 1.0 - p - slack, ">=")
         rounds = [r["last_decision_round"] for r in records if r["last_decision_round"]]
         if rounds:
             s.decision_rounds = {"min": int(min(rounds)), "mean": float(np.mean(rounds)),
@@ -407,10 +418,10 @@ def monte_carlo(
     if records_path is not None:
         with open(records_path, "w") as fp:
             for rec in records:
-                fp.write(json.dumps(rec) + "\n")
+                fp.write(json.dumps(rec, allow_nan=False) + "\n")
     if summary_path is not None:
         with open(summary_path, "w") as fp:
-            json.dump(summary.to_json(), fp, indent=2)
+            json.dump(summary.to_json(), fp, indent=2, allow_nan=False)
             fp.write("\n")
     return summary
 

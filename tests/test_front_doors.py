@@ -1,12 +1,13 @@
 """Fuzzing of both front doors: `avgcons sweep --config` and `avgcons run`.
 
 Each example mutates a small valid input: a type swapped, a bool for an
-int, +-0, +-inf, NaN, the 1-ulp edges of a range, ints up to 10^30, an
-unknown key or flag, or a key or flag left out.  It runs cli.cli in
+int, +-0, +-8e307, +-inf, NaN, the 1-ulp edges of a range, ints up to
+10^30, an unknown key or flag, or a key or flag left out.  It runs cli.cli in
 process with physical memory taken as 256 MiB, and must exit 0, 1 or 2
 within 2 s; an exit 2 prints one stderr line and no traceback, and draws
 no inputs first (the spy is the one the off-grid-beta test uses, on
-harness.RngStream).
+harness.RngStream).  Every file an exit 0 or 1 writes is strict JSON: no
+NaN or Infinity.
 """
 import json
 import math
@@ -24,8 +25,8 @@ from avgcons.cli import cli
 ULP_BELOW_HALF = math.nextafter(0.5, 0.0)
 FLOATS = [0.0, -0.0, 5e-324, -5e-324, ULP_BELOW_HALF, 0.5, math.nextafter(0.5, 1.0), 1.0,
           math.nextafter(1.0, 2.0), -1.0, 1e-300, 1e-7, 2.220446049250313e-16,
-          1.1102230246251565e-16, 1.7976931348623157e308, -1.7976931348623157e308,
-          math.inf, -math.inf, math.nan]
+          1.1102230246251565e-16, 8e307, -8e307, 1.7976931348623157e308,
+          -1.7976931348623157e308, math.inf, -math.inf, math.nan]
 # An n between the edges and the huge values can fit in memory and still
 # fold n^2 ell entries (r at n=64, ell=108,700 takes over 2 s): a long
 # trial, not a stall, so the ints are edges and sizes no memory holds.
@@ -66,7 +67,8 @@ RUNS = [
 FLAGS = ["--protocol", "--n", "--epsilon", "--eta", "--a", "--b", "--bigN", "--schedule",
          "--t-max", "--seed", "--s-max", "--bogus"]
 WORDS = ["0", "-0", "1", "-1", "2", "1e3", "0.5", repr(ULP_BELOW_HALF), "5e-324", "-5e-324",
-         "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1.7976931348623157e308", str(10**30),
+         "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "8e307", "-8e307",
+         "1.7976931348623157e308", str(10**30),
          str(-10**30), str(2**63), "true", "", "x", "0x10", "1_0", " 3", "min", "rbard"]
 SCHEDULES = ["csc", "ring", "complete", "delayed:0", "delayed:1", "delayed:1000000000",
              f"delayed:{10**30}", "c_connected:0", "c_connected:1", f"c_connected:{10**30}",
@@ -81,18 +83,32 @@ argv_mutations = st.lists(st.sampled_from(FLAGS).flatmap(lambda flag: st.tuples(
     min_size=1, max_size=3)
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(path):
+    """The JSON values of a .json file, or of each line of a .jsonl file,
+    read as a strict parser reads them: NaN and Infinity are errors."""
+    text = path.read_text()
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    return [json.loads(line, parse_constant=_refuse) for line in lines]
+
+
 @pytest.fixture(scope="module")
 def front_door(tmp_path_factory):
-    """The temporary directory, and call(argv, capsys): cli.cli at 256 MiB of
-    physical memory, with the checks every example shares."""
+    """The temporary directory, and call(argv, capsys, outputs): cli.cli at
+    256 MiB of physical memory, with the checks every example shares."""
     mp = pytest.MonkeyPatch()
     built, stream = [], hn.RngStream
     mp.setattr(eng, "_physical_memory", lambda: 256 << 20)
     mp.setattr(hn, "RngStream", lambda *args, **kwargs: built.append(args) or stream(*args, **kwargs))
 
-    def call(argv, capsys):
+    def call(argv, capsys, outputs):
         built.clear()
         capsys.readouterr()
+        for path in outputs:
+            path.unlink(missing_ok=True)
         start = time.perf_counter()
         code = cli(argv)
         elapsed = time.perf_counter() - start
@@ -103,6 +119,9 @@ def front_door(tmp_path_factory):
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not built, err
+        else:
+            for path in outputs:
+                strict_json(path)
 
     yield tmp_path_factory.mktemp("front_door"), call
     mp.undo()
@@ -119,7 +138,8 @@ def test_fuzz_sweep_config(front_door, capsys, base, mutations):
         else:
             cfg[key] = value
     (root / "cfg.json").write_text(json.dumps(cfg))
-    call(["sweep", "--config", str(root / "cfg.json"), "--out", str(root / "out")], capsys)
+    call(["sweep", "--config", str(root / "cfg.json"), "--out", str(root / "out")], capsys,
+         [root / "out" / "records.jsonl", root / "out" / "summary.json"])
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -133,4 +153,4 @@ def test_fuzz_run_argv(front_door, capsys, base, mutations):
         else:
             flags[flag] = value
     argv = [word for flag, value in flags.items() for word in (flag, value)]
-    call(["run", *argv, "--out", str(root / "trace.jsonl")], capsys)
+    call(["run", *argv, "--out", str(root / "trace.jsonl")], capsys, [root / "trace.jsonl"])

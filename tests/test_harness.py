@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -69,6 +71,24 @@ def test_summary_recomputes_from_stored_records(tmp_path):
     assert stored == summary.to_json()
 
 
+def test_the_writers_refuse_a_non_finite_value(tmp_path, monkeypatch):
+    # The overflow rules keep every output finite; one that gets past them
+    # stops the run rather than write JSON that strict parsers reject.
+    cfg, run_one, fold = tiny_r_config(), hn.run_one, hn.summary_from_records
+    trace = eng.run_trial(hn.trial_config(cfg, 0))
+    trace.estimates[-1] = math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        eng.dump_trace_jsonl(trace, io.StringIO())
+    monkeypatch.setattr(hn, "run_one", lambda cfg, i: {**run_one(cfg, i), "final_estimate": math.inf})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        hn.monte_carlo(cfg, records_path=tmp_path / "records.jsonl")
+    monkeypatch.setattr(hn, "run_one", run_one)
+    monkeypatch.setattr(hn, "summary_from_records",
+                        lambda cfg, records: replace(fold(cfg, records), failure_fraction=math.nan))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        hn.monte_carlo(cfg, summary_path=tmp_path / "summary.json")
+
+
 def test_fixed_inputs_are_used_verbatim():
     cfg = tiny_r_config(inputs=(0.25, 0.5, 0.75), trials=2)
     tc = hn.trial_config(cfg, 1)
@@ -104,13 +124,37 @@ def test_blocking_schedule_takes_ell_from_params():
     assert tc.schedule.kind == "blocking" and tc.schedule.ell == 4
 
 
+STATIONARY, ACCURACY, LEVELS = "stationary_by_bound", "accuracy_failure_rate", "quantization_levels"
+DECISIONS = ["irrevocability", "decision_good_rate"]
+
+
+# min has no replicas for blocking to rotate over, so it is refused there.
+@pytest.mark.parametrize("protocol,schedule,claims", [
+    ("min", {}, [STATIONARY]),
+    ("min", {"schedule_kind": "delayed", "delay": 2}, [STATIONARY]),
+    ("r", {}, [STATIONARY, ACCURACY]),
+    ("r", {"schedule_kind": "delayed", "delay": 2}, [STATIONARY, ACCURACY]),
+    ("r", {"schedule_kind": "blocking"}, [ACCURACY]),
+    ("rbar", {}, [STATIONARY, ACCURACY, LEVELS]),
+    ("rbar", {"schedule_kind": "delayed", "delay": 2}, [ACCURACY, LEVELS]),
+    ("rbar", {"schedule_kind": "blocking"}, [ACCURACY, LEVELS]),
+    ("rbard", {}, DECISIONS),
+    ("rbard", {"schedule_kind": "delayed", "delay": 2}, DECISIONS),
+    ("rbard", {"schedule_kind": "blocking"}, DECISIONS),
+])
+def test_each_protocol_makes_its_claims_in_table_order(protocol, schedule, claims):
+    pinned = {"ell": 8, "beta": 0.1, "size_bound": 4}
+    cfg = hn.ExperimentConfig(protocol=protocol, trials=2, n=4, seed=3, **schedule,
+                              **{k: v for k, v in pinned.items() if k in eng.PROTOCOLS[protocol].fields})
+    assert list(hn.monte_carlo(cfg).claims) == claims
+
+
 def test_rbard_claims_cover_decisions():
     cfg = hn.ExperimentConfig(
         protocol="rbard", trials=3, n=4, seed=11, ell=128, beta=0.02,
         size_bound=8, s_max=2, epsilon=0.3, eta=0.3,
     )
     summary = hn.monte_carlo(cfg)
-    assert set(summary.claims) == {"irrevocability", "decision_good_rate"}
     assert summary.claims["irrevocability"]["observed"] == 1.0
     assert summary.decision_rounds is not None
     stats = [line.split(",")[1] for line in hn.render_csv(summary).splitlines()
@@ -188,6 +232,15 @@ def test_a_zero_size_field_is_refused_when_the_config_is_built(field, message):
     for build in (lambda obj: hn.ExperimentConfig(**obj), hn.experiment_from_json):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(obj)
+
+
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, 0.0, 1e-17])
+def test_an_off_grid_beta_is_refused_when_the_config_is_built(beta):
+    # The grid's one rule; each was built, and refused only when a trial was set up.
+    message = f"beta must be > 0 with 1 + beta > 1 in floats, and finite, got {beta}"
+    for build in (lambda obj: hn.ExperimentConfig(**obj), hn.experiment_from_json):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build({"protocol": "rbar", "trials": 1, "n": 3, "beta": beta})
 
 
 @pytest.mark.parametrize("protocol", ["min", "r", "rbar", "rbard"])
@@ -419,8 +472,8 @@ def test_cli_run_larger_than_physical_memory_exits_2_before_sampling(argv, sizes
 def pinned_beta_sweep(tmp_path, beta):
     """argv of a one-trial rbar sweep at n=3, ell=4 with beta pinned."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(hn.ExperimentConfig(
-        protocol="rbar", trials=1, n=3, seed=5, ell=4, beta=beta).to_json()))
+    cfg_path.write_text(json.dumps({"protocol": "rbar", "trials": 1, "n": 3, "seed": 5, "ell": 4,
+                                    "beta": beta}))
     return ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
 
 
@@ -470,9 +523,19 @@ def test_cli_sweep_with_ell_and_beta_pinned_runs_on_the_pinned_beta(tmp_path, ca
      ({"ell": 4, "eta": 5e-324}, "eta=5e-324 is too small for ell=4 and n=4: z = eta / (4 (b - a + 2) "
                                  "ell n) is not a normal float"),
      ({"protocol": "min", "size_bound": None, "b": 1e308},
-      "the mean of n=4 inputs in [0.0, 1e+308] can overflow")],
+      "the mean of n=4 inputs in [0.0, 1e+308] can overflow"),
+     # The estimate overflowed and was written as Infinity, with both claims passed.
+     ({"protocol": "r", "size_bound": None, "n": 2, "ell": 4, "a": -8e307, "b": 8e307, "t_max": 3},
+      "the shifted sum of n=2 inputs in [-8e+307, 8e+307] can overflow"),
+     ({"protocol": "r", "size_bound": None, "n": 2, "ell": 4, "b": 7.5e307,
+       "inputs": [7e307, 7.5e307]}, "the shifted sum of n=2 inputs in [0.0, 7.5e+307] can overflow"),
+     ({"protocol": "r", "size_bound": None, "ell": 4, "b": 1e291},
+      "the estimated mean of n=4 inputs in [0.0, 1e+291] can overflow"),
+     ({"ell": 4, "beta": 1e300},
+      "the estimated mean at beta=1e+300 of n=4 inputs in [0.0, 1.0] can overflow")],
     ids=["t-max-0", "t-max-0-staggered", "eta-underflowing-the-admissible-interval",
-         "overflowing-mean"])
+         "overflowing-mean", "overflowing-shifted-sum", "overflowing-shifted-sum-of-pinned-inputs",
+         "overflowing-estimate", "overflowing-estimate-on-a-coarse-grid"])
 def test_cli_sweep_breaking_a_rule_of_its_size_exits_2_before_drawing(extra, message, tmp_path,
                                                                        monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
