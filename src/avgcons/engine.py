@@ -228,7 +228,8 @@ def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[Protoco
     protocol 5 offsets (the initial and working pairs and one gather) in the
     dtype that holds the span exponent_bound allows, int64 final vectors
     (2 x 8 B), and int64 decision vectors (2 x 8 B) for a deciding one; 8
-    vectors of ell floats for one agent's draws and formulas; and per
+    vectors of ell floats for one agent's draws and formulas, and for the
+    column minima that full reach sets share; and per
     exponent of the span, 4 buckets of quantize_offsets' table (a bucket is
     over a quarter of a grid step wide) at 48 B each, more than _offsets'
     grid or message_bits' counts take later."""
@@ -289,21 +290,24 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     row folds in the reached initial rows it lacks (held[i][v], for row v of
     matrix i) only when it is read: by the min or r estimate, recomputed
     when the set grew or on the agent's first active round, by rbard's
-    n_est (y alone) and decision, and at the end.  rbard's rows are
-    _offsets, and its n_est only rises as the set grows, so growth marks it
-    stale, a lower bound, recomputed only when the decision test passes on
-    it.  Once every agent is active, every set is full and every counter
-    equal, no round can change a vector, and rbard's counters all go up by
-    one a round, so the rest is filled in with no graph drawn: the agents
-    share one row, the column minima, and the undecided ones, sharing one
-    size estimate, decide together."""
+    n_est (y alone) and decision, and at the end.  A full set's row is the
+    column minima of the initial rows, taken once a trial and copied in,
+    and its estimate, n_est and decision are computed once and shared.
+    rbard's rows are _offsets, and its n_est only rises as the set grows,
+    so growth marks it stale, a lower bound, recomputed only when the
+    decision test passes on it.  Once every agent is active, every set is
+    full and every counter equal, no round can change a vector, and rbard's
+    counters all go up by one a round, so the rest is filled in with no
+    graph drawn: the agents share row 0, and the undecided ones, sharing
+    one size estimate, decide together."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
     if not protocol.randomized:
         inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
         derive = lambda v: float(read(v, 0)[0][0])
     elif protocol.quantized:
         grid, keep, inits = _offsets(trace)
-        derive = lambda v: proto.rbard_size_estimate(grid[read(v, -1)[0]], p)
+        derive = lambda v: proto.rbard_size_estimate(np.take(grid, read(v, -1)[0]), p)
+        decide = lambda v: proto.r_estimate(*(np.take(grid, m) for m in read(v, 0, -1)), p)
     else:
         inits = tuple(trace.init_raw)
         derive = lambda v: proto.r_estimate(*read(v, 0, -1), p)
@@ -311,21 +315,32 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     rows = [m.copy() for m in inits]
     xs, ys = rows[0], rows[-1]
     held = [[1 << v for v in range(n)] for _ in rows]
+    minima, shared = [], {}  # the column minima of inits, and f(v) of a full set, by f
 
     def read(v: int, *ms: int) -> list:
         """Row v of each matrix in ms, with every initial row that reached v
-        folded in; matrices that lack the same rows share one walk of them."""
+        folded in; matrices that lack the same rows share one list of them."""
         walked = idx = 0
         for i in ms:
             if new := reach[v] & ~held[i][v]:
                 held[i][v] = reach[v]
+                if reach[v] == full:  # every initial row: their column minima
+                    if not minima:
+                        minima.extend(m.min(axis=0) for m in inits)
+                    np.copyto(rows[i][v], minima[i])
+                    continue
                 if new != walked:
-                    walked, idx = new, []
-                    while new:  # the set bits of new, lowest first
-                        idx.append((new & -new).bit_length() - 1)
-                        new &= new - 1
-                np.minimum(rows[i][v], inits[i][idx].min(axis=0), out=rows[i][v])
+                    walked, idx = new, _members(new, n)
+                _fold(rows[i][v], inits[i], idx)
         return [rows[i][v] for i in ms]
+
+    def once(f: Callable, v: int):
+        """f(v), computed once for all full sets: their rows are equal."""
+        if reach[v] != full:
+            return f(v)
+        if f not in shared:
+            shared[f] = f(v)
+        return shared[f]
 
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
@@ -351,14 +366,14 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             if reach[v] != prev[v] or t == starts[v]:
                 stale[v] = decides and t != starts[v]
                 if not stale[v]:
-                    value[v] = derive(v)
+                    value[v] = once(derive, v)
             if decides:
                 counter[v] = 0 if heartbeat else 1 + min([prev_counter[u] for u in src])
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
-                    value[v], stale[v] = derive(v) if stale[v] else value[v], False
+                    value[v], stale[v] = once(derive, v) if stale[v] else value[v], False
                     if proto.rbard_decides(counter[v], value[v]):
                         x, y = read(v, 0, -1)
-                        decision[v] = proto.r_estimate(grid[x], grid[y], p)
+                        decision[v] = once(decide, v)
                         trace.decision_rounds[v] = t
                         trace.decision_vectors[v] = (keep(x), keep(y))
         trace.estimates[t - 1] = decision if decides else value
@@ -367,26 +382,50 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         if frozen := t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
-    if frozen:  # every row holds every initial row: row 0 takes them once
-        for m, m0 in zip(rows, inits):
-            m0.min(axis=0, out=m[0])
-    else:
-        for v in range(n):
-            read(v, *range(len(rows)))
+    for v in range(1 if frozen else n):  # after a freeze every row is row 0
+        read(v, *range(len(rows)))
     finals = _final_pairs(xs, ys, final, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
         waiting = [v for v in range(n) if math.isnan(decision[v])]
         if waiting and t < cfg.t_max:
-            n_est = proto.rbard_size_estimate(grid[ys[0]], p)
+            n_est = once(derive, 0)
             r = next((r for r in range(t + 1, cfg.t_max + 1)
                       if proto.rbard_decides(counter[0] + r - t, n_est)), None)
             if r is not None:
-                trace.estimates[r - 1 :, waiting] = proto.r_estimate(grid[xs[0]], grid[ys[0]], p)
+                trace.estimates[r - 1 :, waiting] = once(decide, 0)
                 trace.decision_rounds[waiting] = r
                 trace.decision_vectors.update(dict.fromkeys(waiting, finals[0]))
     return t if frozen else None, finals
+
+
+# A read folds fewer new rows than this into a row with one np.minimum each,
+# and more with one gather and one reduction: on min's one-float rows a call
+# per row costs more than the gather saves.
+_FOLD_ROWS = 8
+
+
+def _members(s: int, n: int):
+    """The agents in the n-bit set s, lowest first: a list of fewer than
+    _FOLD_ROWS, walked bit by bit, or an index array from the set's bytes."""
+    if s.bit_count() >= _FOLD_ROWS:
+        return np.flatnonzero(np.unpackbits(np.frombuffer(s.to_bytes(-(-n // 8), "little"), np.uint8),
+                                            count=n, bitorder="little"))
+    idx = []
+    while s:
+        idx.append((s & -s).bit_length() - 1)
+        s &= s - 1
+    return idx
+
+
+def _fold(row: np.ndarray, init: np.ndarray, idx) -> None:
+    """Lower row, in place, to the entrywise minimum of it and rows idx of init."""
+    if len(idx) < _FOLD_ROWS:
+        for u in idx:
+            np.minimum(row, init[u], out=row)
+    else:
+        np.minimum(row, init[idx].min(axis=0), out=row)
 
 
 def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:
@@ -437,7 +476,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             np.minimum.at(flat, at(v), flat[at(u)])  # every old entry is read before any is lowered
         trace.estimates[t - 1 : last] = est
         if last % p.ell == 0:
-            est = [proto.r_estimate(grid[xs[v]], grid[ys[v]], p) for v in range(n)]
+            est = [proto.r_estimate(np.take(grid, xs[v]), np.take(grid, ys[v]), p) for v in range(n)]
             trace.estimates[last - 1] = est
         if frozen := last % p.ell == 0 and not live(slice(None)).any():
             break

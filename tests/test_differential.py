@@ -366,15 +366,18 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
 @given(pair=st.sampled_from(PAIRS), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        s_max=st.integers(0, 4), ell=st.integers(1, 4), beta=st.sampled_from([0.02, 0.1, 0.5]),
        param=st.integers(1, 3), t_max=st.integers(1, 80),
-       edges=st.one_of(st.integers(1, 64), st.just(eng._SEGMENT_EDGES)))
+       edges=st.one_of(st.integers(1, 64), st.just(eng._SEGMENT_EDGES)),
+       fold_rows=st.sampled_from([1, 2, eng._FOLD_ROWS]))
 def test_the_engine_matches_the_reference_loop_on_drawn_configs(pair, n, seed, s_max, ell, beta,
-                                                                 param, t_max, edges):
+                                                                 param, t_max, edges, fold_rows):
+    # A fold threshold of 1 or 2 sends reads at n <= 8 down the gather too.
     protocol, kind = pair
     ell = 2 * ell if kind == "blocking" else ell  # blocking rotates over an even ell
     cfg = replace(pair_config(protocol, kind, n, seed, ell, s_max, beta, param), t_max=t_max)
     tc = hn.trial_config(cfg, 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eng, "_SEGMENT_EDGES", edges)
+        mp.setattr(eng, "_FOLD_ROWS", fold_rows)
         got = eng.run_trial(tc)
     ref = assert_matches_reference(tc, got)
     assert got.frozen_at == expected_frozen_at(tc, freeze_round(tc, ref))
@@ -509,12 +512,44 @@ def test_rbard_agents_deciding_before_the_freeze_match_the_reference_loop(kind, 
     assert f is not None and ((rounds > 0) & (rounds <= f)).any() and (rounds > f).any()
 
 
+def read_branches(tc, monkeypatch):
+    """How often one engine run of tc takes each way of bringing a row up
+    to its reach set: "fold" (fewer than _FOLD_ROWS new rows, one
+    np.minimum each), "gather" (more, in one reduction) and "copy" (the
+    column minima, into the row of a full set)."""
+    seen = Counter()
+    fold, copyto = eng._fold, np.copyto
+    with monkeypatch.context() as mp:
+        mp.setattr(eng, "_fold", lambda row, init, idx: seen.update(
+            ["fold" if len(idx) < eng._FOLD_ROWS else "gather"]) or fold(row, init, idx))
+        mp.setattr(np, "copyto", lambda *args, **kw: seen.update(["copy"]) or copyto(*args, **kw))
+        eng.run_trial(tc)
+    return seen
+
+
 @pytest.mark.parametrize("protocol", ["min", "r", "rbard"])
 @pytest.mark.parametrize("kind,n", [("csc", 16), ("c_connected", 24)])
-def test_horizons_ending_before_the_freeze_match_the_reference_loop(protocol, kind, n):
+def test_horizons_ending_before_the_freeze_match_the_reference_loop(protocol, kind, n, monkeypatch):
     # Every horizon up to the round before the freeze ends with a read of
     # every agent's final rows, which for rbard lag behind its reach set.
+    # The full run takes all three ways to bring a row up to date.
     tc = read_path_config(protocol, kind, n, 3 + n, t_max=4 * n)
     f = freeze_round(tc)
     assert f is not None and f > 3
+    assert set(read_branches(tc, monkeypatch)) == {"fold", "gather", "copy"}
     assert_matches_reference_with_frozen_at(tc, range(1, f))
+
+
+def test_r_on_complete_estimates_once_a_trial(monkeypatch):
+    # On complete every reach set is full after round 1, so every agent's
+    # row is the column minima and the agents share one estimate of it;
+    # each agent computed its own before.
+    calls = []
+    r_estimate = proto.r_estimate
+    monkeypatch.setattr(proto, "r_estimate", lambda *args: calls.append(args) or r_estimate(*args))
+    cfg = pair_config("r", "complete", 6, 5, 8, 0)
+    got = [eng.run_trial(hn.trial_config(cfg, k)) for k in range(2)]
+    monkeypatch.undo()
+    assert len(calls) == 2 and all(trace.frozen_at == 1 for trace in got)
+    for trace in got:
+        assert_matches_reference(trace.config, trace)

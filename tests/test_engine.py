@@ -659,13 +659,17 @@ def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(
 # The size rule bounds what a trial holds at once.  With ell = 20,000 the
 # vectors outweigh everything else, and tracemalloc's peak stays within the
 # rule's count plus 1 MiB for buffers of fixed size (quantize_offsets'
-# pieces).  Three rounds end before any freeze, so every agent keeps its own
-# final vectors; forty reach it for r and rbard.
+# pieces).  On csc three rounds end before any freeze, so every agent keeps
+# its own final vectors; forty reach it for r and rbard.  On complete every
+# reach set is full after round 1, the case where a read would gather every
+# other agent's row were full sets not given the column minima.
 @pytest.mark.parametrize("protocol", ["r", "rbar", "rbard"])
 @pytest.mark.parametrize("t_max", [3, 40])
-def test_a_trial_holds_no_more_than_the_size_rule_counts(protocol, t_max):
+@pytest.mark.parametrize("kind", ["csc", "complete"])
+def test_a_trial_holds_no_more_than_the_size_rule_counts(protocol, t_max, kind):
     cfg = hn.ExperimentConfig(protocol=protocol, trials=1, n=12, seed=3, epsilon=0.3, eta=0.3,
-                              ell=20_000, size_bound=12 if protocol == "rbard" else None)
+                              ell=20_000, size_bound=12 if protocol == "rbard" else None,
+                              schedule_kind=kind)
     tc = replace(hn.trial_config(cfg, 0), t_max=t_max)
     tracemalloc.start()
     try:

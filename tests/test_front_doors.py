@@ -50,6 +50,9 @@ SWEEPS = [
     {"protocol": "min", "trials": 1, "n": 4, "schedule_kind": "ring", "inputs": [0.1, 0.2, 0.3, 0.4]},
     {"protocol": "r", "trials": 1, "n": 3, "schedule_kind": "complete", "a": -1.0, "b": 0.5,
      "epsilon": 0.4, "eta": 0.3, "slack_sigmas": 0.0},
+    # Just inside the overflow rule on the shifted sum and the estimate: one
+    # mutation of a or b (b = 8e307, say) crosses it.
+    {"protocol": "r", "trials": 1, "n": 2, "ell": 4, "a": -1e290, "b": 1e290, "t_max": 3},
 ]
 CONFIG_KEYS = [f.name for f in fields(hn.ExperimentConfig)] + ["bogus"]
 
