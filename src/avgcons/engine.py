@@ -224,19 +224,18 @@ def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[Protoco
     once, past buffers of fixed size (quantize_offsets' pieces, the segments
     of _rotation_rounds): 8 B per round and agent for the estimates (and
     counters); per agent and entry, the draws (2 x 8 B), then for r a working
-    copy of each (2 x 8 B) and one gather of rows (8 B), and for a quantized
-    protocol 5 offsets (the initial and working pairs and one gather) in the
-    dtype that holds the span exponent_bound allows, int64 final vectors
-    (2 x 8 B), and int64 decision vectors (2 x 8 B) for a deciding one; 8
-    vectors of ell floats for one agent's draws and formulas, and for the
-    column minima that full reach sets share; and per
-    exponent of the span, 4 buckets of quantize_offsets' table (a bucket is
-    over a quarter of a grid step wide) at 48 B each, more than _offsets'
-    grid or message_bits' counts take later."""
+    copy of each (2 x 8 B), and for a quantized protocol 4 offsets (the
+    initial and working pairs) in the dtype that holds the span
+    exponent_bound allows, int64 final vectors (2 x 8 B), and int64 decision
+    vectors (2 x 8 B) for a deciding one; 8 vectors of ell floats for one
+    agent's draws and formulas, and for the column minima that full reach
+    sets share; and per exponent of the span, 4 buckets of quantize_offsets'
+    table (a bucket is over a quarter of a grid step wide) at 48 B each, more
+    than _offsets' grid or message_bits' counts take later."""
     ell = params.ell if protocol.randomized else 0
     exponents = exponent_bound(params) if protocol.quantized else 0
     width = np.min_scalar_type(exponents).itemsize
-    entry = 32 + 5 * width + 16 * protocol.decides if protocol.quantized else 40
+    entry = 32 + 4 * width + 16 * protocol.decides if protocol.quantized else 32
     return 8 * n * t_max * (2 if protocol.decides else 1) + (n * entry + 64) * ell + 192 * exponents
 
 
@@ -282,28 +281,33 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
 
 
 def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
-    """The rounds of min (one column), r and rbard; returns frozen_at and
-    _final_pairs (none for min).  Agent v's reach set, an n-bit
-    int, holds the agents whose initial rows reached it; a round ORs in its
-    in-neighbours' previous-round sets (for rbard only active senders count,
-    only active receivers update, and a heartbeat resets the counter).  A
-    row folds in the reached initial rows it lacks (held[i][v], for row v of
-    matrix i) only when it is read: by the min or r estimate, recomputed
-    when the set grew or on the agent's first active round, by rbard's
-    n_est (y alone) and decision, and at the end.  A full set's row is the
-    column minima of the initial rows, taken once a trial and copied in,
-    and its estimate, n_est and decision are computed once and shared.
-    rbard's rows are _offsets, and its n_est only rises as the set grows,
-    so growth marks it stale, a lower bound, recomputed only when the
-    decision test passes on it.  Once every agent is active, every set is
-    full and every counter equal, no round can change a vector, and rbard's
-    counters all go up by one a round, so the rest is filled in with no
-    graph drawn: the agents share row 0, and the undecided ones, sharing
-    one size estimate, decide together."""
+    """The rounds of min, r and rbard; returns frozen_at and _final_pairs
+    (none for min).  Agent v's reach set, an n-bit int, holds the agents
+    whose initial values reached it; a round ORs in its in-neighbours'
+    previous-round sets (for rbard only active senders count, only active
+    receivers update, and a heartbeat resets the counter).  For min, bit b
+    is the agent with the b-th least input (a stable sort, so ties keep
+    agent order), so the least input a set holds is that of its lowest bit,
+    and min keeps no rows.  For r and rbard, bit v is agent v, and a row
+    folds in the reached initial rows it lacks (held[i][v], for row v of
+    matrix i) only when it is read: by the r estimate, recomputed when the
+    set grew or on the agent's first active round, by rbard's n_est (y
+    alone) and decision, and at the end.  A full set's row is the column
+    minima of the initial rows, taken once a trial and copied in, and its
+    estimate, n_est and decision are computed once and shared.  rbard's
+    rows are _offsets, and its n_est only rises as the set grows, so growth
+    marks it stale, a lower bound, recomputed only when the decision test
+    passes on it.  Once every agent is active, every set is full and every
+    counter equal, no round can change a vector, and rbard's counters all
+    go up by one a round, so the rest is filled in with no graph drawn: the
+    agents share row 0, and the undecided ones, sharing one size estimate,
+    decide together."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
+    bits, inits = range(n), ()
     if not protocol.randomized:
-        inits = (np.array(cfg.inputs, dtype=np.float64)[:, None],)
-        derive = lambda v: float(read(v, 0)[0][0])
+        bits = np.argsort(np.argsort(cfg.inputs, kind="stable")).tolist()  # each agent's rank
+        least = sorted(cfg.inputs)
+        derive = lambda v: least[(reach[v] & -reach[v]).bit_length() - 1]
     elif protocol.quantized:
         grid, keep, inits = _offsets(trace)
         derive = lambda v: proto.rbard_size_estimate(np.take(grid, read(v, -1)[0]), p)
@@ -313,14 +317,12 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         derive = lambda v: proto.r_estimate(*read(v, 0, -1), p)
     final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
     rows = [m.copy() for m in inits]
-    xs, ys = rows[0], rows[-1]
     held = [[1 << v for v in range(n)] for _ in rows]
     minima, shared = [], {}  # the column minima of inits, and f(v) of a full set, by f
 
     def read(v: int, *ms: int) -> list:
         """Row v of each matrix in ms, with every initial row that reached v
-        folded in; matrices that lack the same rows share one list of them."""
-        walked = idx = 0
+        folded in."""
         for i in ms:
             if new := reach[v] & ~held[i][v]:
                 held[i][v] = reach[v]
@@ -328,10 +330,8 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                     if not minima:
                         minima.extend(m.min(axis=0) for m in inits)
                     np.copyto(rows[i][v], minima[i])
-                    continue
-                if new != walked:
-                    walked, idx = new, _members(new, n)
-                _fold(rows[i][v], inits[i], idx)
+                else:
+                    _fold(rows[i][v], inits[i], new)
         return [rows[i][v] for i in ms]
 
     def once(f: Callable, v: int):
@@ -344,7 +344,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
 
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
-    reach, counter, stale = [1 << v for v in range(n)], [0] * n, [False] * n
+    reach, counter, stale = [1 << b for b in bits], [0] * n, [False] * n
     value, decision = [math.nan] * n, [math.nan] * n
     for t in range(1, cfg.t_max + 1):
         ins = cfg.schedule.graph_at(t).in_neighbor_lists
@@ -384,7 +384,7 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     # Frozen after round t (or t == t_max): fill in the rounds after it.
     for v in range(1 if frozen else n):  # after a freeze every row is row 0
         read(v, *range(len(rows)))
-    finals = _final_pairs(xs, ys, final, frozen) if protocol.randomized else []
+    finals = _final_pairs(rows[0], rows[-1], final, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
@@ -400,32 +400,12 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     return t if frozen else None, finals
 
 
-# A read folds fewer new rows than this into a row with one np.minimum each,
-# and more with one gather and one reduction: on min's one-float rows a call
-# per row costs more than the gather saves.
-_FOLD_ROWS = 8
-
-
-def _members(s: int, n: int):
-    """The agents in the n-bit set s, lowest first: a list of fewer than
-    _FOLD_ROWS, walked bit by bit, or an index array from the set's bytes."""
-    if s.bit_count() >= _FOLD_ROWS:
-        return np.flatnonzero(np.unpackbits(np.frombuffer(s.to_bytes(-(-n // 8), "little"), np.uint8),
-                                            count=n, bitorder="little"))
-    idx = []
-    while s:
-        idx.append((s & -s).bit_length() - 1)
-        s &= s - 1
-    return idx
-
-
-def _fold(row: np.ndarray, init: np.ndarray, idx) -> None:
-    """Lower row, in place, to the entrywise minimum of it and rows idx of init."""
-    if len(idx) < _FOLD_ROWS:
-        for u in idx:
-            np.minimum(row, init[u], out=row)
-    else:
-        np.minimum(row, init[idx].min(axis=0), out=row)
+def _fold(row: np.ndarray, init: np.ndarray, new: int) -> None:
+    """Lower row, in place, to the entrywise minimum of it and the rows of
+    init in the bit set new, one np.minimum each, lowest first."""
+    while new:
+        np.minimum(row, init[(new & -new).bit_length() - 1], out=row)
+        new &= new - 1
 
 
 def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:

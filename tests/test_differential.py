@@ -366,18 +366,15 @@ def test_the_frozen_tail_matches_the_oracles(protocol, kind, monkeypatch):
 @given(pair=st.sampled_from(PAIRS), n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
        s_max=st.integers(0, 4), ell=st.integers(1, 4), beta=st.sampled_from([0.02, 0.1, 0.5]),
        param=st.integers(1, 3), t_max=st.integers(1, 80),
-       edges=st.one_of(st.integers(1, 64), st.just(eng._SEGMENT_EDGES)),
-       fold_rows=st.sampled_from([1, 2, eng._FOLD_ROWS]))
+       edges=st.one_of(st.integers(1, 64), st.just(eng._SEGMENT_EDGES)))
 def test_the_engine_matches_the_reference_loop_on_drawn_configs(pair, n, seed, s_max, ell, beta,
-                                                                 param, t_max, edges, fold_rows):
-    # A fold threshold of 1 or 2 sends reads at n <= 8 down the gather too.
+                                                                 param, t_max, edges):
     protocol, kind = pair
     ell = 2 * ell if kind == "blocking" else ell  # blocking rotates over an even ell
     cfg = replace(pair_config(protocol, kind, n, seed, ell, s_max, beta, param), t_max=t_max)
     tc = hn.trial_config(cfg, 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eng, "_SEGMENT_EDGES", edges)
-        mp.setattr(eng, "_FOLD_ROWS", fold_rows)
         got = eng.run_trial(tc)
     ref = assert_matches_reference(tc, got)
     assert got.frozen_at == expected_frozen_at(tc, freeze_round(tc, ref))
@@ -514,14 +511,12 @@ def test_rbard_agents_deciding_before_the_freeze_match_the_reference_loop(kind, 
 
 def read_branches(tc, monkeypatch):
     """How often one engine run of tc takes each way of bringing a row up
-    to its reach set: "fold" (fewer than _FOLD_ROWS new rows, one
-    np.minimum each), "gather" (more, in one reduction) and "copy" (the
-    column minima, into the row of a full set)."""
+    to its reach set: "fold" (the new rows, one np.minimum each) and "copy"
+    (the column minima, into the row of a full set)."""
     seen = Counter()
     fold, copyto = eng._fold, np.copyto
     with monkeypatch.context() as mp:
-        mp.setattr(eng, "_fold", lambda row, init, idx: seen.update(
-            ["fold" if len(idx) < eng._FOLD_ROWS else "gather"]) or fold(row, init, idx))
+        mp.setattr(eng, "_fold", lambda *args: seen.update(["fold"]) or fold(*args))
         mp.setattr(np, "copyto", lambda *args, **kw: seen.update(["copy"]) or copyto(*args, **kw))
         eng.run_trial(tc)
     return seen
@@ -532,12 +527,37 @@ def read_branches(tc, monkeypatch):
 def test_horizons_ending_before_the_freeze_match_the_reference_loop(protocol, kind, n, monkeypatch):
     # Every horizon up to the round before the freeze ends with a read of
     # every agent's final rows, which for rbard lag behind its reach set.
-    # The full run takes all three ways to bring a row up to date.
+    # The full run of r or rbard takes both ways to bring a row up to date;
+    # min keeps no rows.
     tc = read_path_config(protocol, kind, n, 3 + n, t_max=4 * n)
     f = freeze_round(tc)
     assert f is not None and f > 3
-    assert set(read_branches(tc, monkeypatch)) == {"fold", "gather", "copy"}
+    assert set(read_branches(tc, monkeypatch)) == (set() if protocol == "min" else {"fold", "copy"})
     assert_matches_reference_with_frozen_at(tc, range(1, f))
+
+
+# min numbers its reach-set bits by input rank, ties in agent order, and
+# reads its estimate off a set's lowest bit.  Ties (signed zeros among
+# them), inputs rising and falling in agent order, and drawn inputs at
+# sizes either side of 64 bits, on csc and on the ring, whose slow growth
+# gives horizons that end before the freeze.
+MIN_INPUTS = {
+    "equal": lambda n: (0.25,) * n,
+    "signed-zeros": lambda n: tuple((0.0, -0.0, 0.5)[u % 3] for u in range(n)),
+    "rising": lambda n: tuple(u / n for u in range(n)),
+    "falling": lambda n: tuple(1 - u / n for u in range(n)),
+    "drawn": lambda n: None,
+}
+
+
+@pytest.mark.parametrize("kind", ["csc", "ring"])
+@pytest.mark.parametrize("inputs,n", [(name, 12) for name in MIN_INPUTS if name != "drawn"]
+                         + [("drawn", n) for n in (63, 64, 65, 70)])
+def test_min_on_rank_ordered_reach_sets_matches_the_reference_loop(inputs, n, kind):
+    cfg = replace(pair_config("min", kind, n, n, 0, 0), inputs=MIN_INPUTS[inputs](n))
+    tc = replace(hn.trial_config(cfg, 0), t_max=n + 2)
+    _, f = assert_matches_reference_with_frozen_at(tc, (2, n // 2))
+    assert f is not None and (kind != "ring" or f == n - 1)
 
 
 def test_r_on_complete_estimates_once_a_trial(monkeypatch):

@@ -661,7 +661,7 @@ def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(
 # rule's count plus 1 MiB for buffers of fixed size (quantize_offsets'
 # pieces).  On csc three rounds end before any freeze, so every agent keeps
 # its own final vectors; forty reach it for r and rbard.  On complete every
-# reach set is full after round 1, the case where a read would gather every
+# reach set is full after round 1, the case where a read would fold in every
 # other agent's row were full sets not given the column minima.
 @pytest.mark.parametrize("protocol", ["r", "rbar", "rbard"])
 @pytest.mark.parametrize("t_max", [3, 40])
