@@ -26,7 +26,7 @@ import numpy as np
 from . import protocol as proto
 from .graph import DynamicSchedule
 from .quantization import count_levels, dequantize_array, quantize_offsets
-from .sampling import ProtocolParams, RngStream, check_ranges, inverse_cdf, params_r, params_rbar, params_rbard
+from .sampling import ProtocolParams, RngStream, check_ranges, draw_range, params_r, params_rbar, params_rbard
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class TrialConfig:
                              f"{'requires' if protocol.randomized else 'takes no'} params")
         if protocol.quantized and self.params.beta is None:
             raise ValueError(f"protocol {self.protocol!r} requires params.beta")
-        check_ranges(seed=self.seed, start_rounds=self.start_rounds)
+        check_ranges(seed=self.seed, start_rounds=self.start_rounds, inputs=self.inputs)
         check_trial_size(protocol, n, self.t_max, self.params)
-        if not math.isfinite(np.mean(self.inputs)):  # false too when their sum overflows
+        if not math.isfinite(np.mean(self.inputs)):  # finite inputs whose sum overflows
             raise ValueError(f"inputs must be finite, as must their mean, got {self.inputs}")
         if not protocol.decides and any(s != 1 for s in self.start_rounds):
             raise ValueError(f"protocol {self.protocol!r} requires synchronous starts")
@@ -211,12 +211,12 @@ def _physical_memory() -> int:
 
 @lru_cache(maxsize=64)
 def exponent_bound(params: ProtocolParams) -> int:
-    """A bound on the span of any trial's initial exponents: a positive draw
-    -ln(U)/rate has U in [2**-53, 1 - 2**-53] and rate in [1, b - a + 1] (and
-    is normal, as quantize_array needs), plus one exponent each side for the
-    rounding of the logarithm and the division."""
-    lo = max(float(inverse_cdf(1.0 - 2.0**-53, params.b - params.a + 1.0)), np.finfo(np.float64).tiny)
-    return count_levels(lo, float(inverse_cdf(2.0**-53, 1.0)), params.beta) + 2
+    """A bound on the span of any trial's initial exponents: a draw at a rate
+    in [1, b - a + 1] lies in sampling.draw_range's least at b - a + 1 and
+    greatest at 1 (and is normal, as quantize_array needs), plus one exponent
+    each side for the rounding of the logarithm and the division."""
+    lo = max(draw_range(params.b - params.a + 1.0)[0], np.finfo(np.float64).tiny)
+    return count_levels(lo, draw_range(1.0)[1], params.beta) + 2
 
 
 def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[ProtocolParams]) -> int:

@@ -56,10 +56,9 @@ def _from_in_sets(ins: list[set[int]]) -> DirectedGraph:
 def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> DirectedGraph:
     """Build a graph from an edge list, adding all self-loops.
 
-    Raises ValueError if any endpoint falls outside [0, n).
+    Raises ValueError if n < 1 or any endpoint falls outside [0, n).
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    check_ranges(n=n)
     ins = [{v} for v in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -239,9 +238,7 @@ def flooding_length(n: int, delay: Optional[int] = None, c: Optional[int] = None
     after which a value has reached every agent, n-1 for per-round strong
     connectivity, delay times that when only delay-round windows are, and
     ceil(n/c) for c-in-connectivity.  An n, delay or c below 1 is a ValueError."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    check_ranges(delay=delay, c=c)
+    check_ranges(n=n, delay=delay, c=c)
     return -(-n // c) if c is not None else (delay or 1) * max(1, n - 1)
 
 
@@ -344,8 +341,7 @@ class DynamicSchedule:
         """The given rounds' non-loop edges as flat arrays (k, u, v), by
         round: v hears u in round rounds[k].  They are graph_at's graphs,
         from the same draws, with no DirectedGraph built; an edge may repeat."""
-        if min(rounds, default=1) < 1:
-            raise ValueError(f"rounds start at 1, got {min(rounds)}")
+        check_ranges(t=min(rounds, default=1))
         n, m = self.n, min(self.c or 1, self.n - 1)
         if self.kind in ("csc", "c_connected"):
             draws = _c_in_connected_batch(n, self.c or 1, self.round_keys(rounds))
@@ -363,8 +359,7 @@ class DynamicSchedule:
         return np.repeat(rows, np.count_nonzero(real, axis=1)), us[real], vs[real]
 
     def graph_at(self, t: int) -> DirectedGraph:
-        if t < 1:
-            raise ValueError(f"rounds start at 1, got {t}")
+        check_ranges(t=t)
         if self.kind in ("csc", "c_connected"):
             # csc is the c = 1 case; round_key hashes the kind, so its stream is its own.
             return random_c_in_connected(self.n, self.c or 1, random.Random(self.round_key(t)))

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .sampling import check_ranges
+
 _PIECE = 1 << 14
 
 
@@ -108,10 +110,8 @@ def _grid(base: float, ks) -> np.ndarray:
 
 
 def _base(beta: float) -> float:
-    """The grid's finite base 1 + beta; below 1 + ulp every power is 1 and
-    brackets nothing, and at infinity every exponent maps to 0 or 1."""
-    if not 1.0 < 1.0 + beta < math.inf:
-        raise ValueError(f"beta must be > 0 with 1 + beta > 1 in floats, and finite, got {beta}")
+    """The grid's base 1 + beta, under sampling.RANGES' beta rule."""
+    check_ranges(beta=beta)
     return 1.0 + beta
 
 

@@ -14,13 +14,12 @@ shared RNG state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from typing import Optional
 
 import numpy as np
 
-from .quantization import _base, dequantize_array, quantize_array
 from .seeds import stable_seed
 
 
@@ -51,13 +50,12 @@ class ProtocolParams:
     size_bound: Optional[int] = None
 
     def __post_init__(self) -> None:
-        check_ranges(epsilon=self.epsilon, eta=self.eta, ell=self.ell, size_bound=self.size_bound)
+        check_ranges(epsilon=self.epsilon, eta=self.eta, ell=self.ell, beta=self.beta,
+                     size_bound=self.size_bound)
         _check_interval(self.a, self.b)
         if self.ell > np.iinfo(np.intp).max // 8:  # bytes of one float64 vector
             raise ValueError(f"replica count ell, about 10^{len(str(self.ell)) - 1}, is too large "
                              f"for any array: raise epsilon or narrow [a, b]")
-        if self.beta is not None:
-            _base(self.beta)  # the grid's rule, 1 < 1 + beta < inf
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -81,16 +79,20 @@ def _stable_ceil(make_expr) -> int:
     return values[0]
 
 
-# Every single-field range rule, name -> (test, phrase), stated once: each
+# Every single-value range rule, name -> (test, phrase), stated once: each
 # config, formula and function that takes one of these values checks it here.
 RANGES = {
     **dict.fromkeys(("epsilon", "eta", "alpha"), (lambda v: 0 < v < 0.5, "in (0, 1/2)")),
     "rate": (lambda v: v > 0, "> 0"),
     "slack_sigmas": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     **dict.fromkeys(("seed", "s_max"), (lambda v: v >= 0, ">= 0")),
-    **dict.fromkeys(("trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
+    **dict.fromkeys(("n", "t", "trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
                      "product_cases", "c_cases"), (lambda v: v >= 1, ">= 1")),
+    # The grid's finite base 1 + beta: below 1 + ulp every power is 1 and
+    # brackets nothing, and at infinity every exponent maps to 0 or 1.
+    "beta": (lambda v: 1.0 < 1.0 + v < math.inf, "> 0 with 1 + beta > 1 in floats, and finite"),
     "start_rounds": (lambda v: all(s >= 1 for s in v), "all >= 1"),
+    "inputs": (lambda v: all(map(math.isfinite, v)), "finite"),
 }
 
 
@@ -148,9 +150,12 @@ def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int
                           size_bound=size_bound)
 
 
+_LEAST_U = 2.0**-53  # the generator's least nonzero output
+
+
 @dataclass
 class RngStream:
-    """Keyed, positioned stream of uniforms on [2**-53, 1 - 2**-53].
+    """Keyed stream of uniforms on [2**-53, 1 - 2**-53].
 
     Identical (seed, trial, agent, purpose) keys reproduce identical
     sequences bit for bit; the generator's occasional exact 0 is mapped
@@ -161,7 +166,6 @@ class RngStream:
     trial: int = 0
     agent: int = 0
     purpose: str = "protocol"
-    position: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         key = [self.seed, self.trial, self.agent, stable_seed("purpose", self.purpose)]
@@ -170,8 +174,7 @@ class RngStream:
     def uniforms(self, k: int) -> np.ndarray:
         """k uniforms on [2**-53, 1 - 2**-53], advancing the stream by k."""
         us = self._gen.random(k)
-        us[us == 0.0] = 2.0**-53
-        self.position += k
+        us[us == 0.0] = _LEAST_U
         return us
 
     def uniform(self) -> float:
@@ -181,6 +184,12 @@ class RngStream:
 def inverse_cdf(us, rate) -> np.ndarray:
     """The Exp(rate) draws -ln(U)/rate of uniforms U, elementwise."""
     return -np.log(us) / rate
+
+
+def draw_range(rate: float) -> tuple[float, float]:
+    """The least and greatest Exp(rate) draw RngStream's uniforms give:
+    inverse_cdf of its greatest uniform, 1 - 2**-53, and of its least."""
+    return tuple(float(inverse_cdf(u, rate)) for u in (1.0 - _LEAST_U, _LEAST_U))
 
 
 def sample_exponentials(rate: float, size: int, stream) -> np.ndarray:
@@ -204,9 +213,7 @@ class ConcentrationParams:
     beta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        check_ranges(ell=self.ell, rate=self.rate, alpha=self.alpha)
-        if self.beta is not None:
-            _base(self.beta)  # the grid's rule, 1 < 1 + beta < inf
+        check_ranges(ell=self.ell, rate=self.rate, alpha=self.alpha, beta=self.beta)
 
 
 def chernoff_bound(ell: int, alpha: float) -> float:
@@ -217,6 +224,8 @@ def chernoff_bound(ell: int, alpha: float) -> float:
 
 def empirical_tail(cp: ConcentrationParams, reps: int, stream) -> float:
     """Frequency of the deviation event over `reps` repetitions."""
+    from .quantization import dequantize_array, quantize_array  # it imports this module
+
     check_ranges(reps=reps)
     xs = sample_exponentials(cp.rate, reps * cp.ell, stream).reshape(reps, cp.ell)
     threshold = cp.alpha / cp.rate

@@ -121,10 +121,13 @@ def test_config_validation():
         )
     with pytest.raises(ValueError):
         cfg_for("min", sched, (1.0, 2.0, 3.0), t_max=0)
-    for inputs in [(1.0, math.nan, 3.0), (1.0, -math.inf, 3.0), (1e308, 1e308, -1e308)]:
-        with pytest.raises(ValueError, match="inputs must be finite, as must their mean"):
-            with np.errstate(over="ignore"):  # the last one's sum overflows
-                cfg_for("min", sched, inputs, t_max=3)
+    for inputs in [(1.0, math.nan, 3.0), (1.0, -math.inf, 3.0)]:
+        with pytest.raises(ValueError, match=fr"^inputs must be finite, got \(1\.0, {inputs[1]}, 3\.0\)$"):
+            cfg_for("min", sched, inputs, t_max=3)
+    # Finite inputs whose sum overflows: the mean's own rule.
+    with pytest.raises(ValueError, match="inputs must be finite, as must their mean"):
+        with np.errstate(over="ignore"):
+            cfg_for("min", sched, (1e308, 1e308, -1e308), t_max=3)
     with pytest.raises(ValueError, match="beta"):
         cfg_for("rbar", sched, (0.1, 0.2, 0.3), t_max=3)
     with pytest.raises(ValueError, match="protocol 'min' takes no params"):

@@ -210,7 +210,7 @@ def test_csc_schedule_graphs_are_strongly_connected():
 def test_in_adjacency_rejects_a_bad_window():
     sched = gr.DynamicSchedule("csc", 4, seed=1)
     for rounds in ((0, 1, 2), (3, -1, 5)):
-        with pytest.raises(ValueError, match=f"rounds start at 1, got {min(rounds)}"):
+        with pytest.raises(ValueError, match=f"^t must be >= 1, got {min(rounds)}$"):
             sched.in_edges(rounds)
 
 
@@ -485,7 +485,7 @@ def test_blocking_schedule_rejects_odd_ell():
     "kwargs,needle",
     [
         (dict(kind="bogus", n=3), "unknown schedule kind 'bogus'"),
-        (dict(kind="csc", n=0), "node count must be >= 1"),
+        (dict(kind="csc", n=0), "n must be >= 1, got 0"),
         (dict(kind="delayed", n=3), "delayed schedule requires delay"),
         (dict(kind="c_connected", n=3), "c_connected schedule requires c"),
         (dict(kind="blocking", n=3), "blocking schedule requires ell"),

@@ -220,7 +220,7 @@ def test_experiment_config_validation():
         tiny_r_config(seed=-1)
 
 
-@pytest.mark.parametrize("field,message", [("n", "node count must be >= 1, got 0"),
+@pytest.mark.parametrize("field,message", [("n", "n must be >= 1, got 0"),
                                            ("t_max", "t_max must be >= 1, got 0"),
                                            ("ell", "ell must be >= 1, got 0"),
                                            ("delay", "delay must be >= 1, got 0"),

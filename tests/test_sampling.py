@@ -8,7 +8,7 @@ from avgcons import engine as eng
 from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import sampling as sp
-from avgcons.quantization import quantize_array
+from avgcons.quantization import dequantize_array, quantize_array
 
 
 class ScriptedStream:
@@ -70,13 +70,6 @@ def test_distinct_agents_and_purposes_give_distinct_sequences():
     other_purpose = sp.RngStream(9, trial=3, agent=1, purpose="inputs").uniforms(8)
     assert not np.array_equal(base, other_agent)
     assert not np.array_equal(base, other_purpose)
-
-
-def test_position_counts_draws():
-    s = sp.RngStream(1)
-    s.uniform()
-    s.uniforms(9)
-    assert s.position == 10
 
 
 def test_uniforms_live_in_half_open_unit_interval():
@@ -198,9 +191,12 @@ HALF_BELOW = math.nextafter(0.5, 0.0)
 # Each field's in-range edge and the first value past it.
 EDGES = {**dict.fromkeys(("epsilon", "eta", "alpha"), (HALF_BELOW, 0.5)), "rate": (5e-324, 0.0),
          "slack_sigmas": (0.0, -5e-324), **dict.fromkeys(("seed", "s_max"), (0, -1)),
-         **dict.fromkeys(("trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
+         **dict.fromkeys(("n", "t", "trials", "ell", "size_bound", "t_max", "reps", "delay", "c",
                           "product_cases", "c_cases"), (1, 0)),
-         "start_rounds": ((1, 1, 1), (0, 1, 1))}
+         # 1 + 2**-53 rounds to 1 in floats; the next float up does not.
+         "beta": (math.nextafter(2**-53, 1.0), 2**-53),
+         "start_rounds": ((1, 1, 1), (0, 1, 1)),
+         "inputs": ((0.1, 0.2, 0.3), (0.1, 0.2, math.inf))}
 
 
 def experiment(name, value, build=lambda obj: hn.ExperimentConfig(**obj)):
@@ -212,22 +208,23 @@ def experiment(name, value, build=lambda obj: hn.ExperimentConfig(**obj)):
 
 def trial(name, value):
     """A min TrialConfig on a 3-ring, with name set to value."""
-    fields = {"start_rounds": (1, 1, 1), "t_max": 3, "seed": 0, name: value}
-    return eng.TrialConfig("min", None, (0.1, 0.2, 0.3),
-                           gr.DynamicSchedule("fixed", 3, graph=gr.ring_graph(3)), **fields)
+    fields = {"inputs": (0.1, 0.2, 0.3), "start_rounds": (1, 1, 1), "t_max": 3, "seed": 0, name: value}
+    return eng.TrialConfig("min", None, schedule=gr.DynamicSchedule("fixed", 3, graph=gr.ring_graph(3)),
+                           **fields)
 
 
 def sites():
     """(field, site, call(value)) for every field of RANGES and every type or
     function that takes it."""
     out = []
-    for name in ("epsilon", "eta", "slack_sigmas", "seed", "s_max", "trials", "ell", "size_bound",
-                 "t_max", "delay", "c"):
+    for name in ("epsilon", "eta", "slack_sigmas", "seed", "s_max", "trials", "n", "ell", "beta",
+                 "size_bound", "t_max", "delay", "c", "inputs"):
         out.append((name, "ExperimentConfig", lambda v, name=name: experiment(name, v)))
-        out.append((name, "experiment_from_json",
-                    lambda v, name=name: experiment(name, v, hn.experiment_from_json)))
+        # JSON holds inputs as a list; the config reads it back as a tuple.
+        out.append((name, "experiment_from_json", lambda v, name=name: experiment(
+            name, list(v) if name == "inputs" else v, hn.experiment_from_json)))
     protocol = dict(epsilon=0.3, eta=0.2, a=0.0, b=1.0)
-    for name in ("epsilon", "eta", "ell", "size_bound"):
+    for name in ("epsilon", "eta", "ell", "beta", "size_bound"):
         out.append((name, "ProtocolParams",
                     lambda v, name=name: sp.ProtocolParams(**{**protocol, "ell": 4, name: v})))
     for name in ("epsilon", "eta"):
@@ -237,14 +234,16 @@ def sites():
     for name in ("epsilon", "eta", "size_bound"):
         out.append((name, "params_rbard",
                     lambda v, name=name: sp.params_rbard(**{**protocol, "size_bound": 3, name: v})))
-    for name in ("ell", "rate", "alpha"):
+    for name in ("ell", "rate", "alpha", "beta"):
         out.append((name, "ConcentrationParams", lambda v, name=name: sp.ConcentrationParams(
             **{"ell": 10, "rate": 1.0, "alpha": 0.1, name: v})))
+    out.append(("beta", "quantize_array", lambda v: quantize_array([1.0], v)))
+    out.append(("beta", "dequantize_array", lambda v: dequantize_array([0, 1], v)))
     # No draws, so a rate at the edge does not overflow -ln(U)/rate.
     out.append(("rate", "sample_exponentials", lambda v: sp.sample_exponentials(v, 0, sp.RngStream(0))))
     out.append(("reps", "empirical_tail", lambda v: sp.empirical_tail(
         sp.ConcentrationParams(ell=10, rate=1.0, alpha=0.1), v, sp.RngStream(0))))
-    for name in ("seed", "t_max", "start_rounds"):
+    for name in ("seed", "t_max", "start_rounds", "inputs"):
         out.append((name, "TrialConfig", lambda v, name=name: trial(name, v)))
     out.append(("t_max", "check_trial_size",
                 lambda v: eng.check_trial_size(eng.PROTOCOLS["min"], 3, v, None)))
@@ -252,6 +251,12 @@ def sites():
         out.append((name, "flooding_length", lambda v, name=name: gr.flooding_length(3, **{name: v})))
         out.append((name, "DynamicSchedule",
                     lambda v, name=name, kind=kind: gr.DynamicSchedule(kind, 3, **{name: v})))
+    out.append(("n", "make_graph", gr.make_graph))
+    out.append(("n", "flooding_length", gr.flooding_length))
+    out.append(("n", "DynamicSchedule", lambda v: gr.DynamicSchedule("csc", v)))
+    schedule = gr.DynamicSchedule("csc", 3)
+    out.append(("t", "graph_at", schedule.graph_at))
+    out.append(("t", "in_edges", lambda v: schedule.in_edges((v, v + 1))))
     out.append(("c", "is_c_in_connected", lambda v: gr.is_c_in_connected(gr.complete_graph(3), v)))
     for name in ("product_cases", "c_cases"):
         out.append((name, "verify_graph_claims", lambda v, name=name: hn.verify_graph_claims(
