@@ -26,7 +26,8 @@ import numpy as np
 from . import protocol as proto
 from .graph import DynamicSchedule
 from .quantization import count_levels, dequantize_array, quantize_offsets
-from .sampling import ProtocolParams, RngStream, check_ranges, draw_range, params_r, params_rbar, params_rbard
+from .sampling import (ProtocolParams, RngStream, _check_interval, check_ranges, draw_range, inverse_cdf,
+                       params_r, params_rbar, params_rbard)
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,12 @@ def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[Protoco
     initial and working pairs) in the dtype that holds the span
     exponent_bound allows, int64 final vectors (2 x 8 B), and int64 decision
     vectors (2 x 8 B) for a deciding one; 8 vectors of ell floats for one
-    agent's draws and formulas, and for the column minima that full reach
-    sets share; and per exponent of the span, 4 buckets of quantize_offsets'
-    table (a bucket is over a quarter of a grid step wide) at 48 B each, more
-    than _offsets' grid or message_bits' counts take later."""
+    agent's formulas and for the column minima that full reach sets share;
+    and per exponent of the span, 4 buckets of quantize_offsets' table (a
+    bucket is over a quarter of a grid step wide) at 48 B each, more than
+    _offsets' grid or message_bits' counts take later.  The draws are made
+    in place in their block; their column of rates, 2 x 8 B an agent, is
+    less than the working copies or final vectors, which come later."""
     ell = params.ell if protocol.randomized else 0
     exponents = exponent_bound(params) if protocol.quantized else 0
     width = np.min_scalar_type(exponents).itemsize
@@ -259,7 +262,10 @@ def check_trial_size(protocol: Protocol, n: int, t_max: int, params: Optional[Pr
 def _new_trace(cfg: TrialConfig) -> TrialTrace:
     """The trace before round 1: every agent's draws, sampled once, and the
     per-round arrays, allocated in full; TrialConfig has checked that they
-    fit, with the exponent grid."""
+    fit, with the exponent grid.  Each agent's stream writes its x and then
+    its y uniforms straight into its rows of the block, and one inverse_cdf
+    over the block makes them draws in place: init_samples' bits, with no
+    per-agent temporaries."""
     p, protocol = cfg.params, PROTOCOLS[cfg.protocol]
     n, t_max = cfg.n, cfg.t_max
     trace = TrialTrace(config=cfg, theta=float(np.mean(cfg.inputs)),
@@ -269,10 +275,15 @@ def _new_trace(cfg: TrialConfig) -> TrialTrace:
         trace.counters = np.zeros((t_max, n), dtype=np.int64)
         trace.decision_rounds = np.full(n, -1, dtype=np.int64)
     if protocol.randomized:
+        _check_interval(p.a, p.b, *cfg.inputs)
         trace.init_raw = draws = np.empty((2, n, p.ell))
-        for u, theta in enumerate(cfg.inputs):
+        for u in range(n):
             stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
-            draws[0, u], draws[1, u] = proto.init_samples(theta, p, stream)
+            for half in draws[:, u]:  # x, then y
+                stream.uniforms(p.ell, out=half)
+        rates = np.ones((2, n, 1))
+        rates[0, :, 0] = np.subtract(cfg.inputs, p.a) + 1.0  # theta - a + 1 for x, 1 for y
+        inverse_cdf(draws, rates, out=draws)
     if protocol.quantized:
         # Rounding is elementwise, so this quantizes each row.
         trace.init_offsets, lo, hi = quantize_offsets(draws, p.beta)
@@ -288,11 +299,14 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     receivers update, and a heartbeat resets the counter).  For min, bit b
     is the agent with the b-th least input (a stable sort, so ties keep
     agent order), so the least input a set holds is that of its lowest bit,
-    and min keeps no rows.  For r and rbard, bit v is agent v, and a row
-    folds in the reached initial rows it lacks (held[i][v], for row v of
-    matrix i) only when it is read: by the r estimate, recomputed when the
-    set grew or on the agent's first active round, by rbard's n_est (y
-    alone) and decision, and at the end.  A full set's row is the column
+    and min keeps no rows.  For r and rbard, bit v is agent v, and row v of
+    matrix i is always the minimum of the initial rows in held[i][v].  It
+    folds in the reached initial rows it lacks only when it is read: by the
+    r estimate, recomputed when the set grew or on the agent's first active
+    round, by rbard's n_est (y alone) and decision, and at the end.  The
+    fold takes first the rows of the round's in-neighbours whose held sets
+    hold new rows and lie inside the reach set, one np.minimum each, then
+    the rest one initial row each.  A full set's row is the column
     minima of the initial rows, taken once a trial and copied in, and its
     estimate, n_est and decision are computed once and shared.  rbard's
     rows are _offsets, and its n_est only rises as the set grows, so growth
@@ -325,13 +339,18 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         folded in."""
         for i in ms:
             if new := reach[v] & ~held[i][v]:
-                held[i][v] = reach[v]
+                row = rows[i][v]
                 if reach[v] == full:  # every initial row: their column minima
                     if not minima:
                         minima.extend(m.min(axis=0) for m in inits)
-                    np.copyto(rows[i][v], minima[i])
-                else:
-                    _fold(rows[i][v], inits[i], new)
+                    np.copyto(row, minima[i])
+                else:  # an in-neighbour's row holding new rows and none outside the set
+                    for u in ins[v]:  # (v itself holds none new)
+                        if (h := held[i][u]) & new and not h & ~reach[v]:
+                            np.minimum(row, rows[i][u], out=row)
+                            new &= ~h
+                    _fold(row, inits[i], new)
+                held[i][v] = reach[v]
         return [rows[i][v] for i in ms]
 
     def once(f: Callable, v: int):

@@ -10,9 +10,11 @@ messages it received, always including the agent's own (self-loops are
 mandatory).  States are never mutated in place.
 
 The machines define the protocols, and the tests check ``engine.run_trial``
-against them; the engine runs none of them and takes only init_samples and
-the estimate formulas from here.  The protocol tags, and what differs
-between the protocols as data, are defined in ``engine.PROTOCOLS``.
+against them; the engine runs none of them and takes only the estimate
+formulas from here.  init_samples is one agent's draws, the per-agent
+reference for the block the engine draws in place.  The protocol tags, and
+what differs between the protocols as data, are defined in
+``engine.PROTOCOLS``.
 """
 from __future__ import annotations
 

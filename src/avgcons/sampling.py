@@ -171,19 +171,22 @@ class RngStream:
         key = [self.seed, self.trial, self.agent, stable_seed("purpose", self.purpose)]
         self._gen = np.random.default_rng(np.random.SeedSequence(entropy=key))
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """k uniforms on [2**-53, 1 - 2**-53], advancing the stream by k."""
-        us = self._gen.random(k)
-        us[us == 0.0] = _LEAST_U
-        return us
+    def uniforms(self, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """k uniforms on [2**-53, 1 - 2**-53], advancing the stream by k,
+        written into out (contiguous, of k floats) if given.  Every output
+        but the exact 0 is a multiple of 2**-53, so the maximum maps 0 alone."""
+        us = self._gen.random(k, out=out)
+        return np.maximum(us, _LEAST_U, out=us)
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
 
-def inverse_cdf(us, rate) -> np.ndarray:
-    """The Exp(rate) draws -ln(U)/rate of uniforms U, elementwise."""
-    return -np.log(us) / rate
+def inverse_cdf(us, rate, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Exp(rate) draws -ln(U)/rate of uniforms U, elementwise, into out
+    if given (which may be us).  Negation is exact and rounding symmetric,
+    so ln(U)/(-rate) is the same float."""
+    return np.divide(np.log(us, out=out), np.negative(rate), out=out)
 
 
 def draw_range(rate: float) -> tuple[float, float]:

@@ -511,15 +511,39 @@ def test_rbard_agents_deciding_before_the_freeze_match_the_reference_loop(kind, 
 
 def read_branches(tc, monkeypatch):
     """How often one engine run of tc takes each way of bringing a row up
-    to its reach set: "fold" (the new rows, one np.minimum each) and "copy"
-    (the column minima, into the row of a full set)."""
+    to its reach set: "neighbour" (an in-neighbour's row), "fold" (an
+    initial row left over) and "copy" (the column minima, into the row of a
+    full set).  Each of the first two is one np.minimum."""
     seen = Counter()
-    fold, copyto = eng._fold, np.copyto
+    fold, copyto, minimum = eng._fold, np.copyto, np.minimum
+
+    def rows_minimum(a, b, *args, **kw):  # a working row lowered by another of its matrix
+        if isinstance(b, np.ndarray) and b.base is not None and b.base is getattr(a, "base", None):
+            seen["neighbour"] += 1
+        return minimum(a, b, *args, **kw)
+
+    def fold_rows(row, init, new):
+        if new:
+            seen["fold"] += bin(new).count("1")
+        fold(row, init, new)
+
     with monkeypatch.context() as mp:
-        mp.setattr(eng, "_fold", lambda *args: seen.update(["fold"]) or fold(*args))
+        mp.setattr(eng, "_fold", fold_rows)
         mp.setattr(np, "copyto", lambda *args, **kw: seen.update(["copy"]) or copyto(*args, **kw))
+        mp.setattr(np, "minimum", rows_minimum)
         eng.run_trial(tc)
     return seen
+
+
+# read_branches of the full runs below.  An in-neighbour's row takes every
+# new row it holds out of the growth, so fewer are left to fold one at a
+# time: one np.minimum a new row would take 394, 936, 86 and 205.
+READ_BRANCHES = {
+    ("r", "csc"): {"neighbour": 94, "fold": 178, "copy": 4},
+    ("r", "c_connected"): {"neighbour": 190, "fold": 376, "copy": 4},
+    ("rbard", "csc"): {"neighbour": 19, "fold": 46, "copy": 2},
+    ("rbard", "c_connected"): {"neighbour": 41, "fold": 80, "copy": 3},
+}
 
 
 @pytest.mark.parametrize("protocol", ["min", "r", "rbard"])
@@ -527,12 +551,14 @@ def read_branches(tc, monkeypatch):
 def test_horizons_ending_before_the_freeze_match_the_reference_loop(protocol, kind, n, monkeypatch):
     # Every horizon up to the round before the freeze ends with a read of
     # every agent's final rows, which for rbard lag behind its reach set.
-    # The full run of r or rbard takes both ways to bring a row up to date;
-    # min keeps no rows.
+    # The full run of r or rbard takes all three ways to bring a row up to
+    # date; min keeps no rows.
     tc = read_path_config(protocol, kind, n, 3 + n, t_max=4 * n)
     f = freeze_round(tc)
     assert f is not None and f > 3
-    assert set(read_branches(tc, monkeypatch)) == (set() if protocol == "min" else {"fold", "copy"})
+    seen = read_branches(tc, monkeypatch)
+    assert set(seen) == (set() if protocol == "min" else {"neighbour", "fold", "copy"})
+    assert seen == READ_BRANCHES.get((protocol, kind), {})
     assert_matches_reference_with_frozen_at(tc, range(1, f))
 
 
@@ -556,6 +582,16 @@ MIN_INPUTS = {
 def test_min_on_rank_ordered_reach_sets_matches_the_reference_loop(inputs, n, kind):
     cfg = replace(pair_config("min", kind, n, n, 0, 0), inputs=MIN_INPUTS[inputs](n))
     tc = replace(hn.trial_config(cfg, 0), t_max=n + 2)
+    _, f = assert_matches_reference_with_frozen_at(tc, (2, n // 2))
+    assert f is not None and (kind != "ring" or f == n - 1)
+
+
+# r folds a growth from in-neighbour rows; at sizes either side of 64 bits,
+# on csc and on the ring, whose horizons end before the freeze.
+@pytest.mark.parametrize("kind", ["csc", "ring"])
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_r_at_sizes_either_side_of_64_bits_matches_the_reference_loop(n, kind):
+    tc = replace(hn.trial_config(pair_config("r", kind, n, n, 4, 0), 0), t_max=n + 2)
     _, f = assert_matches_reference_with_frozen_at(tc, (2, n // 2))
     assert f is not None and (kind != "ring" or f == n - 1)
 

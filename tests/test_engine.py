@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from avgcons import engine as eng
 from avgcons import graph as gr
 from avgcons import harness as hn
+from avgcons import protocol as proto
 from avgcons.protocol import NULL_MESSAGE
 from avgcons.quantization import quantize_array
-from avgcons.sampling import ProtocolParams, params_rbard, sample_exponentials
+from avgcons.sampling import ProtocolParams, RngStream, params_rbard, sample_exponentials
 
 
 def fixed(g):
@@ -657,6 +658,21 @@ def test_the_draws_are_halves_of_one_block_and_the_exponents_are_quantize_array(
     for ks, half in zip(exponents, offsets):
         assert np.add(half, lo, dtype=np.int64).tobytes() == ks.tobytes()
     assert (lo, hi) == (min(int(ks.min()) for ks in exponents), max(int(ks.max()) for ks in exponents))
+
+
+@pytest.mark.parametrize("protocol", ["r", "rbar"])
+def test_each_agent_draws_into_the_block_what_init_samples_draws(protocol):
+    # The engine writes every agent's uniforms into its rows of the block and
+    # takes the draws there, in one pass; init_samples, the per-agent
+    # reference, must give the same bytes, with inputs at a and at b too.
+    n, a, b = 4, -1.0, 2.0
+    cfg = cfg_for(protocol, gr.DynamicSchedule("csc", n, seed=2), (a, b, 0.3, -0.25), t_max=3,
+                  seed=9, ell=50, beta=None if protocol == "r" else 0.05, a=a, b=b)
+    cfg = replace(cfg, trial=2)
+    block = eng.run_trial(cfg).init_raw
+    for u, theta in enumerate(cfg.inputs):
+        stream = RngStream(cfg.seed, trial=cfg.trial, agent=u, purpose="init")
+        assert block[:, u].tobytes() == np.stack(proto.init_samples(theta, cfg.params, stream)).tobytes()
 
 
 # The size rule bounds what a trial holds at once.  With ell = 20,000 the

@@ -457,11 +457,8 @@ def test_cli_run_larger_than_physical_memory_exits_2_before_sampling(argv, sizes
     # numpy's allocations succeed under overcommit, so a trial too large for
     # the machine would be killed while sampling; it must fail before the
     # inputs are drawn, too, which at n = 10^8 would take seconds.
-    from avgcons import engine as eng
-    from avgcons import protocol as proto
-
     monkeypatch.setattr(eng, "_physical_memory", lambda: 1 << 20)
-    monkeypatch.setattr(proto, "init_samples", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(eng, "RngStream", lambda *args, **kwargs: pytest.fail("sampled"))
     monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew the inputs"))
     assert cli(["run", *argv]) == 2
     err = capsys.readouterr().err
@@ -584,11 +581,9 @@ def test_cli_sweep_whose_exponent_grid_outgrows_memory_exits_2_before_building_i
         tmp_path, monkeypatch, capsys):
     # At beta=1e-7 any draws may span some 4 x 10^8 exponents, 3 x 8 B each,
     # which the config alone bounds, so nothing is drawn.
-    from avgcons import protocol as proto
-
     monkeypatch.setattr(eng, "_physical_memory", lambda: 256 << 20)
     monkeypatch.setattr(eng, "_offsets", lambda *args: pytest.fail("built the grid"))
-    monkeypatch.setattr(proto, "init_samples", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(eng, "RngStream", lambda *args, **kwargs: pytest.fail("sampled"))
     monkeypatch.setattr(hn, "RngStream", lambda *args, **kwargs: pytest.fail("drew the inputs"))
     assert cli(pinned_beta_sweep(tmp_path, 1e-7)) == 2
     err = capsys.readouterr().err

@@ -80,8 +80,11 @@ def test_uniforms_live_in_half_open_unit_interval():
 class _ZeroGenerator:
     """A generator whose every draw is its exact 0."""
 
-    def random(self, k):
-        return np.zeros(k)
+    def random(self, k=None, out=None):
+        if out is None:
+            return np.zeros(k)
+        out.fill(0.0)
+        return out
 
 
 def test_an_exact_zero_uniform_draws_as_the_least_nonzero_one():
@@ -98,6 +101,28 @@ def test_an_exact_zero_uniform_draws_as_the_least_nonzero_one():
         assert (xs > 0).all()
         assert xs.tobytes() == sp.sample_exponentials(rate, 4, ScriptedStream(*[2.0**-53] * 4)).tobytes()
         assert quantize_array(xs, p.beta).max() - least + 1 <= eng.exponent_bound(p)
+
+
+@pytest.mark.parametrize("protocol", ["r", "rbar", "rbard"])
+def test_an_agent_drawing_only_exact_zeros_gets_the_greatest_draw_in_every_entry(protocol,
+                                                                                  monkeypatch):
+    # run_trial draws each agent's uniforms straight into its rows of the
+    # block; agent 1's generator gives only the exact 0.
+    class ZeroForAgent1(sp.RngStream):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.agent == 1:
+                self._gen = _ZeroGenerator()
+
+    monkeypatch.setattr(eng, "RngStream", ZeroForAgent1)
+    n, inputs = 3, (0.2, 0.7, 1.0)
+    p = sp.ProtocolParams(0.3, 0.2, 0.0, 1.0, ell=6, beta=None if protocol == "r" else 0.1,
+                          size_bound=n if protocol == "rbard" else None)
+    cfg = eng.TrialConfig(protocol, p, inputs, gr.DynamicSchedule("csc", n, seed=1), (1,) * n,
+                          t_max=4, seed=5)
+    x, y = eng.run_trial(cfg).init_raw[:, 1]
+    for row, rate in ((x, inputs[1] - p.a + 1.0), (y, 1.0)):
+        assert row.tobytes() == np.full(p.ell, sp.draw_range(rate)[1]).tobytes()
 
 
 def test_agent_streams_are_empirically_uncorrelated():
