@@ -195,14 +195,18 @@ def run_trial(cfg: TrialConfig) -> TrialTrace:
     return trace
 
 
-def _final_pairs(xs: np.ndarray, ys: np.ndarray, keep: Callable, frozen: bool) -> list:
-    """Every agent's final (x, y) as keep maps the working rows; after a
-    freeze every row is row 0, so all agents share one read-only pair."""
-    if not frozen:
-        return list(zip(keep(xs), keep(ys)))
-    x, y = keep(xs[0]), keep(ys[0])
-    x.flags.writeable = y.flags.writeable = False
-    return [(x, y)] * len(xs)
+def _final_pairs(pairs: list, keep: Callable, frozen: bool) -> list:
+    """Every agent's final (x, y), read-only, as keep maps its pair of rows;
+    after a freeze every pair equals the first, so all agents share one."""
+    if frozen:
+        return [_read_only(*map(keep, pairs[0]))] * len(pairs)
+    return [_read_only(*map(keep, pair)) for pair in pairs]
+
+
+def _read_only(*ms: np.ndarray) -> tuple:
+    for m in ms:
+        m.flags.writeable = False
+    return ms
 
 
 def _physical_memory() -> int:
@@ -224,21 +228,22 @@ def trial_bytes(protocol: Protocol, n: int, t_max: int, params: Optional[Protoco
     """An upper bound, from the config alone, on the bytes a trial holds at
     once, past buffers of fixed size (quantize_offsets' pieces, the segments
     of _rotation_rounds): 8 B per round and agent for the estimates (and
-    counters); per agent and entry, the draws (2 x 8 B), then for r a working
-    copy of each (2 x 8 B), and for a quantized protocol 4 offsets (the
-    initial and working pairs) in the dtype that holds the span
+    counters); per agent and entry, the draws (2 x 8 B), then for r two
+    rounds of rows of both matrices (2 x 2 x 8 B), and for a quantized
+    protocol 4 offsets (the initial pair, and for rbar a working pair, for
+    rbard two rounds of y rows) in the dtype that holds the span
     exponent_bound allows, int64 final vectors (2 x 8 B), and int64 decision
     vectors (2 x 8 B) for a deciding one; 8 vectors of ell floats for one
-    agent's formulas and for the column minima that full reach sets share;
-    and per exponent of the span, 4 buckets of quantize_offsets' table (a
-    bucket is over a quarter of a grid step wide) at 48 B each, more than
-    _offsets' grid or message_bits' counts take later.  The draws are made
-    in place in their block; their column of rates, 2 x 8 B an agent, is
-    less than the working copies or final vectors, which come later."""
+    agent's formulas; and per exponent of the span, 4 buckets of
+    quantize_offsets' table (a bucket is over a quarter of a grid step wide)
+    at 48 B each, more than _offsets' grid or message_bits' counts take
+    later.  The draws are made in place in their block; their column of
+    rates, 2 x 8 B an agent, is less than the rows or final vectors, which
+    come later."""
     ell = params.ell if protocol.randomized else 0
     exponents = exponent_bound(params) if protocol.quantized else 0
     width = np.min_scalar_type(exponents).itemsize
-    entry = 32 + 4 * width + 16 * protocol.decides if protocol.quantized else 32
+    entry = 32 + 4 * width + 16 * protocol.decides if protocol.quantized else 48
     return 8 * n * t_max * (2 if protocol.decides else 1) + (n * entry + 64) * ell + 192 * exponents
 
 
@@ -299,62 +304,51 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
     receivers update, and a heartbeat resets the counter).  For min, bit b
     is the agent with the b-th least input (a stable sort, so ties keep
     agent order), so the least input a set holds is that of its lowest bit,
-    and min keeps no rows.  For r and rbard, bit v is agent v, and row v of
-    matrix i is always the minimum of the initial rows in held[i][v].  It
-    folds in the reached initial rows it lacks only when it is read: by the
-    r estimate, recomputed when the set grew or on the agent's first active
-    round, by rbard's n_est (y alone) and decision, and at the end.  The
-    fold takes first the rows of the round's in-neighbours whose held sets
-    hold new rows and lie inside the reach set, one np.minimum each, then
-    the rest one initial row each.  A full set's row is the column
-    minima of the initial rows, taken once a trial and copied in, and its
-    estimate, n_est and decision are computed once and shared.  rbard's
-    rows are _offsets, and its n_est only rises as the set grows, so growth
-    marks it stale, a lower bound, recomputed only when the decision test
-    passes on it.  Once every agent is active, every set is full and every
-    counter equal, no round can change a vector, and rbard's counters all
-    go up by one a round, so the rest is filled in with no graph drawn: the
-    agents share row 0, and the undecided ones, sharing one size estimate,
-    decide together."""
+    and min keeps no rows.  For r and rbard, bit v is agent v, and a row,
+    the minimum of a set's initial rows, is a function of the set alone:
+    rows maps each set an agent holds to its row, a (2, ell) block of both
+    matrices for r, y alone for rbard.  A singleton's row is a view of its
+    agent's initial row.  A set first held in round t is the np.minimum of
+    the round t - 1 rows of its agent and of each in-neighbour that adds
+    initial rows not yet covered, the first call writing into a spare array
+    or a new one and the rest into that; no row is written after, so the
+    round t - 1 rows hold all round.  At the end of a round the arrays of
+    the sets no agent holds become spare (a singleton's view stays): a new
+    array for each new set costs more page faults.  rbard reads x only at a
+    decision and at the end, as the minimum of the set's initial x rows.
+    The r estimate is recomputed when the set grew or on the agent's first
+    active round; a full set's estimate, n_est, decision and x row are
+    computed once and shared.  rbard's rows are _offsets, and its n_est
+    only rises as the set grows, so growth marks it stale, a lower bound,
+    recomputed only when the decision test passes on it.  Once every agent
+    is active, every set is full and every counter equal, no round can
+    change a vector, and rbard's counters all go up by one a round, so the
+    rest is filled in with no graph drawn: the agents share one row, and
+    the undecided ones, sharing one size estimate, decide together."""
     n, p, protocol = cfg.n, cfg.params, PROTOCOLS[cfg.protocol]
-    bits, inits = range(n), ()
+    bits, rows, keep = range(n), {}, np.asarray  # r's final vectors are row views
     if not protocol.randomized:
         bits = np.argsort(np.argsort(cfg.inputs, kind="stable")).tolist()  # each agent's rank
         least = sorted(cfg.inputs)
         derive = lambda v: least[(reach[v] & -reach[v]).bit_length() - 1]
     elif protocol.quantized:
-        grid, keep, inits = _offsets(trace)
-        derive = lambda v: proto.rbard_size_estimate(np.take(grid, read(v, -1)[0]), p)
-        decide = lambda v: proto.r_estimate(*(np.take(grid, m) for m in read(v, 0, -1)), p)
+        grid, keep, (xs, ys) = _offsets(trace)
+        rows = {1 << v: y for v, y in enumerate(ys)}
+        # A full set's rows are a slice, which copies none.
+        members = lambda s: slice(None) if s == full else [u for u in range(n) if s >> u & 1]
+        pair = lambda v: (xs[members(reach[v])].min(axis=0), rows[reach[v]])
+        derive = lambda v: proto.rbard_size_estimate(np.take(grid, rows[reach[v]]), p)
+        decide = lambda v: (xy := pair(v), proto.r_estimate(*(np.take(grid, m) for m in xy), p))
     else:
-        inits = tuple(trace.init_raw)
-        derive = lambda v: proto.r_estimate(*read(v, 0, -1), p)
-    final = keep if protocol.quantized else np.asarray  # r's final vectors are row views
-    rows = [m.copy() for m in inits]
-    held = [[1 << v for v in range(n)] for _ in rows]
-    minima, shared = [], {}  # the column minima of inits, and f(v) of a full set, by f
-
-    def read(v: int, *ms: int) -> list:
-        """Row v of each matrix in ms, with every initial row that reached v
-        folded in."""
-        for i in ms:
-            if new := reach[v] & ~held[i][v]:
-                row = rows[i][v]
-                if reach[v] == full:  # every initial row: their column minima
-                    if not minima:
-                        minima.extend(m.min(axis=0) for m in inits)
-                    np.copyto(row, minima[i])
-                else:  # an in-neighbour's row holding new rows and none outside the set
-                    for u in ins[v]:  # (v itself holds none new)
-                        if (h := held[i][u]) & new and not h & ~reach[v]:
-                            np.minimum(row, rows[i][u], out=row)
-                            new &= ~h
-                    _fold(row, inits[i], new)
-                held[i][v] = reach[v]
-        return [rows[i][v] for i in ms]
+        rows = {1 << v: block for v, block in enumerate(trace.init_raw.swapaxes(0, 1))}
+        pair = lambda v: rows[reach[v]]
+        derive = lambda v: proto.r_estimate(*pair(v), p)
+    shared, spare = {}, []  # f(v) of a full set, by f; arrays of dropped rows
 
     def once(f: Callable, v: int):
-        """f(v), computed once for all full sets: their rows are equal."""
+        """f(v), computed once for all full sets: their rows are equal.  No f
+        calls once: shared holds f, and that cycle would keep the rows alive
+        past the trial, until the garbage collector runs."""
         if reach[v] != full:
             return f(v)
         if f not in shared:
@@ -382,6 +376,13 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 for u in src:
                     got |= prev[u]
                 reach[v] = got
+                if rows and got not in rows:  # a new set: prev[v] and its row are still held
+                    row, had, out = rows[prev[v]], prev[v], spare.pop() if spare else None
+                    for u in src:
+                        if prev[u] & ~had:  # u adds initial rows
+                            row = out = np.minimum(row, rows[prev[u]], out=out)
+                            had |= prev[u]
+                    rows[got] = row
             if reach[v] != prev[v] or t == starts[v]:
                 stale[v] = decides and t != starts[v]
                 if not stale[v]:
@@ -391,19 +392,18 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
                 if math.isnan(decision[v]) and proto.rbard_decides(counter[v], value[v]):
                     value[v], stale[v] = once(derive, v) if stale[v] else value[v], False
                     if proto.rbard_decides(counter[v], value[v]):
-                        x, y = read(v, 0, -1)
-                        decision[v] = once(decide, v)
+                        xy, decision[v] = once(decide, v)
                         trace.decision_rounds[v] = t
-                        trace.decision_vectors[v] = (keep(x), keep(y))
+                        trace.decision_vectors[v] = _read_only(*map(keep, xy))
+        if rows:  # drop the sets no agent holds; their arrays, not singletons' views, are spare
+            spare += [rows.pop(s) for s in rows.keys() - set(reach) if s & (s - 1)]
         trace.estimates[t - 1] = decision if decides else value
         if decides:
             trace.counters[t - 1] = counter
         if frozen := t > s_max and reach.count(full) == n and len(set(counter)) == 1:
             break
     # Frozen after round t (or t == t_max): fill in the rounds after it.
-    for v in range(1 if frozen else n):  # after a freeze every row is row 0
-        read(v, *range(len(rows)))
-    finals = _final_pairs(rows[0], rows[-1], final, frozen) if protocol.randomized else []
+    finals = _final_pairs([once(pair, v) for v in range(n)], keep, frozen) if protocol.randomized else []
     trace.estimates[t:] = decision if decides else value
     if decides:
         trace.counters[t:] = counter[0] + np.arange(1, cfg.t_max - t + 1)[:, None]
@@ -413,18 +413,10 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
             r = next((r for r in range(t + 1, cfg.t_max + 1)
                       if proto.rbard_decides(counter[0] + r - t, n_est)), None)
             if r is not None:
-                trace.estimates[r - 1 :, waiting] = once(decide, 0)
+                trace.estimates[r - 1 :, waiting] = once(decide, 0)[1]
                 trace.decision_rounds[waiting] = r
                 trace.decision_vectors.update(dict.fromkeys(waiting, finals[0]))
     return t if frozen else None, finals
-
-
-def _fold(row: np.ndarray, init: np.ndarray, new: int) -> None:
-    """Lower row, in place, to the entrywise minimum of it and the rows of
-    init in the bit set new, one np.minimum each, lowest first."""
-    while new:
-        np.minimum(row, init[(new & -new).bit_length() - 1], out=row)
-        new &= new - 1
 
 
 def _offsets(trace: TrialTrace) -> tuple[np.ndarray, Callable, tuple[np.ndarray, np.ndarray]]:
@@ -482,7 +474,7 @@ def _rotation_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         t = last + 1
     # Frozen after round last (or last == t_max): fill in the rounds after it.
     trace.estimates[last:] = est
-    return last if frozen else None, _final_pairs(xs, ys, keep, frozen)
+    return last if frozen else None, _final_pairs(list(zip(xs, ys)), keep, frozen)
 
 
 def convergence_time(trace: TrialTrace, epsilon: float) -> Optional[int]:

@@ -680,11 +680,11 @@ def test_each_agent_draws_into_the_block_what_init_samples_draws(protocol):
 # rule's count plus 1 MiB for buffers of fixed size (quantize_offsets'
 # pieces).  On csc three rounds end before any freeze, so every agent keeps
 # its own final vectors; forty reach it for r and rbard.  On complete every
-# reach set is full after round 1, the case where a read would fold in every
-# other agent's row were full sets not given the column minima.
+# reach set is full after round 1.  On the ring every agent's set grows every
+# round, so r and rbard hold two rounds of rows, one new row an agent.
 @pytest.mark.parametrize("protocol", ["r", "rbar", "rbard"])
 @pytest.mark.parametrize("t_max", [3, 40])
-@pytest.mark.parametrize("kind", ["csc", "complete"])
+@pytest.mark.parametrize("kind", ["csc", "complete", "ring"])
 def test_a_trial_holds_no_more_than_the_size_rule_counts(protocol, t_max, kind):
     cfg = hn.ExperimentConfig(protocol=protocol, trials=1, n=12, seed=3, epsilon=0.3, eta=0.3,
                               ell=20_000, size_bound=12 if protocol == "rbard" else None,
