@@ -338,29 +338,29 @@ def _reach_rounds(cfg: TrialConfig, trace: TrialTrace) -> tuple:
         members = lambda s: slice(None) if s == full else [u for u in range(n) if s >> u & 1]
         pair = lambda v: (xs[members(reach[v])].min(axis=0), rows[reach[v]])
         derive = lambda v: proto.rbard_size_estimate(np.take(grid, rows[reach[v]]), p)
-        decide = lambda v: (xy := pair(v), proto.r_estimate(*(np.take(grid, m) for m in xy), p))
+        decide = lambda v: (xy := once(pair, v), proto.r_estimate(*(np.take(grid, m) for m in xy), p))
     else:
         rows = {1 << v: block for v, block in enumerate(trace.init_raw.swapaxes(0, 1))}
         pair = lambda v: rows[reach[v]]
         derive = lambda v: proto.r_estimate(*pair(v), p)
-    shared, spare = {}, []  # f(v) of a full set, by f; arrays of dropped rows
+    shared, spare = {}, []  # f(v) of a full set, by id(f); arrays of dropped rows
 
     def once(f: Callable, v: int):
-        """f(v), computed once for all full sets: their rows are equal.  No f
-        calls once: shared holds f, and that cycle would keep the rows alive
-        past the trial, until the garbage collector runs."""
+        """f(v), computed once for all full sets: their rows are equal.  shared
+        is keyed by id(f), so an f that calls once (decide) makes no cycle
+        through shared, which would keep the rows alive past the trial."""
         if reach[v] != full:
             return f(v)
-        if f not in shared:
-            shared[f] = f(v)
-        return shared[f]
+        if id(f) not in shared:
+            shared[id(f)] = f(v)
+        return shared[id(f)]
 
     decides = protocol.decides
     starts, s_max, full = cfg.start_rounds, cfg.s_max, (1 << n) - 1
     reach, counter, stale = [1 << b for b in bits], [0] * n, [False] * n
     value, decision = [math.nan] * n, [math.nan] * n
     for t in range(1, cfg.t_max + 1):
-        ins = cfg.schedule.graph_at(t).in_neighbor_lists
+        ins = cfg.schedule.in_lists(t)
         prev, prev_counter = reach, counter
         reach, counter = prev[:], prev_counter[:]
         for v, src in enumerate(ins):

@@ -221,16 +221,24 @@ def random_c_in_connected(n: int, c: int, rng: random.Random) -> DirectedGraph:
     this is a random Hamiltonian cycle plus extra edges, the csc graph.
     n, c >= 1 are the caller's to check, as DynamicSchedule does once, not every round.
     """
+    return DirectedGraph(tuple(map(tuple, _c_in_lists(n, c, rng))))
+
+
+def _c_in_lists(n: int, c: int, rng: random.Random) -> list[list[int]]:
+    """random_c_in_connected's in-neighbour lists, each sorted with no repeats."""
     perm, us, vs = _c_in_connected_draws(n, c, rng)
     # perm[i] hears perm[i-m..i], its loop included: window[i : i+m+1].
     m = min(c, n - 1)
     window = perm[n - m :] + perm
     ins: list = [None] * n
     for i, v in enumerate(perm):
-        ins[v] = set(window[i : i + m + 1])
+        ins[v] = window[i : i + m + 1]
     for u, v in zip(us, vs):
-        ins[v].add(u)
-    return _from_in_sets(ins)
+        if u not in ins[v]:
+            ins[v].append(u)
+    for heard in ins:
+        heard.sort()
+    return ins
 
 
 def flooding_length(n: int, delay: Optional[int] = None, c: Optional[int] = None) -> int:
@@ -358,11 +366,22 @@ class DynamicSchedule:
         real, rows = us != vs, np.arange(len(rounds), dtype=np.min_scalar_type(max(len(rounds) - 1, 0)))
         return np.repeat(rows, np.count_nonzero(real, axis=1)), us[real], vs[real]
 
-    def graph_at(self, t: int) -> DirectedGraph:
+    def in_lists(self, t: int) -> Sequence[Sequence[int]]:
+        """graph_at(t).in_neighbor_lists; a drawn round's are sorted lists,
+        built from the same draws with no DirectedGraph."""
         check_ranges(t=t)
         if self.kind in ("csc", "c_connected"):
             # csc is the c = 1 case; round_key hashes the kind, so its stream is its own.
-            return random_c_in_connected(self.n, self.c or 1, random.Random(self.round_key(t)))
+            return _c_in_lists(self.n, self.c or 1, random.Random(self.round_key(t)))
+        return self._period_graph(t).in_neighbor_lists
+
+    def graph_at(self, t: int) -> DirectedGraph:
+        if self.kind in ("csc", "c_connected"):
+            return DirectedGraph(tuple(map(tuple, self.in_lists(t))))
+        check_ranges(t=t)
+        return self._period_graph(t)
+
+    def _period_graph(self, t: int) -> DirectedGraph:
         graphs = self._period_graphs
         return graphs[min((t - 1) % (self.delay or len(graphs)), len(graphs) - 1)]
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .seeds import stable_seed
+from .seeds import entropy_words, stable_seed
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,11 @@ def params_rbard(epsilon: float, eta: float, a: float, b: float, size_bound: int
 _LEAST_U = 2.0**-53  # the generator's least nonzero output
 
 
+@lru_cache(maxsize=64)  # bounded: the verify suites name a purpose per tail case
+def _purpose_words(purpose: str) -> tuple[int, ...]:
+    return tuple(entropy_words(stable_seed("purpose", purpose)))
+
+
 @dataclass
 class RngStream:
     """Keyed stream of uniforms on [2**-53, 1 - 2**-53].
@@ -160,6 +166,9 @@ class RngStream:
     Identical (seed, trial, agent, purpose) keys reproduce identical
     sequences bit for bit; the generator's occasional exact 0 is mapped
     to its least nonzero output, 2**-53, so -ln(U) is finite and positive.
+    The generator is numpy's default_rng on the SeedSequence of
+    [seed, trial, agent, stable_seed("purpose", purpose)], given as the
+    uint32 words numpy would make of that list, with no array per int.
     """
 
     seed: int
@@ -168,8 +177,9 @@ class RngStream:
     purpose: str = "protocol"
 
     def __post_init__(self) -> None:
-        key = [self.seed, self.trial, self.agent, stable_seed("purpose", self.purpose)]
-        self._gen = np.random.default_rng(np.random.SeedSequence(entropy=key))
+        words = [*entropy_words(self.seed), *entropy_words(self.trial), *entropy_words(self.agent),
+                 *_purpose_words(self.purpose)]
+        self._gen = np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
     def uniforms(self, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """k uniforms on [2**-53, 1 - 2**-53], advancing the stream by k,

@@ -36,6 +36,18 @@ def stable_seed(*parts: object) -> int:
     return seed_of(key_hash(*parts))
 
 
+def entropy_words(part: int) -> list[int]:
+    """The uint32 words numpy's SeedSequence makes of an int entropy part:
+    its little-endian 32-bit words, one zero word for 0.  A list of parts
+    is the concatenation of their words."""
+    if part < 0:
+        raise ValueError(f"expected non-negative integer, got {part}")
+    words = [part & 0xFFFFFFFF]
+    while part := part >> 32:
+        words.append(part & 0xFFFFFFFF)
+    return words
+
+
 # CPython's random.Random is MT19937 (Matsumoto & Nishimura, ACM TOMACS
 # 8(1), 1998), with a 624-word state.  Output k of its first twist reads
 # state words k, k+1 and k+397, so the first 227 read only the seeded state.

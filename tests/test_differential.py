@@ -381,15 +381,17 @@ def test_the_engine_matches_the_reference_loop_on_drawn_configs(pair, n, seed, s
 
 def test_rounds_after_the_freeze_are_not_drawn(monkeypatch):
     drawn = []
-    in_edges, graph_at = gr.DynamicSchedule.in_edges, gr.DynamicSchedule.graph_at
+    in_edges, in_lists = gr.DynamicSchedule.in_edges, gr.DynamicSchedule.in_lists
     # min on csc at n=32 reads every round up to its last reach-set growth
-    # and none after it.
+    # and none after it, each from its in-neighbour lists, building no graph.
     tc = hn.trial_config(hn.ExperimentConfig(protocol="min", trials=1, n=32, seed=3), 0)
     f = freeze_round(tc)
     monkeypatch.setattr(gr.DynamicSchedule, "in_edges",
                         lambda sched, rounds: drawn.extend(rounds) or in_edges(sched, rounds))
+    monkeypatch.setattr(gr.DynamicSchedule, "in_lists",
+                        lambda sched, t: drawn.append(t) or in_lists(sched, t))
     monkeypatch.setattr(gr.DynamicSchedule, "graph_at",
-                        lambda sched, t: drawn.append(t) or graph_at(sched, t))
+                        lambda sched, t: pytest.fail(f"run_trial built round {t}'s graph"))
     assert eng.run_trial(tc).frozen_at == f
     assert drawn == list(range(1, f + 1)) and f < tc.t_max
     # The criterion-5 shape, rbar at n=6 for ell*(n+1) rounds, with a
@@ -505,6 +507,26 @@ def test_rbard_agents_deciding_before_the_freeze_match_the_reference_loop(kind, 
     got, f = assert_matches_reference_with_frozen_at(tc)
     rounds = got.decision_rounds
     assert f is not None and ((rounds > 0) & (rounds <= f)).any() and (rounds > f).any()
+
+
+@pytest.mark.parametrize("kind,n,seed", [("ring", 20, 0), ("delayed", 24, 1)])
+def test_rbard_takes_a_full_set_x_row_once(kind, n, seed, monkeypatch):
+    # A full set's x row, the minimum of every agent's initial x row, is
+    # taken once a trial: the decisions and the final pairs share it.
+    full_rows = []
+
+    class Counted(np.ndarray):
+        def min(self, *args, **kw):
+            full_rows.append(len(self) == n)
+            return self.view(np.ndarray).min(*args, **kw)
+
+    offsets = eng._offsets
+    monkeypatch.setattr(eng, "_offsets", lambda trace: (
+        (got := offsets(trace))[0], got[1], (got[2][0].view(Counted), got[2][1])))
+    tc = read_path_config("rbard", kind, n, seed, t_max=6 * n)
+    trace = eng.run_trial(tc)
+    assert trace.frozen_at is not None and (trace.decision_rounds > trace.frozen_at).any()
+    assert full_rows.count(True) == 1
 
 
 def minimum_calls(tc, monkeypatch):

@@ -351,6 +351,36 @@ def test_in_edges_on_random_round_sets_matches_graph_at(sched, rounds, batched):
     assert np.bincount(k, minlength=1).max() <= sched.edges_per_round
 
 
+def drawn_in_lists(sched, t):
+    """Round t's in-neighbour lists of a drawn kind, from the draws by sets:
+    perm[i] hears the window perm[i-m..i], m = min(c, n-1), and each extra edge."""
+    n, m = sched.n, min(sched.c or 1, sched.n - 1)
+    perm, us, vs = gr._c_in_connected_draws(n, sched.c or 1, random.Random(sched.round_key(t)))
+    ins = [set() for _ in range(n)]
+    for i, v in enumerate(perm):
+        ins[v].update(perm[(i - j) % n] for j in range(m + 1))
+    for u, v in zip(us, vs):
+        ins[v].add(u)
+    return [sorted(heard) for heard in ins]
+
+
+@pytest.mark.parametrize("kind", sorted(gr.SCHEDULE_KINDS))
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_in_lists_are_graph_at_in_neighbor_lists(kind, n):
+    # Each list sorted with no repeats, as graph_at's: the order in which a
+    # round's in-neighbours are folded decides which of them add rows.
+    field, build = gr.SCHEDULE_KINDS[kind]
+    if kind == "blocking" and n == 1:
+        return
+    for c in sorted({c for c in (1, 2, n - 1, n + 3) if c >= 1}):
+        sched = build(n, 7, {"c": c, "delay": c, "ell": 2 * c}.get(field))
+        for t in range(1, 41):
+            lists = sched.in_lists(t)
+            assert [tuple(us) for us in lists] == list(sched.graph_at(t).in_neighbor_lists)
+            if kind in ("csc", "c_connected"):
+                assert [list(us) for us in lists] == drawn_in_lists(sched, t)
+
+
 def test_csc_schedule_is_deterministic_per_round():
     sched = gr.DynamicSchedule("csc", 6, seed=11)
     assert sched.graph_at(7) == sched.graph_at(7)

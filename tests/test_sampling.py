@@ -9,6 +9,7 @@ from avgcons import graph as gr
 from avgcons import harness as hn
 from avgcons import sampling as sp
 from avgcons.quantization import dequantize_array, quantize_array
+from avgcons.seeds import stable_seed
 
 
 class ScriptedStream:
@@ -70,6 +71,30 @@ def test_distinct_agents_and_purposes_give_distinct_sequences():
     other_purpose = sp.RngStream(9, trial=3, agent=1, purpose="inputs").uniforms(8)
     assert not np.array_equal(base, other_agent)
     assert not np.array_equal(base, other_purpose)
+
+
+# Parts at and either side of each 32-bit word boundary, 0 among them.
+KEY_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 7]
+
+
+@pytest.mark.parametrize("purpose", ["init", "inputs", "starts", "protocol", "verify-min",
+                                     "verify-tail-50-0.1-1.0-None"])
+def test_streams_are_seeded_from_the_plain_key_list(purpose):
+    # numpy's SeedSequence of [seed, trial, agent, purpose hash], which is
+    # what pins every trace's draws.
+    for seed in KEY_PARTS:
+        for trial in (0, 1, 2**32):
+            for agent in (0, 1, 2**32):
+                key = [seed, trial, agent, stable_seed("purpose", purpose)]
+                want = np.random.default_rng(np.random.SeedSequence(entropy=key)).random(8)
+                got = sp.RngStream(seed, trial=trial, agent=agent, purpose=purpose).uniforms(8)
+                assert np.array_equal(got, np.maximum(want, 2.0**-53)), key
+
+
+def test_a_negative_key_part_is_refused():
+    for key in ({"seed": -1}, {"seed": 0, "trial": -1}, {"seed": 0, "agent": -2**40}):
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.RngStream(**key)
 
 
 def test_uniforms_live_in_half_open_unit_interval():
