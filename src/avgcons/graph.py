@@ -146,56 +146,86 @@ def _c_in_connected_draws(n: int, c: int, rng: random.Random) -> tuple[list[int]
     return perm, ends[0::2], ends[1::2]
 
 
-# Bytes of generator state in one batch of _c_in_connected_batch, and the
-# fewest rounds worth one (its seeding makes ~10^4 numpy calls at any size).
-# Of _word_budget(6) = 44 words, 20,000 csc rounds used 17.4 on average, 42 at most.
-_BATCH_BYTES, _MIN_BATCH = 1 << 22, 800
+# Bytes one batch of _c_in_connected_batch holds at most, _key_bytes(n) a
+# key, and the fewest rounds worth one: its seeding makes ~7,500 numpy calls
+# at any size, so at n = 6 it draws 230 rounds as fast as random.Random
+# does, and more faster.
+_BATCH_BYTES, _MIN_BATCH = 6 << 20, 230
 
 
 def _word_budget(n: int) -> int:
-    return 4 * n + 20
+    """Words for one batched round: the mean plus four standard deviations
+    of the words a round with all n extra edges uses, a _randbelow(m)
+    taking a geometric number of words that each accept with rate
+    m / 2**m.bit_length().  Of 20,000 csc rounds at most 0.05% needed more
+    at any n from 2 to 51, and 0.12% at n = 1.  Up to n = 51 it is capped
+    at one twist; past 51 it exceeds one, so no larger n is batched."""
+    rates = [m / (1 << m.bit_length()) for m in [*range(2, n + 2), *[n] * (2 * n)]]
+    mean, var = sum(1 / q for q in rates), sum((1 - q) / q**2 for q in rates)
+    words = math.ceil(mean + 4 * math.sqrt(var))
+    return min(words, MAX_MT_WORDS) if n <= 51 else words
+
+
+def _key_bytes(n: int) -> int:
+    """The most bytes one key of a batch holds at once: its words, a byte
+    for each of its 3n draws, and ~250 bytes of seeding and decoding state
+    (tracemalloc read about 330 in all at n = 6 and 1,220 at n = 51)."""
+    return 4 * _word_budget(n) + 3 * n + 256
 
 
 def _batched_draws(n: int, keys: np.ndarray, words: int) -> tuple[np.ndarray, ...]:
     """_c_in_connected_draws for every key at once, from its first `words`
     outputs (seeds.mt_words), each _randbelow(m) drawn as CPython draws it:
-    the top m.bit_length() bits of the next word, again while >= m.  Gives
-    perm (B, n), the (B, 2n) ends in draw order, 0 past a round's extra-edge
-    count, and which rounds ran out of words."""
-    size, every = len(keys), np.arange(len(keys))
-    # Past its words a round reads zeros, which every draw accepts.
-    flat = np.concatenate([mt_words(keys, words).ravel(), np.zeros(size, dtype=np.uint32)])
-    pos = np.zeros(size, dtype=np.intp)
-
-    def below(m: int, rows: np.ndarray) -> np.ndarray:
-        got, shift = np.zeros(size, dtype=np.intp), 32 - m.bit_length()
-        while rows.size:
-            at = np.minimum(pos[rows], words)
-            r = (flat[at * size + rows] >> shift).astype(np.intp)
-            pos[rows] = at + 1
-            got[rows[r < m]] = r[r < m]
-            rows = rows[r >= m]
-        return got
-
-    perm = np.tile(np.arange(n), (size, 1))
-    for i in range(n - 1, 0, -1):  # shuffle
-        j = below(i + 1, every)
-        perm[every, i], perm[every, j] = perm[every, j], perm[every, i]
-    counts = below(n + 1, every)  # randint(0, n)
-    ends = np.stack([below(n, np.flatnonzero(d < 2 * counts)) for d in range(2 * n)], axis=1)
-    return perm, ends, pos > words
+    the top m.bit_length() bits of the next word, again while >= m.  One
+    pass over the word positions draws for every key: a key's draw d takes
+    the next word and moves on to d + 1 once it accepts.  Gives perm (B, n),
+    the (B, 2n) ends in draw order, 0 past a round's extra-edge count, and
+    which rounds ran out of words."""
+    # Draw d's bound: the shuffle's i+1 for i = n-1..1, randint(0, n)'s n+1,
+    # then n for each of the up to 2n ends; past them a bound of 0, which
+    # rejects every word, holds d at 3n.
+    bounds = [*range(n, 1, -1), n + 1, *[n] * (2 * n), 0]
+    bound = np.array(bounds, dtype=np.uint8)
+    shift = np.array([(32 - m.bit_length()) % 32 for m in bounds], dtype=np.uint32)
+    size, cols, take = len(keys), len(bounds), np.take
+    # got[key, d]: draw d's last value, so its accepted one, below
+    # 2**n.bit_length(), which a byte holds at every n that is batched.
+    got = np.zeros((size, cols), dtype=np.uint8)
+    every, d, r, need = np.arange(size), np.zeros(size, dtype=np.intp), np.empty(size, dtype=np.uint8), None
+    at, flat = every * cols, got.reshape(-1)
+    for word in mt_words(keys, words):  # every key's next word
+        np.right_shift(word, take(shift, d), r, casting="unsafe")
+        flat[at + d] = r
+        d += r < take(bound, d)
+        if need is None and d.min() >= n:  # every key has drawn its extra-edge count
+            need = n + 2 * got[:, n - 1].astype(np.intp)
+        if need is not None and (d >= need).all():
+            break
+    del word  # a view that would keep every word alive
+    # A key that has not drawn its count has n + 2 * got[key, n - 1] >= n > d.
+    short = d < n + 2 * got[:, n - 1].astype(np.intp)
+    got[short] = 0  # a short round's last value may be rejected: too large to swap
+    # The shuffle's swaps, on the (n, B) transpose: its row i is one slice.
+    perm = np.repeat(np.arange(n, dtype=np.uint8)[:, None], size, axis=1)
+    for i, j in zip(range(n - 1, 0, -1), got.T):
+        at = np.multiply(j, size, dtype=np.intp)
+        at += every
+        perm.reshape(-1)[at], perm[i] = perm[i], perm.reshape(-1)[at]  # row i is read first
+    ends = got[:, n : 3 * n] * (np.arange(2 * n) < 2 * got[:, n - 1 : n])
+    return perm.T, ends, short
 
 
 def _c_in_connected_batch(n: int, c: int, keys: list[int]) -> tuple[np.ndarray, ...]:
     """_c_in_connected_draws(n, c, random.Random(key)) for each key: perm
     (len(keys), n) and the extra edges' ends us, vs (len(keys), n), padded
-    with (0, 0) loops.  random.Random draws every round of a call under
-    _MIN_BATCH keys or of an n whose word budget exceeds one twist, and each
-    batched round that ran out of words or has a key < 2**32."""
-    count, words = len(keys), _word_budget(n)
-    perm, redo = np.empty((count, n), dtype=np.intp), np.ones(count, dtype=bool)
-    ends = np.zeros((count, 2 * n), dtype=np.intp)
-    room = _BATCH_BYTES // (8 * words + 4)  # keys whose 2*words+1 state words fit
+    with (0, 0) loops, all of the narrowest dtype that holds n - 1.
+    random.Random draws every round of a call under _MIN_BATCH keys or of
+    an n whose word budget exceeds one twist, and each batched round that
+    ran out of words or has a key < 2**32."""
+    count, words, node = len(keys), _word_budget(n), np.min_scalar_type(n - 1)
+    perm, redo = np.empty((count, n), dtype=node), np.ones(count, dtype=bool)
+    ends = np.zeros((count, 2 * n), dtype=node)
+    room = _BATCH_BYTES // _key_bytes(n)
     parts = -(-count // room) if words <= MAX_MT_WORDS and count >= _MIN_BATCH else 0
     for part in range(parts):  # batches of even size
         lo, hi = count * part // parts, count * (part + 1) // parts
@@ -352,8 +382,7 @@ class DynamicSchedule:
         check_ranges(t=min(rounds, default=1))
         n, m = self.n, min(self.c or 1, self.n - 1)
         if self.kind in ("csc", "c_connected"):
-            draws = _c_in_connected_batch(n, self.c or 1, self.round_keys(rounds))
-            perm, us, vs = (a.astype(np.min_scalar_type(n - 1)) for a in draws)
+            perm, us, vs = _c_in_connected_batch(n, self.c or 1, self.round_keys(rounds))
             # perm[i] hears perm[i-j] for j in 1..m, as in random_c_in_connected.
             back = (np.arange(n) - np.arange(1, m + 1)[:, None]).ravel() % n
             us = np.concatenate([perm[:, back], us], axis=1)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_in_adjacency_rejects_a_bad_window():
 # batched schedule generation, with random.Random as the oracle
 
 
-@pytest.mark.parametrize("count", [1, 44, MAX_MT_WORDS])
+@pytest.mark.parametrize("count", [1, 2, 44, MAX_MT_WORDS])
 def test_mt_words_match_random_getrandbits(count):
     rng = random.Random(count)
     keys = [rng.randrange(2**32, 2**64) for _ in range(50)] + [2**32, 2**32 + 1, 2**64 - 1]
@@ -284,7 +285,7 @@ def test_batched_in_adjacency_matches_graph_at(name, monkeypatch):
     # a call spans several batches, one of them short; () is empty.
     sched = gr.DynamicSchedule(seed=3, **BATCHED_SCHEDULES[name])
     monkeypatch.setattr(gr, "_MIN_BATCH", 1)
-    monkeypatch.setattr(gr, "_BATCH_BYTES", 40 * (8 * gr._word_budget(sched.n) + 4))
+    monkeypatch.setattr(gr, "_BATCH_BYTES", 40 * gr._key_bytes(sched.n))
     fallback = spy_on_the_fallback(monkeypatch)
     for rounds in ((), (5,), range(1, 201), range(40, 400, 7)):
         assert_in_adjacency_matches_graph_at(sched, list(rounds))
@@ -325,6 +326,59 @@ def test_in_adjacency_falls_back_to_random_for_short_budgets_and_small_keys(monk
     assert_in_adjacency_matches_graph_at(sched, rounds)
     assert all(random.Random(sched.round_key(t)).getstate() in fallback for t in rounds[2::3])
     assert 100 < len(fallback) < 300
+
+
+class WordCounter(random.Random):
+    """random.Random that counts the 32-bit words it hands out: each
+    _randbelow attempt is one getrandbits call, which takes one word."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 32, 33, 51])
+def test_batched_draws_flag_exactly_the_rounds_that_run_out_of_words(n):
+    # At 2n words some rounds fit and some do not, at every n here; at the
+    # default budget a round with all n extra edges fits too.
+    rng = random.Random(n)
+    keys = [rng.randrange(2**32, 2**64) for _ in range(200)]
+    for words in (2 * n, gr._word_budget(n)):
+        perm, ends, short = gr._batched_draws(n, np.array(keys, dtype=np.uint64), words)
+        for k, key in enumerate(keys):
+            oracle = WordCounter(key)
+            p, us, vs = gr._c_in_connected_draws(n, 1, oracle)
+            assert short[k] == (oracle.words > words), (words, key)
+            if not short[k]:
+                drawn = [e for uv in zip(us, vs) for e in uv]
+                assert (perm[k].tolist(), ends[k].tolist()) == (p, drawn + [0] * (2 * n - len(drawn))), key
+        if words == 2 * n:
+            assert 0 < short.sum() < len(keys)
+
+
+@pytest.mark.parametrize("n", [1, 6, 32, 51])
+def test_a_batch_holds_at_most_its_key_bytes(n):
+    rng = random.Random(n)
+    keys = np.array([rng.randrange(2**32, 2**64) for _ in range(2000)], dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        gr._batched_draws(n, keys, gr._word_budget(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(keys) * gr._key_bytes(n)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 33, 40])
+def test_batched_rounds_rarely_run_out_of_words(n, monkeypatch):
+    # At a power of two, or just past one, an extra-edge end accepts a
+    # word about half the time, so these n need the most words for their size.
+    monkeypatch.setattr(gr, "_MIN_BATCH", 1)
+    fallback = spy_on_the_fallback(monkeypatch)
+    gr.DynamicSchedule("csc", n, seed=7).in_edges(list(range(1, 4001)))
+    assert len(fallback) <= 4  # 0.1%
 
 
 @st.composite
